@@ -146,6 +146,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(task) == 0:
         raise AquagaugeError("evaluation task is empty")
     report = forecast.evaluate(model, task)
+    print(f"log: zero_actual_rows={report.zero_actuals}", file=sys.stderr)
     _atomic_write(args.out, forecast.report_csv(report, task.keys))
     print(forecast.summary_line(report))
     return 0

@@ -83,7 +83,13 @@ class EvalReport:
     mse: float
     r_squared: float
     mean_percentile_error: float
-    per_example: list[tuple[float, float, float]]  # (actual, predicted, pct err)
+    # (actual, predicted, pct err); pct err is None where the actual is 0
+    per_example: list[tuple[float, float, float | None]]
+
+    @property
+    def zero_actuals(self) -> int:
+        """Examples without a percentile error because their actual is 0."""
+        return sum(1 for _, _, e in self.per_example if e is None)
 
 
 def _month_index(year: int, month: int) -> int:
@@ -213,20 +219,27 @@ def percentile_error(actual: float, predicted: float) -> float:
 
 def evaluate(model: GbmModel, task: SupervisedTask) -> EvalReport:
     """Predict every task example and assemble the metric report, ordered by
-    task key order."""
+    task key order.
+
+    An example whose actual is 0 has no percentile error and is left out of
+    the mean; ZeroActual is raised only when every actual is 0.
+    """
     if model.feature_names != task.features.feature_names:
         raise FeatureMismatch(model.feature_names, task.features.feature_names)
     if len(task) == 0:
         raise Empty("task")
     predictions = predict_matrix(model, task.features.values)
     per_example = [
-        (float(a), float(p), percentile_error(float(a), float(p)))
+        (float(a), float(p), None if a == 0 else percentile_error(float(a), float(p)))
         for a, p in zip(task.targets, predictions)
     ]
+    errors = [e for _, _, e in per_example if e is not None]
+    if not errors:
+        raise ZeroActual()
     return EvalReport(
         mse=mse(task.targets, predictions),
         r_squared=r_squared(task.targets, predictions),
-        mean_percentile_error=float(np.mean([e[2] for e in per_example])),
+        mean_percentile_error=float(np.mean(errors)),
         per_example=per_example,
     )
 
@@ -262,14 +275,16 @@ def split_by_station(
 
 
 def report_csv(report: EvalReport, keys: list[tuple[str, int, int]]) -> str:
-    """Per-example CSV: keys, actual, predicted, percentile error."""
+    """Per-example CSV: keys, actual, predicted, percentile error (empty
+    where the actual is 0)."""
     if len(keys) != len(report.per_example):
         raise LengthMismatch(len(report.per_example), len(keys))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["station_code", "month", "year", "actual", "predicted", "percentile_error"])
     for (station, month, year), (a, p, e) in zip(keys, report.per_example):
-        writer.writerow([station, month, year, f"{a:.6f}", f"{p:.6f}", f"{e:.6f}"])
+        pct = "" if e is None else f"{e:.6f}"
+        writer.writerow([station, month, year, f"{a:.6f}", f"{p:.6f}", pct])
     return buf.getvalue()
 
 

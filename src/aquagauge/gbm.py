@@ -12,6 +12,15 @@ Fitting is deterministic: split thresholds are midpoints between consecutive
 distinct sorted feature values, candidate ties break toward the lower
 (feature index, threshold), and there is no row or feature subsampling. Two
 fits of the same data with the same hyperparameters serialize byte-identically.
+
+The split search is exact and presorted, after the attribute lists of SLIQ
+(Mehta et al., 1996) and the exact-greedy column blocks of XGBoost (Chen and
+Guestrin, 2016). gbm_fit stably argsorts each feature column once, every tree
+starts from those sorted row lists, and each split stably partitions them
+between its two children, so no node sorts. A node's rows stay in ascending
+order, so a stable sort of a whole column restricted to them is the node's own
+stable sort: the prefix sums see the same values in the same order, and the
+models are byte-identical to those of sorting every feature at every node.
 """
 
 from __future__ import annotations
@@ -204,6 +213,86 @@ def _matrix_values(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _presort(x: np.ndarray) -> np.ndarray:
+    """Every feature's row indices in stable ascending order of its values,
+    one int32 row per feature (shape n_features x n_rows)."""
+    if x.shape[0] > np.iinfo(np.int32).max:
+        raise ValueError("too many rows for int32 row lists")
+    return np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T, dtype=np.int32)
+
+
+def _split_node(
+    x: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, msl: int
+) -> SplitCandidate | None:
+    """best_split for the node holding `rows` (ascending) of x and y, whose
+    per-feature row lists in stable sorted order are `order`.
+
+    A stable sort of a whole column, restricted to the node's ascending rows,
+    is the node's own stable sort, so the prefix sums below see the same
+    values in the same order as sorting the node would give them.
+    """
+    n = rows.size
+    if n < 2 or n < 2 * msl:
+        return None
+    index = order.astype(np.intp)  # one index conversion for both gathers
+    # Candidates: sorted positions k - 1 that end a left side of k rows,
+    # msl <= k <= n - msl, between two distinct values of the feature.
+    xs = x[index, np.arange(order.shape[0])[:, None]]
+    cut = np.zeros(order.shape, dtype=bool)
+    np.less(xs[:, msl - 1 : n - msl], xs[:, msl : n - msl + 1], out=cut[:, msl - 1 : n - msl])
+    del xs
+    pos = np.flatnonzero(cut)
+    if pos.size == 0:
+        return None
+    per_feature = np.count_nonzero(cut, axis=1)
+    del cut
+    ks = pos % n + 1
+
+    ys = y[index]
+    del index
+    csum = np.cumsum(ys, axis=1)
+    left_sum = csum.ravel()[pos]
+    right_sum = np.repeat(csum[:, -1], per_feature)
+    right_sum -= left_sum
+    del csum
+    np.multiply(ys, ys, out=ys)
+    csq = np.cumsum(ys, axis=1, out=ys)
+    left_sq = csq.ravel()[pos]
+    right_sq = np.repeat(csq[:, -1], per_feature)
+    right_sq -= left_sq
+    del ys, csq
+    # scores = (left_sq - left_sum**2 / ks) + (right_sq - right_sum**2 / (n - ks)),
+    # evaluated in place to hold fewer candidate-sized arrays at once
+    np.square(left_sum, out=left_sum)
+    left_sum /= ks
+    scores = np.subtract(left_sq, left_sum, out=left_sq)
+    np.square(right_sum, out=right_sum)
+    right_sum /= n - ks
+    right_sq -= right_sum
+    scores += right_sq
+
+    y_node = y[rows]
+    parent_sse = _sse(y_node)
+    margin = _NEAR_TIE_RELATIVE_MARGIN * max(parent_sse, 1.0)
+    shortlist = []
+    for i in np.flatnonzero(scores <= scores.min() + margin):
+        f, k = int(pos[i] // n), int(ks[i])
+        shortlist.append((f, float(0.5 * (x[order[f, k - 1], f] + x[order[f, k], f]))))
+
+    best: SplitCandidate | None = None
+    for f, thr in sorted(shortlist):
+        mask = x[rows, f] <= thr
+        n_left = int(mask.sum())
+        if n_left < msl or n - n_left < msl:
+            continue
+        exact = _sse(y_node[mask]) + _sse(y_node[~mask])
+        if best is None or exact < best.sse:
+            best = SplitCandidate(feature=f, threshold=thr, sse=exact)
+    if best is None or not parent_sse - best.sse > 0.0:
+        return None
+    return best
+
+
 def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | None:
     """Exhaustive best two-leaf split by total SSE, or None when infeasible.
 
@@ -217,92 +306,61 @@ def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | Non
     """
     x = _matrix_values(rows)
     y = np.asarray(targets, dtype=np.float64)
-    n, n_features = x.shape
-    msl = min_samples_leaf
+    n, _ = x.shape
     if n != y.size:
         raise LengthMismatch(n, y.size)
-    if n < 2 or n < 2 * msl:
-        return None
-
-    parent_sse = _sse(y)
-    cand_feature: list[np.ndarray] = []
-    cand_threshold: list[np.ndarray] = []
-    cand_score: list[np.ndarray] = []
-    total = None
-    for f in range(n_features):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        ks = np.arange(msl, n - msl + 1)
-        ks = ks[xs[ks - 1] < xs[ks]]
-        if ks.size == 0:
-            continue
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        left_sum = csum[ks - 1]
-        left_sq = csq[ks - 1]
-        right_sum = csum[-1] - left_sum
-        right_sq = csq[-1] - left_sq
-        score = (left_sq - left_sum**2 / ks) + (right_sq - right_sum**2 / (n - ks))
-        cand_feature.append(np.full(ks.size, f))
-        cand_threshold.append(0.5 * (xs[ks - 1] + xs[ks]))
-        cand_score.append(score)
-    if not cand_feature:
-        return None
-
-    features = np.concatenate(cand_feature)
-    thresholds = np.concatenate(cand_threshold)
-    scores = np.concatenate(cand_score)
-    margin = _NEAR_TIE_RELATIVE_MARGIN * max(parent_sse, 1.0)
-    shortlist = np.flatnonzero(scores <= scores.min() + margin)
-
-    best: SplitCandidate | None = None
-    order = sorted(shortlist, key=lambda i: (features[i], thresholds[i]))
-    for i in order:
-        f = int(features[i])
-        thr = float(thresholds[i])
-        mask = x[:, f] <= thr
-        n_left = int(mask.sum())
-        if n_left < msl or n - n_left < msl:
-            continue
-        exact = _sse(y[mask]) + _sse(y[~mask])
-        if best is None or exact < best.sse:
-            best = SplitCandidate(feature=f, threshold=thr, sse=exact)
-    if best is None or not parent_sse - best.sse > 0.0:
-        return None
-    return best
+    return _split_node(x, y, np.arange(n, dtype=np.int32), _presort(x), min_samples_leaf)
 
 
-def fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
+def _partition(order: np.ndarray, goes_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split every feature's sorted row list by goes_left[row], keeping order."""
+    side = goes_left[order.astype(np.intp)].ravel()
+    flat = order.ravel()
+    n_features = order.shape[0]
+    left = np.compress(side, flat).reshape(n_features, -1)
+    return left, np.compress(~side, flat).reshape(n_features, -1)
+
+
+def fit_tree(
+    rows, residuals, hp: Hyperparams, _presorted: np.ndarray | None = None
+) -> RegressionTree:
     """Greedy CART on residuals. A node splits only while its row count is at
     least min_samples_split and its depth is below max_depth; leaves carry the
-    mean residual and their training row count."""
+    mean residual and their training row count.
+
+    `_presorted` is _presort(rows), passed by gbm_fit so that every tree of a
+    fit shares one sort. Nodes are numbered in preorder (left subtree first).
+    """
     x = _matrix_values(rows)
     r = np.asarray(residuals, dtype=np.float64)
     if r.size == 0:
         raise EmptyTargets()
     if x.shape[0] != r.size:
         raise LengthMismatch(x.shape[0], r.size)
+    order = _presort(x) if _presorted is None else _presorted
 
-    nodes: list[Internal | Leaf] = []
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        sub = r[idx]
-        if depth < hp.max_depth and idx.size >= hp.min_samples_split:
-            cand = best_split(x[idx], sub, hp.min_samples_leaf)
-            if cand is not None:
-                node_id = len(nodes)
-                nodes.append(None)  # type: ignore[arg-type]  # patched below
-                mask = x[idx, cand.feature] <= cand.threshold
-                left = build(idx[mask], depth + 1)
-                right = build(idx[~mask], depth + 1)
-                nodes[node_id] = Internal(cand.feature, cand.threshold, left, right)
-                return node_id
+    goes_left = np.zeros(r.size, dtype=bool)
+    nodes: list = []  # Internal | Leaf, or (feature, threshold) until the right child exists
+    # (rows ascending, per-feature sorted rows, depth, parent id if a right child)
+    stack = [(np.arange(r.size, dtype=np.int32), order, 0, -1)]
+    while stack:
+        idx, order, depth, parent = stack.pop()
         node_id = len(nodes)
-        nodes.append(Leaf(value=line_search_leaf(sub), train_count=int(idx.size)))
-        return node_id
-
-    build(np.arange(r.size), 0)
+        if parent >= 0:
+            nodes[parent] = Internal(*nodes[parent], left=parent + 1, right=node_id)
+        cand = None
+        if depth < hp.max_depth and idx.size >= hp.min_samples_split:
+            cand = _split_node(x, r, idx, order, hp.min_samples_leaf)
+        if cand is None:
+            nodes.append(Leaf(value=line_search_leaf(r[idx]), train_count=int(idx.size)))
+            continue
+        nodes.append((cand.feature, cand.threshold))
+        mask = x[idx, cand.feature] <= cand.threshold
+        goes_left[idx] = mask
+        left_order, right_order = _partition(order, goes_left)
+        stack.append((idx[~mask], right_order, depth + 1, node_id))
+        stack.append((idx[mask], left_order, depth + 1, -1))
+        del order, left_order, right_order  # the stack owns the child lists now
     return RegressionTree(nodes=nodes)
 
 
@@ -384,9 +442,10 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     pred = np.full(targets.size, f0, dtype=np.float64)
     curve = [float(np.mean((targets - pred) ** 2))]
     trees: list[RegressionTree] = []
+    presorted = _presort(fm.values)
     for _ in range(hp.n_trees):
         resid = negative_gradient(targets, pred)
-        tree = _scale_leaves(fit_tree(fm.values, resid, hp), hp.learning_rate)
+        tree = _scale_leaves(fit_tree(fm.values, resid, hp, presorted), hp.learning_rate)
         pred = pred + tree_apply(tree, fm.values)
         trees.append(tree)
         curve.append(float(np.mean((targets - pred) ** 2)))
@@ -463,10 +522,20 @@ def serialize_model(model: GbmModel) -> str:
 _TREE_HEADER_RE = re.compile(r"^tree (\d+) nodes (\d+)$")
 
 
+def _finite(text: str) -> float:
+    """float(text), raising ValueError for NaN and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _validate_tree(nodes: list[Internal | Leaf], n_features: int) -> None:
     k = len(nodes)
     parents = [0] * k
     for i, node in enumerate(nodes):
+        if isinstance(node, Leaf) and node.train_count < 1:
+            raise CorruptNode(i, f"train_count {node.train_count} is below 1")
         if isinstance(node, Internal):
             if not 0 <= node.feature < n_features:
                 raise CorruptNode(i, f"feature index {node.feature} out of range")
@@ -501,6 +570,8 @@ def deserialize_model(text: str) -> GbmModel:
         if "=" not in line:
             raise CorruptHeader(f"expected key=value, got {line!r}")
         key, _, value = line.partition("=")
+        if key in header:
+            raise CorruptHeader(f"duplicate key {key!r}")
         header[key] = value
         pos += 1
 
@@ -523,19 +594,21 @@ def deserialize_model(text: str) -> GbmModel:
     try:
         hp = Hyperparams(
             n_trees=int(header["n_trees"]),
-            learning_rate=float(header["learning_rate"]),
+            learning_rate=_finite(header["learning_rate"]),
             max_depth=int(header["max_depth"]),
             min_samples_split=int(header["min_samples_split"]),
             min_samples_leaf=int(header["min_samples_leaf"]),
             seed=int(header["seed"]),
         )
-        f0 = float(header["f0"])
+        f0 = _finite(header["f0"])
     except ValueError as exc:
         raise CorruptHeader(str(exc)) from exc
     feature_names = [s for s in header["feature_names"].split(",") if s]
+    if len(set(feature_names)) != len(feature_names):
+        raise CorruptHeader("duplicate feature names")
     curve_text = header.get("training_curve", "")
     try:
-        curve = [float(tok) for tok in curve_text.split(",") if tok]
+        curve = [_finite(tok) for tok in curve_text.split(",") if tok]
     except ValueError as exc:
         raise CorruptHeader(f"bad training_curve: {exc}") from exc
 
@@ -557,10 +630,10 @@ def deserialize_model(text: str) -> GbmModel:
             try:
                 if parts and parts[0] == "I" and len(parts) == 5:
                     nodes.append(
-                        Internal(int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4]))
+                        Internal(int(parts[1]), _finite(parts[2]), int(parts[3]), int(parts[4]))
                     )
                 elif parts and parts[0] == "L" and len(parts) == 3:
-                    nodes.append(Leaf(float(parts[1]), int(parts[2])))
+                    nodes.append(Leaf(_finite(parts[1]), int(parts[2])))
                 else:
                     raise CorruptNode(j, f"unrecognized node line: {' '.join(parts)!r}")
             except ValueError as exc:

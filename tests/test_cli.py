@@ -188,6 +188,25 @@ class TestEvaluateCommand:
         rows = list(csv.DictReader(report_path.read_text().splitlines()))
         assert len(rows) == 60  # 12 stations x 5 pairable observations
 
+    def test_zero_actual_row_gets_empty_cell(self, capsys, trained_model_path, tmp_path):
+        rows = synthetic_station_rows()
+        # every sub-index 0, so WQI 0, for the second observation of station 2000,
+        # which is the four-months-later target of its first observation
+        rows[1][4:12] = ["25.0", "1.0", "5.0", "500", "200", "300", "9000", "9000"]
+        data = tmp_path / "zero.csv"
+        data.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
+        report_path = tmp_path / "zero_report.csv"
+        code, out, err = run(capsys, "evaluate", "--input", str(data), "--model", trained_model_path,
+                             "--out", str(report_path), "--split", "all")
+        assert code == 0
+        assert "log: zero_actual_rows=1" in err
+        report = list(csv.DictReader(report_path.read_text().splitlines()))
+        assert len(report) == 60
+        zero = [r for r in report if float(r["actual"]) == 0.0]
+        assert len(zero) == 1 and zero[0]["percentile_error"] == ""
+        mean = np.mean([float(r["percentile_error"]) for r in report if r["percentile_error"]])
+        assert float(out.split("mean_pct_err=")[1]) == pytest.approx(mean, abs=1e-5)
+
     def test_bad_split_spec_exits_2(self, capsys, synthetic_csv_path, trained_model_path):
         code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path,
                            "--model", trained_model_path, "--split", "bogus")

@@ -224,6 +224,27 @@ class TestEvaluate:
         with pytest.raises(FeatureMismatch):
             evaluate(model, task)
 
+    def test_zero_actual_row_left_out_of_mean(self):
+        task = _toy_task()
+        task.targets[[3, 17]] = 0.0
+        model = gbm_fit(task.features, task.targets, Hyperparams(n_trees=0))
+        report = evaluate(model, task)
+        assert report.zero_actuals == 2
+        assert report.per_example[3][2] is None and report.per_example[17][2] is None
+        kept = [percentile_error(a, p) for a, p, _ in report.per_example if a != 0.0]
+        assert len(kept) == len(task) - 2
+        assert report.mean_percentile_error == float(np.mean(kept))
+        rows = report_csv(report, task.keys).splitlines()
+        assert rows[1 + 3].endswith(",") and rows[1 + 17].endswith(",")
+        assert not rows[1].endswith(",")
+
+    def test_all_zero_actuals_raise(self):
+        task = _toy_task()
+        task.targets[:] = 0.0
+        model = gbm_fit(task.features, task.targets, Hyperparams(n_trees=0))
+        with pytest.raises(ZeroActual):
+            evaluate(model, task)
+
 
 class TestSplitByStation:
     def test_disjoint_and_deterministic(self):

@@ -1,11 +1,16 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aquagauge.errors import LengthMismatch, NonFinite
 from aquagauge.gbm import (
+    _NEAR_TIE_RELATIVE_MARGIN,
     ArityMismatch,
     BadMagic,
+    CorruptHeader,
     CorruptNode,
     EmptyLeaf,
     EmptyTargets,
@@ -16,7 +21,10 @@ from aquagauge.gbm import (
     Leaf,
     ModelFormatError,
     RegressionTree,
+    SplitCandidate,
     UnsupportedVersion,
+    _matrix_values,
+    _sse,
     best_split,
     deserialize_model,
     fit_tree,
@@ -28,6 +36,7 @@ from aquagauge.gbm import (
     node_train_count,
     predict_matrix,
     serialize_model,
+    tree_apply,
     tree_depth,
     tree_predict,
 )
@@ -121,6 +130,180 @@ def flatten_tree(tree: RegressionTree, node_id=0, out=None):
         flatten_tree(tree, node.left, out)
         flatten_tree(tree, node.right, out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The split search as it was before presorting: every node stably argsorts
+# every feature column of its own sub-matrix. Kept verbatim (renamed) as the
+# reference that the presorted fitter must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+def argsort_best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | None:
+    """Exhaustive best two-leaf split by total SSE, or None when infeasible.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values of each feature; both sides must keep at least min_samples_leaf
+    rows and the split must strictly reduce the node SSE. Candidates are
+    scanned with prefix sums, then everything within a hair of the scanned
+    optimum is re-scored with the exact two-pass SSE so that the returned
+    (feature, threshold, sse) matches direct enumeration, ties resolved
+    toward the lower (feature, threshold).
+    """
+    x = _matrix_values(rows)
+    y = np.asarray(targets, dtype=np.float64)
+    n, n_features = x.shape
+    msl = min_samples_leaf
+    if n != y.size:
+        raise LengthMismatch(n, y.size)
+    if n < 2 or n < 2 * msl:
+        return None
+
+    parent_sse = _sse(y)
+    cand_feature: list[np.ndarray] = []
+    cand_threshold: list[np.ndarray] = []
+    cand_score: list[np.ndarray] = []
+    total = None
+    for f in range(n_features):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        ks = np.arange(msl, n - msl + 1)
+        ks = ks[xs[ks - 1] < xs[ks]]
+        if ks.size == 0:
+            continue
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        left_sum = csum[ks - 1]
+        left_sq = csq[ks - 1]
+        right_sum = csum[-1] - left_sum
+        right_sq = csq[-1] - left_sq
+        score = (left_sq - left_sum**2 / ks) + (right_sq - right_sum**2 / (n - ks))
+        cand_feature.append(np.full(ks.size, f))
+        cand_threshold.append(0.5 * (xs[ks - 1] + xs[ks]))
+        cand_score.append(score)
+    if not cand_feature:
+        return None
+
+    features = np.concatenate(cand_feature)
+    thresholds = np.concatenate(cand_threshold)
+    scores = np.concatenate(cand_score)
+    margin = _NEAR_TIE_RELATIVE_MARGIN * max(parent_sse, 1.0)
+    shortlist = np.flatnonzero(scores <= scores.min() + margin)
+
+    best: SplitCandidate | None = None
+    order = sorted(shortlist, key=lambda i: (features[i], thresholds[i]))
+    for i in order:
+        f = int(features[i])
+        thr = float(thresholds[i])
+        mask = x[:, f] <= thr
+        n_left = int(mask.sum())
+        if n_left < msl or n - n_left < msl:
+            continue
+        exact = _sse(y[mask]) + _sse(y[~mask])
+        if best is None or exact < best.sse:
+            best = SplitCandidate(feature=f, threshold=thr, sse=exact)
+    if best is None or not parent_sse - best.sse > 0.0:
+        return None
+    return best
+
+
+def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
+    """Greedy CART on residuals. A node splits only while its row count is at
+    least min_samples_split and its depth is below max_depth; leaves carry the
+    mean residual and their training row count."""
+    x = _matrix_values(rows)
+    r = np.asarray(residuals, dtype=np.float64)
+    if r.size == 0:
+        raise EmptyTargets()
+    if x.shape[0] != r.size:
+        raise LengthMismatch(x.shape[0], r.size)
+
+    nodes: list[Internal | Leaf] = []
+
+    def build(idx: np.ndarray, depth: int) -> int:
+        sub = r[idx]
+        if depth < hp.max_depth and idx.size >= hp.min_samples_split:
+            cand = argsort_best_split(x[idx], sub, hp.min_samples_leaf)
+            if cand is not None:
+                node_id = len(nodes)
+                nodes.append(None)  # type: ignore[arg-type]  # patched below
+                mask = x[idx, cand.feature] <= cand.threshold
+                left = build(idx[mask], depth + 1)
+                right = build(idx[~mask], depth + 1)
+                nodes[node_id] = Internal(cand.feature, cand.threshold, left, right)
+                return node_id
+        node_id = len(nodes)
+        nodes.append(Leaf(value=line_search_leaf(sub), train_count=int(idx.size)))
+        return node_id
+
+    build(np.arange(r.size), 0)
+    return RegressionTree(nodes=nodes)
+
+
+def float_bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def node_bits(node: Internal | Leaf):
+    """A node with every float replaced by its exact bit pattern."""
+    if isinstance(node, Leaf):
+        return ("L", float_bits(node.value), node.train_count)
+    return ("I", node.feature, float_bits(node.threshold), node.left, node.right)
+
+
+@st.composite
+def tied_problems(draw):
+    """Small fitting problems full of ties: columns drawn from small value
+    sets, constant and 0/1 columns, tied targets, n near 2 * min_samples_leaf
+    and large min_samples_leaf."""
+    msl = draw(st.integers(1, 12))
+    n = draw(st.one_of(st.integers(2 * msl - 1, 2 * msl + 2), st.integers(1, 48)))
+    n_features = draw(st.integers(1, 4))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    columns = []
+    for _ in range(n_features):
+        kind = draw(st.sampled_from(["small set", "constant", "binary", "any"]))
+        if kind == "constant":
+            columns.append([draw(finite)] * n)
+            continue
+        values = {
+            "small set": st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0]),
+            "binary": st.sampled_from([0.0, 1.0]),
+            "any": finite,
+        }[kind]
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    x = np.array(columns, dtype=np.float64).T.reshape(n, n_features)
+    target_values = draw(st.sampled_from([st.sampled_from([-1.0, 0.0, 0.25, 2.0]), finite]))
+    y = np.array(draw(st.lists(target_values, min_size=n, max_size=n)), dtype=np.float64)
+    hp = Hyperparams(
+        max_depth=draw(st.integers(0, 5)),
+        min_samples_split=draw(st.integers(2, max(2, n))),
+        min_samples_leaf=msl,
+    )
+    return x, y, hp
+
+
+# The sha256 of serialize_model(gbm_fit(...)) on golden_xy() with
+# GOLDEN_HP, computed with the per-node argsort fitter.
+GOLDEN_MODEL_SHA256 = "2303ed8543f388bc03b0c120201266b0f7445f35d2d3b12f8bd07c8079397394"
+GOLDEN_HP = Hyperparams(n_trees=25, learning_rate=0.2, max_depth=4,
+                        min_samples_split=20, min_samples_leaf=5)
+
+
+def golden_xy():
+    """Seeded matrix with a continuous, a rounded, a 0/1, a constant and a
+    month-like column."""
+    rng = np.random.default_rng(2102)
+    n = 500
+    x = np.column_stack([
+        rng.normal(size=n),
+        np.round(rng.uniform(0, 10, size=n)),
+        rng.integers(0, 2, size=n).astype(float),
+        np.full(n, 3.0),
+        rng.integers(1, 13, size=n).astype(float),
+    ])
+    y = 2.0 * x[:, 0] + np.sin(x[:, 1]) + 3.0 * x[:, 2] * (x[:, 4] > 6) + rng.normal(0, 0.3, n)
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +596,136 @@ class TestSerialization:
                          feature_names=["a"])
         with pytest.raises(CorruptNode):
             deserialize_model(serialize_model(model))
+
+
+class TestPresortedFitter:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_problems())
+    def test_fit_tree_matches_per_node_argsort_bit_for_bit(self, problem):
+        x, y, hp = problem
+        ours = fit_tree(x, y, hp).nodes
+        ref = argsort_fit_tree(x, y, hp).nodes
+        assert [node_bits(node) for node in ours] == [node_bits(node) for node in ref]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_problems())
+    def test_best_split_matches_per_node_argsort_bit_for_bit(self, problem):
+        x, y, hp = problem
+        got = best_split(x, y, hp.min_samples_leaf)
+        want = argsort_best_split(x, y, hp.min_samples_leaf)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.feature, float_bits(got.threshold), float_bits(got.sse)) == (
+                want.feature, float_bits(want.threshold), float_bits(want.sse))
+
+    def test_boosted_trees_match_per_node_argsort(self):
+        x, y = golden_xy()
+        model = gbm_fit(x, y, GOLDEN_HP)
+        pred = np.full(y.size, np.mean(y))
+        for tree in model.trees:
+            ref = argsort_fit_tree(x, y - pred, GOLDEN_HP)
+            scaled = [Leaf(n.value * GOLDEN_HP.learning_rate, n.train_count)
+                      if isinstance(n, Leaf) else n for n in ref.nodes]
+            assert [node_bits(n) for n in tree.nodes] == [node_bits(n) for n in scaled]
+            pred = pred + tree_apply(tree, x)
+
+    def test_golden_model_sha256(self):
+        x, y = golden_xy()
+        fm = FeatureMatrix(x, ["a", "b", "c", "d", "e"])
+        text = serialize_model(gbm_fit(fm, y, GOLDEN_HP))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256
+
+
+def _small_model_text() -> str:
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-3, 3, size=(60, 3))
+    y = x[:, 0] - 2 * (x[:, 1] > 0) + rng.normal(0, 0.1, 60)
+    hp = Hyperparams(n_trees=2, max_depth=2, min_samples_split=10, min_samples_leaf=4)
+    return serialize_model(gbm_fit(FeatureMatrix(x, ["ph", "do", "bod"]), y, hp))
+
+
+_FUZZ_TOKENS = ["nan", "-nan", "NaN", "inf", "-inf", "1e999", "0", "-0", "-1", "2", "7",
+                "1e308", "-1e308", "5e-324", "1.5", "", "x", "ph", "ph,ph", "tree", "I", "L"]
+
+
+@st.composite
+def one_line_mutations(draw):
+    """A serialized model with one line changed: a token swapped, the whole
+    line replaced, or the line deleted or doubled."""
+    lines = _small_model_text().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["token", "token", "replace", "delete", "double"]))
+    if how == "token":
+        parts = re.split(r"([ =,])", lines[i])  # odd entries are the separators
+        j = 2 * draw(st.integers(0, len(parts) // 2))
+        parts[j] = draw(st.sampled_from(_FUZZ_TOKENS))
+        lines[i] = "".join(parts)
+    elif how == "replace":
+        lines[i] = draw(st.text(max_size=30))
+    elif how == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+class TestLoaderRejects:
+    def _mutate(self, prefix: str, edit) -> str:
+        lines = _small_model_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        lines[i] = edit(lines[i])
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_f0(self, value):
+        with pytest.raises(CorruptHeader):
+            deserialize_model(self._mutate("f0=", lambda _: f"f0={value}"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate(self, value):
+        with pytest.raises(CorruptHeader):
+            deserialize_model(self._mutate("learning_rate=", lambda _: f"learning_rate={value}"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_training_curve(self, value):
+        text = self._mutate("training_curve=", lambda line: re.sub(r",[^,]+", f",{value}", line, 1))
+        with pytest.raises(CorruptHeader):
+            deserialize_model(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold(self, value):
+        edit = lambda line: " ".join(p if k != 2 else value for k, p in enumerate(line.split()))
+        with pytest.raises(CorruptNode):
+            deserialize_model(self._mutate("I ", edit))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_leaf_value(self, value):
+        with pytest.raises(CorruptNode):
+            deserialize_model(self._mutate("L ", lambda line: f"L {value} {line.split()[2]}"))
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_train_count_below_one(self, count):
+        with pytest.raises(CorruptNode):
+            deserialize_model(self._mutate("L ", lambda line: f"L {line.split()[1]} {count}"))
+
+    def test_duplicate_feature_names(self):
+        with pytest.raises(CorruptHeader):
+            deserialize_model(self._mutate("feature_names=", lambda _: "feature_names=ph,do,ph"))
+
+    def test_duplicate_header_key(self):
+        with pytest.raises(CorruptHeader):
+            deserialize_model(self._mutate("training_curve=", lambda _: "f0=1.0"))
+
+    def test_unmutated_text_loads(self):
+        assert deserialize_model(_small_model_text()).feature_names == ["ph", "do", "bod"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(one_line_mutations())
+    def test_one_line_mutation_loads_finite_or_raises(self, text):
+        try:
+            model = deserialize_model(text)
+        except ModelFormatError:
+            return
+        rows = np.random.default_rng(13).uniform(-1e3, 1e3, size=(50, len(model.feature_names)))
+        assert np.all(np.isfinite(predict_matrix(model, rows)))

@@ -53,8 +53,16 @@ def _echo_config(args: argparse.Namespace) -> None:
 def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
     text = Path(args.input).read_text(encoding="utf-8")
     strictness = "strict" if getattr(args, "strict", False) else "lenient"
-    ds = ingest.parse_dataset(text, strictness=strictness, source=args.input)
-    return ingest.impute_missing(ds, _IMPUTE_FLAG[args.impute])
+    parsed = ingest.parse_dataset(text, strictness=strictness, source=args.input)
+    ds = ingest.impute_missing(parsed, _IMPUTE_FLAG[args.impute])
+    rows_read = len(parsed.samples) + len(parsed.provenance.dropped)
+    print(f"log: rows_read={rows_read} rows_dropped={len(ds.provenance.dropped)} "
+          f"cells_noted={len(parsed.provenance.notes)}", file=sys.stderr)
+    return ds
+
+
+def _score(ds: ingest.Dataset, mode: str) -> wqi.WqiColumns:
+    return wqi.score_columns(ingest.sample_columns(ds, ingest.WQI_INPUTS), mode)
 
 
 def _parse_split(spec: str) -> tuple[str, float]:
@@ -75,19 +83,19 @@ def cmd_wqi(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
     if not ds.samples:
         raise AquagaugeError("no samples")
-    mode = _MODE_FLAG[args.mode]
+    scored = _score(ds, _MODE_FLAG[args.mode])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["station_code", "month_year", "nph", "ndo", "nbdo", "nec", "nna", "nco",
          "wph", "wdo", "wbdo", "wec", "wna", "wco", "wqi"]
     )
-    for s in ds.samples:
-        rec = wqi.compute_wqi(s, mode)
-        writer.writerow(
-            [s.station_code, f"{s.month}-{s.year}", *rec.sub.as_tuple(),
-             *(f"{v:.2f}" for v in rec.weighted.as_tuple()), f"{rec.wqi:.2f}"]
+    writer.writerows(
+        [s.station_code, f"{s.month}-{s.year}", *sub, *(f"{v:.2f}" for v in weighted), f"{v_wqi:.2f}"]
+        for s, sub, weighted, v_wqi in zip(
+            ds.samples, scored.sub.tolist(), scored.weighted.tolist(), scored.wqi.tolist()
         )
+    )
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -156,18 +164,20 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
     if not ds.samples:
         raise AquagaugeError("no samples")
-    mode = _MODE_FLAG[args.mode]
+    scored = _score(ds, _MODE_FLAG[args.mode])
     if args.rules:
         ruleset = rules.load_rules(Path(args.rules).read_text(encoding="utf-8"))
     else:
         ruleset = rules.default_ruleset()
+    outcomes = [(r.name, r.suggestion) for r in (*ruleset.rules, ruleset.default_rule)]
+    matched = rules.diagnose_columns(scored, ruleset)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["station_code", "month", "year", "wqi", "disease", "suggestion"])
-    for s in ds.samples:
-        rec = wqi.compute_wqi(s, mode)
-        d = rules.diagnose(rec, ruleset)
-        writer.writerow([s.station_code, s.month, s.year, f"{rec.wqi:.6f}", d.disease, d.suggestion])
+    writer.writerows(
+        [s.station_code, s.month, s.year, f"{v_wqi:.6f}", *outcomes[pos]]
+        for s, v_wqi, pos in zip(ds.samples, scored.wqi.tolist(), matched.tolist())
+    )
     _emit(buf.getvalue(), args.out)
     return 0
 

@@ -6,13 +6,18 @@ paired with the same station's observation four calendar months later
 feature row for an observation holds its six chemical inputs, temperature,
 its own WQI, up to two prior WQI values with presence flags, and the month
 and year; the target is the paired later WQI.
+
+Feature rows are built as columns: the dataset's values come out of
+:func:`ingest.sample_columns`, the WQI out of :func:`wqi.score_columns`, and
+the lags are the WQI column shifted by one and two rows, present where the
+row that many rows back is from the same station. Samples must be sorted by
+(station_code, year, month), as :func:`ingest.parse_dataset` returns them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import statistics
 from dataclasses import dataclass
 
@@ -20,8 +25,8 @@ import numpy as np
 
 from .errors import AquagaugeError, LengthMismatch
 from .gbm import FeatureMatrix, GbmModel, predict_matrix
-from .ingest import Dataset
-from .wqi import NORMATIVE, compute_wqi
+from .ingest import WQI_INPUTS, Dataset, sample_columns
+from .wqi import NORMATIVE, score_columns
 
 FEATURE_NAMES = [
     "ph",
@@ -68,6 +73,13 @@ class FeatureMismatch(ForecastError):
         super().__init__(f"model features {expected} != task features {got}")
 
 
+class UnsortedSamples(ForecastError):
+    def __init__(self, position: int, key: tuple[str, int, int], previous: tuple[str, int, int]):
+        super().__init__(
+            f"samples not in (station_code, year, month) order: {key} at {position} follows {previous}"
+        )
+
+
 @dataclass
 class SupervisedTask:
     features: FeatureMatrix
@@ -101,47 +113,37 @@ def build_feature_rows(
 ) -> tuple[FeatureMatrix, list[tuple[str, int, int]], np.ndarray]:
     """Feature rows for every observation, in dataset order.
 
-    Requires an imputed dataset (all six WQI inputs present). Missing
+    Requires an imputed dataset (all six WQI inputs present) sorted by
+    (station_code, year, month); raises UnsortedSamples otherwise. Missing
     temperature is filled with the dataset median of observed temperatures
     (0.0 when none was ever observed) so rows stay finite.
     """
-    observed_temps = [s.temp for s in ds.samples if s.temp is not None]
+    order = [(s.station_code, s.year, s.month) for s in ds.samples]
+    for i in range(1, len(order)):
+        if order[i] < order[i - 1]:
+            raise UnsortedSamples(i, order[i], order[i - 1])
+    cols = sample_columns(ds, (*WQI_INPUTS, "temp", "month", "year"))
+    wqis = score_columns(cols[:, :6], mode).wqi
+    temp = cols[:, 6]
+    observed_temps = temp[~np.isnan(temp)].tolist()
     temp_fill = float(statistics.median(observed_temps)) if observed_temps else 0.0
 
-    rows: list[list[float]] = []
-    keys: list[tuple[str, int, int]] = []
-    wqis: list[float] = []
-    for _, group in itertools.groupby(ds.samples, key=lambda s: s.station_code):
-        history: list[float] = []
-        for s in group:
-            rec = compute_wqi(s, mode)
-            lag1 = history[-1] if len(history) >= 1 else None
-            lag2 = history[-2] if len(history) >= 2 else None
-            rows.append(
-                [
-                    s.ph,
-                    s.dissolved_oxygen,
-                    s.bod,
-                    s.conductivity,
-                    s.nitrate,
-                    s.total_coliform,
-                    s.temp if s.temp is not None else temp_fill,
-                    rec.wqi,
-                    lag1 if lag1 is not None else 0.0,
-                    1.0 if lag1 is not None else 0.0,
-                    lag2 if lag2 is not None else 0.0,
-                    1.0 if lag2 is not None else 0.0,
-                    float(s.month),
-                    float(s.year),
-                ]
-            )
-            keys.append((s.station_code, s.month, s.year))
-            wqis.append(rec.wqi)
-            history.append(rec.wqi)
-    values = (
-        np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(FEATURE_NAMES)))
-    )
-    return FeatureMatrix(values, list(FEATURE_NAMES)), keys, np.asarray(wqis)
+    n = len(order)
+    stations = np.array([station for station, _, _ in order], dtype=object)
+    values = np.zeros((n, len(FEATURE_NAMES)))
+    values[:, :6] = cols[:, :6]
+    values[:, 6] = np.where(np.isnan(temp), temp_fill, temp)
+    values[:, 7] = wqis
+    for lag, col in ((1, 8), (2, 10)):
+        # Sorted by station, so a sample `lag` rows back from the same
+        # station is `lag` rows back in the same run.
+        present = np.zeros(n, dtype=bool)
+        present[lag:] = stations[lag:] == stations[:-lag]
+        values[lag:, col] = np.where(present[lag:], wqis[:-lag], 0.0)
+        values[:, col + 1] = present
+    values[:, 12:] = cols[:, 7:]
+    keys = [(station, month, year) for station, year, month in order]
+    return FeatureMatrix(values, list(FEATURE_NAMES)), keys, wqis
 
 
 def build_supervised(ds: Dataset, mode: str = NORMATIVE) -> SupervisedTask:

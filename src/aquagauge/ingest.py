@@ -6,7 +6,9 @@ punctuation stripped), so ``B.O.D.``, ``bod`` and ``B.O. D.`` all map to the
 same column. Real station exports type several numeric columns as free text
 ("n/a", "-", trailing-dot numerals), so the default mode is lenient: bad
 cells become missing values and only rows that are unusable outright are
-dropped, with every drop logged.
+dropped, with every drop logged. :func:`sample_columns` turns a dataset's
+samples into float64 columns (NaN for missing) for the column scorers in
+``wqi``, ``rules`` and ``forecast``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ import io
 import math
 import re
 import statistics
+import sys
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import AquagaugeError
 
@@ -62,6 +68,13 @@ _NUMERIC_FIELDS = (
 
 # Concentration-style fields must be >= 0 when present; pH must sit in [0, 14].
 _NONNEGATIVE_FIELDS = frozenset(_NUMERIC_FIELDS) - {"temp", "ph"}
+
+# Closed range of each numeric field; the finite ends also shut out NaN and
+# the infinities.
+_RANGES = {
+    name: (0.0 if name in _NONNEGATIVE_FIELDS else -sys.float_info.max, sys.float_info.max)
+    for name in _NUMERIC_FIELDS
+} | {"ph": (0.0, 14.0)}
 
 _MONTH_YEAR_RE = re.compile(r"^(\d{1,2})-(\d{4})$")
 
@@ -220,22 +233,51 @@ def _classify_cell(cell: str) -> tuple[str, float | None]:
     return "value", value
 
 
-def _validate_field(name: str, value: float) -> str | None:
-    """Return a reason string when a parsed value violates its field's range."""
-    if name == "ph" and not 0.0 <= value <= 14.0:
-        return f"ph {value} outside [0, 14]"
-    if name in _NONNEGATIVE_FIELDS and value < 0.0:
-        return f"{name} {value} is negative"
+def _irregular_cell(row: int, name: str, cell: str, strict: bool, notes: list) -> float | None:
+    """The value of a cell that is not a plain in-range numeral, or None for a
+    missing, junk or out-of-range one; notes each coerced non-empty cell and,
+    in strict mode, raises MalformedRow for junk and out-of-range values."""
+    kind, value = _classify_cell(cell)
+    token = cell.strip()
+    if kind == "junk" and strict:
+        raise MalformedRow(row, f"{name} cell {token!r} is not numeric")
+    if kind != "value":
+        if token:
+            notes.append((row, f"{name} cell {token!r} coerced to missing"))
+        return None
+    lo, hi = _RANGES[name]
+    if lo <= value <= hi:
+        return value
+    bad = f"ph {value} outside [0, 14]" if name == "ph" else f"{name} {value} is negative"
+    if strict:
+        raise MalformedRow(row, bad)
+    notes.append((row, f"{bad}; coerced to missing"))
     return None
+
+
+def _csv_records(text: str) -> list[list[str] | csv.Error]:
+    """The non-empty records of a CSV text. A record the csv module cannot
+    read (a bare carriage return, or a NUL before Python 3.11) stands as its
+    csv.Error, and reading goes on with the next line."""
+    reader = csv.reader(io.StringIO(text))
+    records: list[list[str] | csv.Error] = []
+    while True:
+        try:
+            records.append(next(reader))
+        except StopIteration:
+            return [r for r in records if r]
+        except csv.Error as exc:
+            records.append(exc)
 
 
 def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<memory>") -> Dataset:
     """Parse a station CSV (single header row, comma separated) into a Dataset.
 
     In lenient mode unparseable or out-of-range cells become missing values
-    (logged as notes) and rows that are unusable (wrong arity, no station
-    code, bad month-year, or all six WQI inputs missing) are dropped and
-    logged. In strict mode any such defect raises :class:`MalformedRow`.
+    (logged as notes) and rows that are unusable (unreadable as CSV, wrong
+    arity, no station code, bad month-year, or all six WQI inputs missing)
+    are dropped and logged. In strict mode any such defect raises
+    :class:`MalformedRow`.
 
     Samples are returned sorted by (station_code, year, month); the drop log
     accounts for every input row that did not become a sample.
@@ -244,10 +286,12 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
         raise ValueError(f"strictness must be 'strict' or 'lenient', got {strictness!r}")
     strict = strictness == "strict"
 
-    rows = [r for r in csv.reader(io.StringIO(csv_text)) if r]
+    rows = _csv_records(csv_text)
     if not rows:
         raise EmptyInput()
     header, data_rows = rows[0], rows[1:]
+    if isinstance(header, csv.Error):
+        raise MalformedRow(0, f"header is not readable CSV: {header}")
 
     col_of: dict[str, int] = {}
     for idx, name in enumerate(header):
@@ -260,10 +304,13 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
 
     prov = Provenance(source=source)
     samples: list[WaterSample] = []
+    numeric_cols = [(name, col_of[name], *_RANGES[name]) for name in _NUMERIC_FIELDS]
+    dates: dict[str, tuple[int, int]] = {}  # month-year token -> (month, year)
 
     for i, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
-            reason = f"expected {len(header)} cells, got {len(row)}"
+        if isinstance(row, csv.Error) or len(row) != len(header):
+            reason = (f"not readable CSV: {row}" if isinstance(row, csv.Error)
+                      else f"expected {len(header)} cells, got {len(row)}")
             if strict:
                 raise MalformedRow(i, reason)
             prov.dropped.append((i, reason))
@@ -276,32 +323,28 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
             prov.dropped.append((i, "empty station code"))
             continue
 
-        try:
-            month, year = parse_month_year(row[col_of["month_year"]])
-        except BadDateToken as exc:
-            if strict:
-                raise MalformedRow(i, str(exc)) from exc
-            prov.dropped.append((i, str(exc)))
-            continue
+        token = row[col_of["month_year"]]
+        if token not in dates:
+            try:
+                dates[token] = parse_month_year(token)
+            except BadDateToken as exc:
+                if strict:
+                    raise MalformedRow(i, str(exc)) from exc
+                prov.dropped.append((i, str(exc)))
+                continue
+        month, year = dates[token]
 
         values: dict[str, float | None] = {}
-        for name in _NUMERIC_FIELDS:
-            cell = row[col_of[name]]
-            kind, value = _classify_cell(cell)
-            if kind == "junk":
-                if strict:
-                    raise MalformedRow(i, f"{name} cell {cell.strip()!r} is not numeric")
-                prov.notes.append((i, f"{name} cell {cell.strip()!r} coerced to missing"))
-                value = None
-            elif kind == "missing" and cell.strip():
-                prov.notes.append((i, f"{name} cell {cell.strip()!r} coerced to missing"))
-            if value is not None:
-                bad = _validate_field(name, value)
-                if bad is not None:
-                    if strict:
-                        raise MalformedRow(i, bad)
-                    prov.notes.append((i, f"{bad}; coerced to missing"))
-                    value = None
+        for name, col, lo, hi in numeric_cols:
+            cell = row[col]
+            # Most cells are plain in-range numerals, which float() reads as
+            # _classify_cell would; every other cell takes the slow path.
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not lo <= value <= hi:
+                value = _irregular_cell(i, name, cell, strict, prov.notes)
             values[name] = value
 
         if all(values[name] is None for name in WQI_INPUTS):
@@ -313,14 +356,7 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
                 station_code=station,
                 location=row[col_of["location"]].strip(),
                 state=row[col_of["state"]].strip(),
-                temp=values["temp"],
-                dissolved_oxygen=values["dissolved_oxygen"],
-                ph=values["ph"],
-                conductivity=values["conductivity"],
-                bod=values["bod"],
-                nitrate=values["nitrate"],
-                fecal_coliform=values["fecal_coliform"],
-                total_coliform=values["total_coliform"],
+                **values,
                 month=month,
                 year=year,
                 source_row=i,
@@ -329,6 +365,14 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
 
     samples.sort(key=lambda s: (s.station_code, s.year, s.month))
     return Dataset(samples=samples, provenance=prov)
+
+
+def sample_columns(ds: Dataset, fields: tuple[str, ...]) -> np.ndarray:
+    """The named numeric fields of every sample as a float64 array of shape
+    (samples, fields), one column per field in the given order; NaN where a
+    value is missing."""
+    row = np.dtype((np.float64, (len(fields),)))  # None converts to NaN
+    return np.fromiter(map(attrgetter(*fields), ds.samples), dtype=row, count=len(ds.samples))
 
 
 def _cell(value: float | None) -> str:

@@ -11,6 +11,10 @@ A rule fires when every condition holds; rules are tried in descending
 priority and the first match wins. Records matching nothing fall through to
 the built-in default, "No Disease" / "Comfortable". A condition on a raw
 field the record does not carry evaluates false, so diagnosis is total.
+
+:func:`diagnose` takes one scored record; :func:`diagnose_columns` takes the
+:class:`~aquagauge.wqi.WqiColumns` of a whole dataset and evaluates each
+condition once over all rows, with the same :meth:`Condition.holds`.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ import shlex
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .errors import AquagaugeError
-from .wqi import WqiRecord
+from .ingest import WQI_INPUTS
+from .wqi import WqiColumns, WqiRecord
 
 FIELDS = ("wqi", "nph", "ndo", "nbdo", "nec", "nna", "nco", "ph", "do", "bod", "ec", "na", "tc")
 OPS = ("<", "<=", ">", ">=", "between")
@@ -33,7 +40,7 @@ _SAMPLE_ATTR = {
     "na": "nitrate",
     "tc": "total_coliform",
 }
-_SUB_ATTR = {"nph", "ndo", "nbdo", "nec", "nna", "nco"}
+_SUB_ATTR = ("nph", "ndo", "nbdo", "nec", "nna", "nco")  # SubIndices field order
 
 DEFAULT_RULES_RESOURCE = "default.rules"
 
@@ -67,7 +74,9 @@ class Condition:
     value: float
     hi: float | None = None  # upper bound for 'between'
 
-    def holds(self, value: float | None) -> bool:
+    def holds(self, value):
+        """Whether the condition holds for a float, or elementwise for a float
+        array. A missing value (None or NaN) fails every condition."""
         if value is None:
             return False
         if self.op == "<":
@@ -78,7 +87,7 @@ class Condition:
             return value > self.value
         if self.op == ">=":
             return value >= self.value
-        return self.value <= value <= self.hi
+        return (self.value <= value) & (value <= self.hi)
 
 
 @dataclass(frozen=True)
@@ -208,6 +217,31 @@ def _field_value(rec: WqiRecord, name: str) -> float | None:
     if rec.sample is None:
         return None
     return getattr(rec.sample, _SAMPLE_ATTR[name])
+
+
+def _field_columns(cols: WqiColumns) -> dict[str, np.ndarray]:
+    out = {"wqi": cols.wqi}
+    out.update(zip(_SUB_ATTR, cols.sub.T))
+    for name, attr in _SAMPLE_ATTR.items():
+        out[name] = cols.inputs[:, WQI_INPUTS.index(attr)]
+    return out
+
+
+def diagnose_columns(cols: WqiColumns, rs: RuleSet) -> np.ndarray:
+    """Position in ``rs.rules`` of the rule each row matches, as
+    :func:`diagnose` picks it; ``len(rs.rules)`` where the default applies.
+
+    A NaN raw input is a missing one and fails every condition on it.
+    """
+    fields = _field_columns(cols)
+    n = len(cols.wqi)
+    matched = np.full(n, len(rs.rules), dtype=np.intp)
+    for pos in range(len(rs.rules) - 1, -1, -1):  # a higher-priority match overwrites
+        hit = np.ones(n, dtype=bool)
+        for c in rs.rules[pos].conditions:
+            hit &= c.holds(fields[c.field])
+        matched[hit] = pos
+    return matched
 
 
 def diagnose(rec: WqiRecord, rs: RuleSet) -> Diagnosis:

@@ -15,6 +15,11 @@ score 0, with two refinements:
 The weights sum to 0.998, so the WQI range is [0, 99.8] (the float64 image
 of the top end overshoots by ~1e-14 because 0.998 is not exactly
 representable).
+
+:func:`sub_index` and :func:`compute_wqi` score one sample. :func:`score_columns`
+scores a whole dataset at once from its float64 input columns: it reads the
+same band tables with numpy masks and sums the weighted scores in the same
+order, so every score and WQI equals the one-sample result bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import AquagaugeError, NonFinite
-from .ingest import WaterSample
+from .ingest import WQI_INPUTS, WaterSample
 
 NORMATIVE = "normative"
 LEGACY_NCO = "legacy_nco"
@@ -191,6 +198,59 @@ def compute_wqi(sample: WaterSample, mode: str = NORMATIVE) -> WqiRecord:
     w = weighted_scores(sub)
     wqi = w.wph + w.wdo + w.wbdo + w.wec + w.wna + w.wco
     return WqiRecord(sample=sample, sub=sub, weighted=w, wqi=wqi, mode=mode)
+
+
+@dataclass
+class WqiColumns:
+    """Scores of many samples, one row per sample; columns in SUB_INDEX_KINDS order."""
+
+    inputs: np.ndarray  # float64 (n, 6): the raw WQI inputs, NaN where missing
+    sub: np.ndarray  # int64 (n, 6): sub-index scores
+    weighted: np.ndarray  # float64 (n, 6): weighted scores
+    wqi: np.ndarray  # float64 (n,)
+
+
+def _score_column(kind: str, values: np.ndarray, mode: str) -> np.ndarray:
+    """:func:`sub_index` over a finite column: rules are applied from the last
+    one :func:`sub_index` would try to the first, so the first match wins."""
+    score = np.zeros(values.shape, dtype=np.int64)
+    if kind == "co" and mode == LEGACY_NCO:
+        score[values > 1000.0] = 40
+    for lo, hi, band_score in reversed(_BANDS[kind] + _GAP_BANDS.get(kind, ())):
+        score[(lo <= values) & (values <= hi)] = band_score
+    return score
+
+
+def score_columns(inputs: np.ndarray, mode: str = NORMATIVE) -> WqiColumns:
+    """Score every row of a (samples, 6) float64 array of the WQI inputs, in
+    ``ingest.WQI_INPUTS`` order with NaN for a missing value, as
+    :func:`compute_wqi` scores one sample.
+
+    Raises ValueError for an unknown mode, then, for the first row holding a
+    non-finite value, MissingInput naming its NaN inputs or NonFinite for its
+    first infinite one.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode!r}")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != len(SUB_INDEX_KINDS):
+        raise ValueError(f"expected a (samples, 6) array, got shape {inputs.shape}")
+    bad = ~np.isfinite(inputs)
+    if bad.any():
+        row = inputs[int(np.argmax(bad.any(axis=1)))]
+        missing = [name for name, value in zip(WQI_INPUTS, row) if math.isnan(value)]
+        if missing:
+            raise MissingInput(missing)
+        j = int(np.argmax(np.isinf(row)))
+        raise NonFinite(float(row[j]), context=f"{SUB_INDEX_KINDS[j]} value")
+    sub = np.column_stack(
+        [_score_column(kind, inputs[:, j], mode) for j, kind in enumerate(SUB_INDEX_KINDS)]
+    )
+    weighted = sub * np.array([WEIGHTS[kind] for kind in SUB_INDEX_KINDS])
+    wqi = weighted[:, 0].copy()
+    for j in range(1, len(SUB_INDEX_KINDS)):
+        wqi += weighted[:, j]  # left to right, as compute_wqi adds its terms
+    return WqiColumns(inputs=inputs, sub=sub, weighted=weighted, wqi=wqi)
 
 
 @lru_cache(maxsize=1)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestWqiCommand:
         _, _, err = run(capsys, "wqi", "--input", fixture_csv_path)
         assert "log: mode=normative" in err
         assert "log: impute=drop" in err
+
+    def test_provenance_counts_logged(self, capsys, tmp_path):
+        rows = [list(r) for r in FIXTURE_ROWS]
+        rows[1][12] = "13-2019"  # bad month-year: the row is dropped
+        rows[2][4] = "warm"  # junk temperature: the cell is coerced to missing
+        path = tmp_path / "defects.csv"
+        path.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
+        for command in ("wqi", "diagnose"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert code == 0
+            assert "log: rows_read=5 rows_dropped=1 cells_noted=1" in err.splitlines()
+            assert len(out.splitlines()) == 1 + 4
 
 
 class TestTrainCommand:
@@ -264,3 +277,31 @@ class TestPlotDataCommand:
         code, _, err = run(capsys, "plot-data")
         assert code == 2
         assert "nothing to plot" in err
+
+
+# sha256 of each CLI output on the conftest fixtures, computed with the
+# one-sample scoring loops the column path replaced.
+GOLDEN_SHA256 = {
+    ("fixture", "wqi", "normative"): "7bb0789082584a3c56e26bb7997716b13163c92fbdff7fc1feb8867e1051fc77",
+    ("fixture", "wqi", "legacy-nco"): "69a2cd268066890e69c6172022263f321ddb5cca86195fa497ae7a97c60a1f1f",
+    ("fixture", "diagnose", "normative"): "438fbf1f46691834fadeb0bbd3ca041d99e8061608f79e8d66463a4f6ee39148",
+    ("fixture", "diagnose", "legacy-nco"): "2c864a8f2ab0b6f64418599093e202e95dbde837c2f21b6743638fa925c1306d",
+    ("fixture", "predict", "normative"): "3c53d51a0c7482b50d2f4da8f988fb373f3c35b200db7d02673c7ff33cc02e3a",
+    ("synthetic", "wqi", "normative"): "81a2eaad800d072d37acab2f5e6999d1f9d576ba3c72885254fe42ccde9df1ac",
+    ("synthetic", "wqi", "legacy-nco"): "942924b9968c0dc0db57e5b4b7e8b4f90d11b78c18a7e6a8f1e50e6a74a5d459",
+    ("synthetic", "diagnose", "normative"): "3a995f1441b78190fd82ac072932d8b9156d429707d8da36704b792056153afd",
+    ("synthetic", "diagnose", "legacy-nco"): "8d0b609ca40b536847bcdcb54727758539db774cb27d2d97cc8d0bdaff3af6f2",
+    ("synthetic", "predict", "normative"): "d2f233e58321619b1679b689219d55e8bd32297bbdf6e2614a1f713a7e8b7cba",
+}
+
+
+@pytest.mark.parametrize("data,command,mode", sorted(GOLDEN_SHA256))
+def test_golden_output_csv(capsys, fixture_csv_path, synthetic_csv_path, trained_model_path, tmp_path,
+                           data, command, mode):
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", fixture_csv_path if data == "fixture" else synthetic_csv_path,
+            "--mode", mode, "--out", str(out)]
+    if command == "predict":
+        argv += ["--model", trained_model_path]
+    assert run(capsys, *argv)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[data, command, mode]

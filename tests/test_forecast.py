@@ -1,3 +1,6 @@
+import itertools
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +12,7 @@ from aquagauge.forecast import (
     Empty,
     EvalReport,
     FeatureMismatch,
+    UnsortedSamples,
     ZeroActual,
     build_feature_rows,
     build_supervised,
@@ -21,7 +25,8 @@ from aquagauge.forecast import (
     summary_line,
 )
 from aquagauge.gbm import FeatureMatrix, Hyperparams, gbm_fit
-from aquagauge.wqi import compute_wqi
+from aquagauge.ingest import Dataset, parse_dataset, serialize_dataset
+from aquagauge.wqi import LEGACY_NCO, NORMATIVE, compute_wqi
 from conftest import mk_dataset, mk_sample
 
 
@@ -111,6 +116,77 @@ class TestBuildSupervised:
         idx = fm.feature_names.index("temp")
         by_key = dict(zip([k[0:2] for k in keys], fm.values[:, idx]))
         assert by_key[("A", 8)] == 25.0
+
+
+def loop_feature_rows(ds, mode=NORMATIVE):
+    """One sample at a time, per-station history list: the reference for the
+    column build in build_feature_rows."""
+    observed_temps = [s.temp for s in ds.samples if s.temp is not None]
+    temp_fill = float(statistics.median(observed_temps)) if observed_temps else 0.0
+    rows, keys, wqis = [], [], []
+    for _, group in itertools.groupby(ds.samples, key=lambda s: s.station_code):
+        history = []
+        for s in group:
+            wqi = compute_wqi(s, mode).wqi
+            lag1 = history[-1] if len(history) >= 1 else None
+            lag2 = history[-2] if len(history) >= 2 else None
+            rows.append([s.ph, s.dissolved_oxygen, s.bod, s.conductivity, s.nitrate, s.total_coliform,
+                         s.temp if s.temp is not None else temp_fill, wqi,
+                         0.0 if lag1 is None else lag1, float(lag1 is not None),
+                         0.0 if lag2 is None else lag2, float(lag2 is not None),
+                         float(s.month), float(s.year)])
+            keys.append((s.station_code, s.month, s.year))
+            wqis.append(wqi)
+            history.append(wqi)
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES)), keys, wqis
+
+
+_series_sample = st.builds(
+    mk_sample,
+    station=st.sampled_from(["A", "B", "C"]),
+    month=st.integers(1, 12),
+    year=st.integers(2018, 2020),
+    ph=st.floats(0.0, 14.0),
+    do=st.floats(0.0, 20.0),
+    tc=st.floats(0.0, 5000.0),
+    temp=st.one_of(st.none(), st.floats(-5.0, 40.0)),
+)
+
+
+class TestFeatureRowsAgainstLoop:
+    @given(st.lists(_series_sample, max_size=25), st.sampled_from([NORMATIVE, LEGACY_NCO]))
+    def test_bit_identical(self, samples, mode):
+        ds = mk_dataset(samples)
+        fm, keys, wqis = build_feature_rows(ds, mode)
+        want_values, want_keys, want_wqis = loop_feature_rows(ds, mode)
+        assert fm.values.tobytes() == want_values.tobytes()
+        assert keys == want_keys
+        assert wqis.tolist() == want_wqis
+
+
+class TestUnsortedSamples:
+    @given(st.lists(_series_sample, min_size=2, max_size=12), st.randoms(use_true_random=False))
+    def test_shuffled_dataset_raises(self, samples, rnd):
+        rnd.shuffle(samples)
+        ds = Dataset(samples=samples)
+        order = [(s.station_code, s.year, s.month) for s in samples]
+        if order == sorted(order):
+            build_supervised(ds)
+        else:
+            with pytest.raises(UnsortedSamples):
+                build_feature_rows(ds)
+            with pytest.raises(UnsortedSamples):
+                build_supervised(ds)
+
+    @given(st.lists(_series_sample, max_size=12), st.randoms(use_true_random=False))
+    def test_parsed_dataset_never_raises(self, samples, rnd):
+        rnd.shuffle(samples)  # row order in the CSV is arbitrary
+        ds = parse_dataset(serialize_dataset(Dataset(samples=samples)))
+        build_supervised(ds)
+
+    def test_equal_keys_allowed(self):
+        ds = Dataset(samples=[obs("A", 8, 2019), obs("A", 8, 2019, ph=8.0), obs("A", 12, 2019)])
+        assert len(build_feature_rows(ds)[1]) == 3
 
 
 class TestMetrics:

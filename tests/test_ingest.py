@@ -1,7 +1,12 @@
+import ast
+import math
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from aquagauge.ingest import (
+    MISSING_TOKENS,
     AllMissingColumn,
     BadDateToken,
     EmptyInput,
@@ -14,7 +19,7 @@ from aquagauge.ingest import (
     parse_month_year,
     serialize_dataset,
 )
-from conftest import FIXTURE_ROWS, STATION_HEADER, mk_dataset, mk_sample, rows_to_csv
+from conftest import FIXTURE_ROWS, STATION_HEADER, mk_dataset, mk_sample, rows_to_csv, synthetic_station_rows
 
 
 class TestParseDataset:
@@ -50,6 +55,18 @@ class TestParseDataset:
         row[7] = "not-a-number"
         with pytest.raises(MalformedRow):
             parse_dataset(rows_to_csv(STATION_HEADER, [row]), strictness="strict")
+
+    def test_unreadable_record_dropped(self):
+        rows = [list(r) for r in FIXTURE_ROWS[:3]]
+        rows[1][6] = "7.2\r"  # a bare carriage return inside an unquoted cell
+        text = rows_to_csv(STATION_HEADER, rows)
+        ds = parse_dataset(text)
+        assert len(ds.samples) == 2
+        assert [n for n, _ in ds.provenance.dropped] == [2]
+        assert ds.provenance.dropped[0][1].startswith("not readable CSV")
+        with pytest.raises(MalformedRow) as err:
+            parse_dataset(text, strictness="strict")
+        assert err.value.index == 2
 
     def test_strict_bad_arity_names_row(self):
         text = rows_to_csv(STATION_HEADER, [FIXTURE_ROWS[0], FIXTURE_ROWS[1][:-1]])
@@ -253,3 +270,47 @@ class TestImpute:
         impute_missing(ds, "drop_row")
         assert ds.samples[0].ph is None or ds.samples[1].ph is None  # still two samples
         assert len(ds.samples) == 2
+
+
+_FUZZ_ROWS = [list(r) for r in FIXTURE_ROWS] + synthetic_station_rows(n_stations=2, n_periods=3)
+_CELL_NOTE = re.compile(r"^\w+ cell (.*) coerced to missing$")
+
+
+def _mutations(cell):
+    return st.one_of(
+        st.sampled_from(["", "n/a", "NA", "-", "nan", "inf", "-inf", "1e999", "1_0", "15", "-0.5",
+                         "junk", "7..5", "13-2019", "0x1p3"]),
+        st.sampled_from([f" {cell} ", f"-{cell}", f"{cell}.", f"{cell}e2", f"\t{cell}"]),
+        st.text(max_size=6),
+    )
+
+
+def _blocks_strict(note: tuple[int, str]) -> bool:
+    """A junk or out-of-range note; a missing-value token is allowed in strict mode."""
+    m = _CELL_NOTE.match(note[1])
+    return m is None or ast.literal_eval(m.group(1)).lower() not in MISSING_TOKENS
+
+
+class TestStationCsvFuzz:
+    @given(st.integers(0, len(_FUZZ_ROWS) - 1), st.integers(0, len(STATION_HEADER) - 1), st.data())
+    def test_one_mutated_cell(self, r, c, data):
+        rows = [list(row) for row in _FUZZ_ROWS]
+        rows[r][c] = data.draw(_mutations(rows[r][c]))
+        text = rows_to_csv(STATION_HEADER, rows)
+        lenient = parse_dataset(text)  # the header is valid, so nothing may raise
+        assert len(lenient.samples) + len(lenient.provenance.dropped) == len(rows)
+        for smp in lenient.samples:
+            for name in ("temp", "dissolved_oxygen", "ph", "conductivity", "bod", "nitrate",
+                         "fecal_coliform", "total_coliform"):
+                value = getattr(smp, name)
+                assert value is None or math.isfinite(value)
+                if value is not None and name == "ph":
+                    assert 0.0 <= value <= 14.0
+                elif value is not None and name != "temp":
+                    assert value >= 0.0
+        if lenient.provenance.dropped or any(map(_blocks_strict, lenient.provenance.notes)):
+            with pytest.raises(MalformedRow):
+                parse_dataset(text, strictness="strict")
+        else:
+            strict = parse_dataset(text, strictness="strict")
+            assert strict.samples == lenient.samples

@@ -1,7 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from aquagauge.rules import (
+    FIELDS,
+    OPS,
     Condition,
     DuplicatePriority,
     Rule,
@@ -10,9 +15,10 @@ from aquagauge.rules import (
     UnknownField,
     default_ruleset,
     diagnose,
+    diagnose_columns,
     load_rules,
 )
-from aquagauge.wqi import SubIndices, WeightedScores, WqiRecord, compute_wqi
+from aquagauge.wqi import SubIndices, WeightedScores, WqiColumns, WqiRecord, compute_wqi, score_columns
 from conftest import mk_sample
 
 
@@ -139,3 +145,83 @@ class TestDiagnose:
         assert first == second
         assert first.disease
         assert first.suggestion
+
+
+# Values shared by records and rule thresholds, so comparisons often tie.
+_POOL = [0.0, 3.0, 7.0, 40.0, 55.0, 60.0, 72.0, 80.0, 100.0, 300.0, 1000.0, 3000.0]
+_VALUE = st.one_of(st.sampled_from(_POOL), st.floats(-10.0, 4000.0))
+_SUB = st.sampled_from([0, 40, 60, 80, 100])
+
+
+@st.composite
+def _rules_text(draw):
+    priorities = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    lines = []
+    for p in priorities:
+        conditions = []
+        for _ in range(draw(st.integers(1, 3))):
+            field, op = draw(st.sampled_from(FIELDS)), draw(st.sampled_from(OPS))
+            if op == "between":
+                lo, hi = sorted((draw(_VALUE), draw(_VALUE)))
+                conditions.append(f"{field} between {lo!r} {hi!r}")
+            else:
+                conditions.append(f"{field} {op} {draw(_VALUE)!r}")
+        lines.append(f'rule {p} "D{p}" reason "r" suggest "s{p}" when ' + " and ".join(conditions))
+    return "\n".join(lines)
+
+
+def _record_row(sub, raw, wqi_value):
+    """The same row as a one-sample record; a NaN raw input is a missing one."""
+    ph, do, bod, ec, na, tc = (None if math.isnan(v) else v for v in raw)
+    sample = mk_sample(ph=ph, do=do, bod=bod, ec=ec, na=na, tc=tc)
+    return WqiRecord(sample=sample, sub=SubIndices(*sub), weighted=WeightedScores(*[0.0] * 6),
+                     wqi=wqi_value, mode="normative")
+
+
+def _matched_priorities(rs, matched):
+    outcomes = [*rs.rules, rs.default_rule]
+    return [outcomes[pos].priority for pos in matched.tolist()]
+
+
+class TestDiagnoseColumns:
+    @given(st.lists(st.tuples(*[st.floats(0.0, 5000.0)] * 6), max_size=40),
+           st.sampled_from(["normative", "legacy_nco"]))
+    def test_default_ruleset_matches_diagnose(self, rows, mode):
+        cols = score_columns(np.array(rows, dtype=np.float64).reshape(len(rows), 6), mode)
+        rs = default_ruleset()
+        want = [
+            diagnose(compute_wqi(mk_sample(ph=r[0], do=r[1], bod=r[2], ec=r[3], na=r[4], tc=r[5]), mode),
+                     rs).matched_rule_priority
+            for r in rows
+        ]
+        assert _matched_priorities(rs, diagnose_columns(cols, rs)) == want
+
+    @given(
+        _rules_text(),
+        st.lists(
+            st.tuples(
+                st.tuples(*[_SUB] * 6),
+                st.tuples(*[st.one_of(st.just(math.nan), _VALUE)] * 6),  # NaN: raw input missing
+                _VALUE,
+            ),
+            max_size=30,
+        ),
+    )
+    def test_random_rules_match_diagnose(self, text, rows):
+        rs = load_rules(text)
+        n = len(rows)
+        cols = WqiColumns(
+            inputs=np.array([raw for _, raw, _ in rows], dtype=np.float64).reshape(n, 6),
+            sub=np.array([sub for sub, _, _ in rows], dtype=np.int64).reshape(n, 6),
+            weighted=np.zeros((n, 6)),
+            wqi=np.array([w for _, _, w in rows], dtype=np.float64),
+        )
+        want = [diagnose(_record_row(*row), rs).matched_rule_priority for row in rows]
+        assert _matched_priorities(rs, diagnose_columns(cols, rs)) == want
+
+    def test_condition_holds_on_arrays(self):
+        values = np.array([np.nan, 9.0, 10.0, 15.0, 20.0, 21.0])
+        assert Condition("wqi", "between", 10.0, 20.0).holds(values).tolist() == [
+            False, False, True, True, True, False]
+        assert Condition("wqi", "<", 10.0).holds(values).tolist() == [False, True] + [False] * 4
+        assert not Condition("tc", ">=", 0.0).holds(math.nan)

@@ -1,16 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from aquagauge.errors import NonFinite
 from aquagauge.wqi import (
+    _BANDS,
+    _GAP_BANDS,
     LEGACY_NCO,
     NORMATIVE,
     MissingInput,
     SubIndices,
     compute_wqi,
     reachable_wqi_values,
+    score_columns,
     sub_index,
     weighted_scores,
 )
@@ -195,3 +199,69 @@ class TestProperties:
             assert normative.wqi == legacy.wqi
         else:
             assert sample.total_coliform > 1000.0
+
+
+# Every band and gap edge, a hair either side of it, and coliform above 1000.
+_EDGES = sorted(
+    {x for bands in (*_BANDS.values(), *_GAP_BANDS.values()) for lo, hi, _ in bands for x in (lo, hi)}
+    - {math.inf}
+)
+_EDGE_VALUES = st.sampled_from(_EDGES).flatmap(
+    lambda x: st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
+)
+_INPUT_VALUE = st.one_of(
+    _EDGE_VALUES,
+    st.floats(-1.0, 15.0),  # pH range and the DO/pH gaps (4.0-4.1, 5.0-5.1, 6.9-7.0)
+    st.floats(0.0, 400.0),
+    st.floats(900.0, 1e6),  # total coliform above 1000
+)
+
+
+def _as_sample(row):
+    ph, do, bod, ec, na, tc = (None if math.isnan(v) else float(v) for v in row)
+    return mk_sample(ph=ph, do=do, bod=bod, ec=ec, na=na, tc=tc)
+
+
+class TestScoreColumns:
+    @given(st.lists(st.tuples(*[_INPUT_VALUE] * 6), max_size=30), st.sampled_from([NORMATIVE, LEGACY_NCO]))
+    def test_equals_compute_wqi_bit_for_bit(self, rows, mode):
+        cols = score_columns(np.array(rows, dtype=np.float64).reshape(len(rows), 6), mode)
+        assert cols.sub.dtype == np.int64
+        for i, row in enumerate(rows):
+            rec = compute_wqi(_as_sample(row), mode)
+            assert tuple(cols.sub[i].tolist()) == rec.sub.as_tuple()
+            assert tuple(cols.weighted[i].tolist()) == rec.weighted.as_tuple()
+            assert cols.wqi[i].tobytes() == np.float64(rec.wqi).tobytes()
+
+    @given(
+        st.lists(st.tuples(*[_INPUT_VALUE] * 6), min_size=1, max_size=8),
+        st.data(),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_rejects_non_finite_as_compute_wqi_does(self, rows, data, bad):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, 5))
+        inputs = np.array(rows, dtype=np.float64)
+        inputs[i, j] = bad
+        with pytest.raises((MissingInput, NonFinite)) as want:
+            for row in inputs:
+                compute_wqi(_as_sample(row))
+        with pytest.raises(type(want.value)) as got:
+            score_columns(inputs)
+        assert str(got.value) == str(want.value)
+
+    def test_missing_names_fields(self):
+        inputs = np.array([[7.0, 6.0, 1.0, 50.0, 1.0, 3.0], [7.0, np.nan, 1.0, 50.0, 1.0, np.nan]])
+        with pytest.raises(MissingInput) as err:
+            score_columns(inputs)
+        assert err.value.fields == ["dissolved_oxygen", "total_coliform"]
+
+    def test_bad_mode_and_shape(self):
+        with pytest.raises(ValueError):
+            score_columns(np.zeros((1, 6)), "bogus")
+        with pytest.raises(ValueError):
+            score_columns(np.zeros((2, 5)))
+
+    def test_empty(self):
+        cols = score_columns(np.empty((0, 6)))
+        assert cols.sub.shape == (0, 6) and cols.weighted.shape == (0, 6) and cols.wqi.shape == (0,)

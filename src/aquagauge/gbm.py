@@ -8,6 +8,10 @@ error), shrink by the learning rate, and add the tree to the ensemble. The
 training curve records the training MSE after every iteration and is
 non-increasing by construction.
 
+A tree is a RegressionTree of parallel node arrays, as in scikit-learn's Tree
+(Pedregosa et al., 2011). tree_apply is the one traversal, for the fit and for
+prediction; gbm_fit multiplies each fitted tree's values by the learning rate.
+
 Fitting is deterministic: split thresholds are midpoints between consecutive
 distinct sorted feature values, candidate ties break toward the lower
 (feature index, threshold), and there is no row or feature subsampling. Two
@@ -91,6 +95,10 @@ class CorruptNode(ModelFormatError):
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """Boosting hyperparameters. `seed` is the CLI `--seed` of the station
+    split, recorded so that the model file names the split that produced it;
+    the deterministic fitter never reads it."""
+
     n_trees: int = 100
     learning_rate: float = 0.1
     max_depth: int = 8
@@ -137,25 +145,27 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: float
-    train_count: int
+_NODE_DTYPES = (np.intp, np.float64, np.intp, np.intp, np.float64, np.intp)
 
 
-@dataclass(frozen=True)
-class Internal:
-    feature: int
-    threshold: float
-    left: int
-    right: int
-
-
-@dataclass
+@dataclass(eq=False)  # == on array fields has no single truth value; compare the arrays
 class RegressionTree:
-    """Binary CART tree stored as a node array; node 0 is the root."""
+    """Binary CART tree as parallel node arrays; node 0 is the root. Node i
+    is a leaf when feature[i] < 0, with output value[i] and training row count
+    count[i]; otherwise rows with x[feature[i]] <= threshold[i] go to left[i]
+    and the rest to right[i]. Unused fields hold -1 or 0."""
 
-    nodes: list[Internal | Leaf]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> RegressionTree:
+        """A tree from one (feature, threshold, left, right, value, count) per node."""
+        return cls(*(np.array(col, dtype=dt) for col, dt in zip(zip(*rows), _NODE_DTYPES)))
 
 
 @dataclass(frozen=True)
@@ -340,54 +350,48 @@ def fit_tree(
     order = _presort(x) if _presorted is None else _presorted
 
     goes_left = np.zeros(r.size, dtype=bool)
-    nodes: list = []  # Internal | Leaf, or (feature, threshold) until the right child exists
+    # one [feature, threshold, left, right, value, count] per node; an internal
+    # node's right id is filled in when its right child is made
+    nodes: list[list] = []
     # (rows ascending, per-feature sorted rows, depth, parent id if a right child)
     stack = [(np.arange(r.size, dtype=np.int32), order, 0, -1)]
     while stack:
         idx, order, depth, parent = stack.pop()
         node_id = len(nodes)
         if parent >= 0:
-            nodes[parent] = Internal(*nodes[parent], left=parent + 1, right=node_id)
+            nodes[parent][3] = node_id
         cand = None
         if depth < hp.max_depth and idx.size >= hp.min_samples_split:
             cand = _split_node(x, r, idx, order, hp.min_samples_leaf)
         if cand is None:
-            nodes.append(Leaf(value=line_search_leaf(r[idx]), train_count=int(idx.size)))
+            nodes.append([-1, 0.0, -1, -1, line_search_leaf(r[idx]), idx.size])
             continue
-        nodes.append((cand.feature, cand.threshold))
+        nodes.append([cand.feature, cand.threshold, node_id + 1, -1, 0.0, 0])
         mask = x[idx, cand.feature] <= cand.threshold
         goes_left[idx] = mask
         left_order, right_order = _partition(order, goes_left)
         stack.append((idx[~mask], right_order, depth + 1, node_id))
         stack.append((idx[mask], left_order, depth + 1, -1))
         del order, left_order, right_order  # the stack owns the child lists now
-    return RegressionTree(nodes=nodes)
+    return RegressionTree.from_rows(nodes)
+
+
+def _levels(tree: RegressionTree, node_id: int = 0):
+    """The node ids of the subtree under node_id, one array per depth."""
+    level = np.array([node_id], dtype=np.intp)
+    while level.size:
+        yield level
+        inner = level[tree.feature[level] >= 0]
+        level = np.concatenate((tree.left[inner], tree.right[inner]))
 
 
 def tree_depth(tree: RegressionTree) -> int:
-    def walk(node_id: int) -> int:
-        node = tree.nodes[node_id]
-        if isinstance(node, Leaf):
-            return 0
-        return 1 + max(walk(node.left), walk(node.right))
-
-    return walk(0)
+    return sum(1 for _ in _levels(tree)) - 1
 
 
 def node_train_count(tree: RegressionTree, node_id: int = 0) -> int:
     """Training rows under a node, summed from its leaves."""
-    node = tree.nodes[node_id]
-    if isinstance(node, Leaf):
-        return node.train_count
-    return node_train_count(tree, node.left) + node_train_count(tree, node.right)
-
-
-def tree_predict(tree: RegressionTree, row) -> float:
-    values = np.asarray(row, dtype=np.float64).ravel()
-    node = tree.nodes[0]
-    while isinstance(node, Internal):
-        node = tree.nodes[node.left if values[node.feature] <= node.threshold else node.right]
-    return node.value
+    return sum(int(tree.count[level].sum()) for level in _levels(tree, node_id))
 
 
 def tree_apply(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
@@ -396,25 +400,14 @@ def tree_apply(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
     stack = [(0, np.arange(x.shape[0]))]
     while stack:
         node_id, idx = stack.pop()
-        node = tree.nodes[node_id]
-        if isinstance(node, Leaf):
-            out[idx] = node.value
+        f = tree.feature[node_id]
+        if f < 0:
+            out[idx] = tree.value[node_id]
         else:
-            mask = x[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+            mask = x[idx, f] <= tree.threshold[node_id]
+            stack.append((tree.left[node_id], idx[mask]))
+            stack.append((tree.right[node_id], idx[~mask]))
     return out
-
-
-def _scale_leaves(tree: RegressionTree, factor: float) -> RegressionTree:
-    return RegressionTree(
-        nodes=[
-            Leaf(value=node.value * factor, train_count=node.train_count)
-            if isinstance(node, Leaf)
-            else node
-            for node in tree.nodes
-        ]
-    )
 
 
 def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
@@ -445,7 +438,8 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     presorted = _presort(fm.values)
     for _ in range(hp.n_trees):
         resid = negative_gradient(targets, pred)
-        tree = _scale_leaves(fit_tree(fm.values, resid, hp, presorted), hp.learning_rate)
+        tree = fit_tree(fm.values, resid, hp, presorted)
+        tree.value *= hp.learning_rate
         pred = pred + tree_apply(tree, fm.values)
         trees.append(tree)
         curve.append(float(np.mean((targets - pred) ** 2)))
@@ -460,20 +454,12 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
 
 
 def gbm_predict(model: GbmModel, row) -> float:
-    """Ensemble prediction for one feature row: f0 plus every tree's output."""
-    values = np.asarray(row, dtype=np.float64).ravel()
-    if values.size != len(model.feature_names):
-        raise ArityMismatch(len(model.feature_names), values.size)
-    if not np.all(np.isfinite(values)):
-        raise NonFinite(None, context="feature row")
-    total = model.f0
-    for tree in model.trees:
-        total += tree_predict(tree, values)
-    return float(total)
+    """Ensemble prediction for one feature row: predict_matrix of that row."""
+    return float(predict_matrix(model, np.asarray(row, dtype=np.float64).reshape(1, -1))[0])
 
 
 def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
-    """Ensemble predictions for a whole matrix, same math as gbm_predict."""
+    """Ensemble predictions for every row of x: f0 plus every tree's output."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(model.feature_names):
         raise ArityMismatch(len(model.feature_names), x.shape[1] if x.ndim == 2 else -1)
@@ -510,12 +496,13 @@ def serialize_model(model: GbmModel) -> str:
         "training_curve=" + ",".join(_fmt(v) for v in model.training_curve),
     ]
     for t, tree in enumerate(model.trees):
-        lines.append(f"tree {t} nodes {len(tree.nodes)}")
-        for node in tree.nodes:
-            if isinstance(node, Internal):
-                lines.append(f"I {node.feature} {_fmt(node.threshold)} {node.left} {node.right}")
+        lines.append(f"tree {t} nodes {tree.feature.size}")
+        columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
+        for f, thr, left, right, value, count in zip(*(c.tolist() for c in columns)):
+            if f < 0:
+                lines.append(f"L {_fmt(value)} {count}")
             else:
-                lines.append(f"L {_fmt(node.value)} {node.train_count}")
+                lines.append(f"I {f} {_fmt(thr)} {left} {right}")
     return "\n".join(lines) + "\n"
 
 
@@ -530,26 +517,31 @@ def _finite(text: str) -> float:
     return value
 
 
-def _validate_tree(nodes: list[Internal | Leaf], n_features: int) -> None:
-    k = len(nodes)
-    parents = [0] * k
-    for i, node in enumerate(nodes):
-        if isinstance(node, Leaf) and node.train_count < 1:
-            raise CorruptNode(i, f"train_count {node.train_count} is below 1")
-        if isinstance(node, Internal):
-            if not 0 <= node.feature < n_features:
-                raise CorruptNode(i, f"feature index {node.feature} out of range")
-            for child in (node.left, node.right):
-                if not 0 <= child < k:
-                    raise CorruptNode(i, f"child index {child} out of range")
-                parents[child] += 1
+def _int_in(text: str, lo: int, hi: int) -> int:
+    """int(text), raising ValueError unless lo <= value < hi."""
+    value = int(text)
+    if not lo <= value < hi:
+        raise ValueError(f"{text!r} is outside [{lo}, {hi})")
+    return value
+
+
+def _checked_tree(rows: list[tuple]) -> RegressionTree:
+    """The tree of parsed node rows, whose fields the parser has range-checked.
+    Rejects any node graph but one tree rooted at node 0."""
+    tree = RegressionTree.from_rows(rows)
+    k = tree.feature.size
+    inner = tree.feature >= 0
+    parents = np.bincount(np.concatenate((tree.left[inner], tree.right[inner])), minlength=k)
     if parents[0] != 0:
         raise CorruptNode(0, "root has a parent")
-    for i in range(1, k):
-        if parents[i] != 1:
-            raise CorruptNode(i, f"node has {parents[i]} parents, expected 1")
-    # parent counts alone rule out cycles: every non-root node hangs off
-    # exactly one edge and there are k-1 edges in total.
+    bad = np.flatnonzero(parents[1:] != 1) + 1
+    if bad.size:
+        raise CorruptNode(int(bad[0]), f"node has {parents[bad[0]]} parents, expected 1")
+    # One parent per non-root node still allows a cycle apart from the root
+    # (an unreachable self-loop, say), so the root must reach every node.
+    if sum(level.size for level in _levels(tree)) != k:
+        raise CorruptNode(0, "not every node is reachable from the root")
+    return tree
 
 
 def deserialize_model(text: str) -> GbmModel:
@@ -621,7 +613,7 @@ def deserialize_model(text: str) -> GbmModel:
         if k < 1:
             raise CorruptNode(0, "tree has no nodes")
         pos += 1
-        nodes: list[Internal | Leaf] = []
+        nodes = []
         for j in range(k):
             if pos >= len(lines):
                 raise CorruptNode(j, "unexpected end of input inside tree block")
@@ -629,17 +621,17 @@ def deserialize_model(text: str) -> GbmModel:
             pos += 1
             try:
                 if parts and parts[0] == "I" and len(parts) == 5:
-                    nodes.append(
-                        Internal(int(parts[1]), _finite(parts[2]), int(parts[3]), int(parts[4]))
-                    )
+                    feature = _int_in(parts[1], 0, len(feature_names))
+                    left, right = _int_in(parts[3], 0, k), _int_in(parts[4], 0, k)
+                    nodes.append((feature, _finite(parts[2]), left, right, 0.0, 0))
                 elif parts and parts[0] == "L" and len(parts) == 3:
-                    nodes.append(Leaf(_finite(parts[1]), int(parts[2])))
+                    # train_count >= 1, and < 2**63 to fit the count array
+                    nodes.append((-1, 0.0, -1, -1, _finite(parts[1]), _int_in(parts[2], 1, 2**63)))
                 else:
                     raise CorruptNode(j, f"unrecognized node line: {' '.join(parts)!r}")
             except ValueError as exc:
                 raise CorruptNode(j, f"bad numeric field: {exc}") from exc
-        _validate_tree(nodes, len(feature_names))
-        trees.append(RegressionTree(nodes=nodes))
+        trees.append(_checked_tree(nodes))
 
     if len(trees) > hp.n_trees:
         raise CorruptHeader(f"file holds {len(trees)} trees but n_trees={hp.n_trees}")

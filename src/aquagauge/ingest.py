@@ -348,6 +348,8 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
             values[name] = value
 
         if all(values[name] is None for name in WQI_INPUTS):
+            if strict:
+                raise MalformedRow(i, "all six wqi inputs missing")
             prov.dropped.append((i, "all six wqi inputs missing"))
             continue
 

@@ -19,6 +19,7 @@ condition once over all rows, with the same :meth:`Condition.holds`.
 
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import dataclass
 from importlib import resources
@@ -135,9 +136,12 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
     def take_number(what: str) -> float:
         tok = take(None)
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
-            raise RuleSyntaxError(line_no, f"{what} must be numeric, got {tok!r}") from None
+            value = math.nan
+        if math.isnan(value):  # NaN never compares true, so the rule could never fire
+            raise RuleSyntaxError(line_no, f"{what} must be a number, got {tok!r}")
+        return value
 
     take("rule")
     priority_tok = take(None)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from aquagauge.cli import main
-from aquagauge.gbm import Leaf, deserialize_model
+from aquagauge.gbm import deserialize_model
 from conftest import STATION_HEADER, FIXTURE_ROWS, rows_to_csv, synthetic_station_rows
+from test_gbm import node_view
 
 
 @pytest.fixture
@@ -122,8 +123,7 @@ class TestTrainCommand:
         assert code == 0
         model = deserialize_model(model_path.read_text(encoding="utf-8"))
         assert len(model.trees) == 1
-        assert len(model.trees[0].nodes) == 1
-        assert isinstance(model.trees[0].nodes[0], Leaf)
+        assert [node[0] for node in node_view(model.trees[0])] == ["L"]
 
         from pathlib import Path
 

@@ -17,8 +17,6 @@ from aquagauge.gbm import (
     FeatureMatrix,
     GbmModel,
     Hyperparams,
-    Internal,
-    Leaf,
     ModelFormatError,
     RegressionTree,
     SplitCandidate,
@@ -38,7 +36,6 @@ from aquagauge.gbm import (
     serialize_model,
     tree_apply,
     tree_depth,
-    tree_predict,
 )
 
 
@@ -119,17 +116,46 @@ def flatten_ref(node: RefNode, out):
     return out
 
 
-def flatten_tree(tree: RegressionTree, node_id=0, out=None):
-    if out is None:
-        out = []
-    node = tree.nodes[node_id]
-    if isinstance(node, Leaf):
-        out.append(("L", node.value))
-    else:
-        out.append(("I", node.feature, node.threshold))
-        flatten_tree(tree, node.left, out)
-        flatten_tree(tree, node.right, out)
-    return out
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "count")
+
+
+def node_view(tree: RegressionTree) -> list[tuple]:
+    """A tree as one tuple per node, ("I", feature, threshold, left, right)
+    or ("L", value, train_count), the form of the model file's node lines."""
+    rows = zip(*(getattr(tree, name).tolist() for name in TREE_FIELDS))
+    return [("I", f, t, left, right) if f >= 0 else ("L", v, c) for f, t, left, right, v, c in rows]
+
+
+def tree_of(nodes: list[tuple]) -> RegressionTree:
+    """The tree whose node_view is `nodes`."""
+    return RegressionTree.from_rows([
+        (n[1], n[2], n[3], n[4], 0.0, 0) if n[0] == "I" else (-1, 0.0, -1, -1, n[1], n[2])
+        for n in nodes
+    ])
+
+
+def view_predict(nodes: list[tuple], row) -> float:
+    """One row's leaf value, walking a node_view one node at a time."""
+    node = nodes[0]
+    while node[0] == "I":
+        node = nodes[node[3] if row[node[1]] <= node[2] else node[4]]
+    return node[1]
+
+
+def flatten_tree(tree: RegressionTree):
+    nodes = node_view(tree)
+
+    def walk(node_id, out):
+        node = nodes[node_id]
+        if node[0] == "L":
+            out.append(("L", node[1]))
+        else:
+            out.append(("I", node[1], node[2]))
+            walk(node[3], out)
+            walk(node[4], out)
+        return out
+
+    return walk(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +233,11 @@ def argsort_best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandida
     return best
 
 
-def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
+def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> list[tuple]:
     """Greedy CART on residuals. A node splits only while its row count is at
     least min_samples_split and its depth is below max_depth; leaves carry the
-    mean residual and their training row count."""
+    mean residual and their training row count. Returns the node_view of the
+    tree."""
     x = _matrix_values(rows)
     r = np.asarray(residuals, dtype=np.float64)
     if r.size == 0:
@@ -218,7 +245,7 @@ def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
     if x.shape[0] != r.size:
         raise LengthMismatch(x.shape[0], r.size)
 
-    nodes: list[Internal | Leaf] = []
+    nodes: list[tuple] = []
 
     def build(idx: np.ndarray, depth: int) -> int:
         sub = r[idx]
@@ -230,25 +257,25 @@ def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
                 mask = x[idx, cand.feature] <= cand.threshold
                 left = build(idx[mask], depth + 1)
                 right = build(idx[~mask], depth + 1)
-                nodes[node_id] = Internal(cand.feature, cand.threshold, left, right)
+                nodes[node_id] = ("I", cand.feature, cand.threshold, left, right)
                 return node_id
         node_id = len(nodes)
-        nodes.append(Leaf(value=line_search_leaf(sub), train_count=int(idx.size)))
+        nodes.append(("L", line_search_leaf(sub), int(idx.size)))
         return node_id
 
     build(np.arange(r.size), 0)
-    return RegressionTree(nodes=nodes)
+    return nodes
 
 
 def float_bits(value: float) -> bytes:
     return np.float64(value).tobytes()
 
 
-def node_bits(node: Internal | Leaf):
-    """A node with every float replaced by its exact bit pattern."""
-    if isinstance(node, Leaf):
-        return ("L", float_bits(node.value), node.train_count)
-    return ("I", node.feature, float_bits(node.threshold), node.left, node.right)
+def node_bits(node: tuple):
+    """A node_view node with every float replaced by its exact bit pattern."""
+    if node[0] == "L":
+        return ("L", float_bits(node[1]), node[2])
+    return ("I", node[1], float_bits(node[2]), node[3], node[4])
 
 
 @st.composite
@@ -399,15 +426,16 @@ class TestFitTree:
         tree = fit_tree(np.random.default_rng(0).normal(size=(30, 2)),
                         np.arange(30.0),
                         Hyperparams(max_depth=0, min_samples_split=2, min_samples_leaf=1))
-        assert len(tree.nodes) == 1
-        assert tree.nodes[0].value == pytest.approx(np.mean(np.arange(30.0)))
+        nodes = node_view(tree)
+        assert len(nodes) == 1
+        assert nodes[0][0] == "L"
+        assert nodes[0][1] == pytest.approx(np.mean(np.arange(30.0)))
 
     def test_constant_residuals_single_leaf(self):
         x = np.random.default_rng(1).normal(size=(40, 3))
         tree = fit_tree(x, np.full(40, 2.5),
                         Hyperparams(max_depth=5, min_samples_split=2, min_samples_leaf=1))
-        assert len(tree.nodes) == 1
-        assert tree.nodes[0].value == 2.5
+        assert node_view(tree) == [("L", 2.5, 40)]
 
     def test_matches_reference_construction(self):
         rng = np.random.default_rng(7)
@@ -425,9 +453,9 @@ class TestFitTree:
         model = gbm_fit(x, y, hp)
         for tree in model.trees:
             assert tree_depth(tree) <= hp.max_depth
-            for i, node in enumerate(tree.nodes):
-                if isinstance(node, Leaf):
-                    assert node.train_count >= hp.min_samples_leaf
+            for i, node in enumerate(node_view(tree)):
+                if node[0] == "L":
+                    assert node[2] >= hp.min_samples_leaf
                 else:
                     assert node_train_count(tree, i) >= hp.min_samples_split
 
@@ -481,7 +509,7 @@ class TestGbmFit:
         model = gbm_fit(x, y, hp)
         raw = fit_tree(x, y - y.mean(), hp)
         for row in x:
-            assert gbm_predict(model, row) == model.f0 + tree_predict(raw, row)
+            assert gbm_predict(model, row) == model.f0 + view_predict(node_view(raw), row)
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(8)
@@ -513,7 +541,7 @@ class TestPredict:
         assert gbm_predict(model, [0.0, 0.0]) == 1.5
 
     def test_single_leaf_additivity(self):
-        model = self._toy_model([RegressionTree([Leaf(2.0, 10)])])
+        model = self._toy_model([tree_of([("L", 2.0, 10)])])
         assert gbm_predict(model, [9.9, -3.0]) == 3.5
 
     def test_equals_sum_of_per_tree_outputs(self, synth_xy):
@@ -524,7 +552,7 @@ class TestPredict:
         for row in rng.uniform(-3, 3, size=(25, 4)):
             acc = model.f0
             for tree in model.trees:
-                acc += tree_predict(tree, row)
+                acc += view_predict(node_view(tree), row)
             assert gbm_predict(model, row) == acc
 
     def test_predict_matrix_agrees_with_row_predict(self, synth_xy):
@@ -564,7 +592,28 @@ class TestSerialization:
         assert clone.hyperparams == model.hyperparams
         assert clone.training_curve == model.training_curve
         assert clone.feature_names == model.feature_names
-        assert clone.trees == model.trees
+        assert len(clone.trees) == len(model.trees)
+        for ours, theirs in zip(clone.trees, model.trees):
+            for name in TREE_FIELDS:
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_serialize_deserialize_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 400))
+        x = np.column_stack([rng.normal(size=n), np.round(rng.uniform(0, 5, size=n)),
+                             rng.integers(0, 2, size=n).astype(float)])
+        scale = 1e3 ** rng.uniform(-1, 1)
+        y = x[:, 0] * rng.normal() + np.cos(x[:, 1]) + rng.normal(0, 0.5, n) * scale
+        hp = Hyperparams(n_trees=int(rng.integers(1, 12)),
+                         learning_rate=float(rng.uniform(0.01, 1.0)),
+                         max_depth=int(rng.integers(0, 6)),
+                         min_samples_split=int(rng.integers(2, 40)),
+                         min_samples_leaf=int(rng.integers(1, 10)), seed=seed)
+        text = serialize_model(gbm_fit(FeatureMatrix(x, ["u", "v", "w"]), y, hp))
+        assert serialize_model(deserialize_model(text)) == text
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
@@ -591,7 +640,7 @@ class TestSerialization:
 
     def test_out_of_range_child_rejected(self):
         model = GbmModel(f0=0.0,
-                         trees=[RegressionTree([Internal(0, 0.5, 1, 7), Leaf(1.0, 1), Leaf(2.0, 1)])],
+                         trees=[tree_of([("I", 0, 0.5, 1, 7), ("L", 1.0, 1), ("L", 2.0, 1)])],
                          hyperparams=Hyperparams(), training_curve=[0.0, 0.0],
                          feature_names=["a"])
         with pytest.raises(CorruptNode):
@@ -603,8 +652,8 @@ class TestPresortedFitter:
     @given(tied_problems())
     def test_fit_tree_matches_per_node_argsort_bit_for_bit(self, problem):
         x, y, hp = problem
-        ours = fit_tree(x, y, hp).nodes
-        ref = argsort_fit_tree(x, y, hp).nodes
+        ours = node_view(fit_tree(x, y, hp))
+        ref = argsort_fit_tree(x, y, hp)
         assert [node_bits(node) for node in ours] == [node_bits(node) for node in ref]
 
     @settings(max_examples=300, deadline=None)
@@ -625,9 +674,9 @@ class TestPresortedFitter:
         pred = np.full(y.size, np.mean(y))
         for tree in model.trees:
             ref = argsort_fit_tree(x, y - pred, GOLDEN_HP)
-            scaled = [Leaf(n.value * GOLDEN_HP.learning_rate, n.train_count)
-                      if isinstance(n, Leaf) else n for n in ref.nodes]
-            assert [node_bits(n) for n in tree.nodes] == [node_bits(n) for n in scaled]
+            lr = GOLDEN_HP.learning_rate
+            scaled = [("L", n[1] * lr, n[2]) if n[0] == "L" else n for n in ref]
+            assert [node_bits(n) for n in node_view(tree)] == [node_bits(n) for n in scaled]
             pred = pred + tree_apply(tree, x)
 
     def test_golden_model_sha256(self):
@@ -646,7 +695,8 @@ def _small_model_text() -> str:
 
 
 _FUZZ_TOKENS = ["nan", "-nan", "NaN", "inf", "-inf", "1e999", "0", "-0", "-1", "2", "7",
-                "1e308", "-1e308", "5e-324", "1.5", "", "x", "ph", "ph,ph", "tree", "I", "L"]
+                "1e308", "-1e308", "5e-324", "1.5", "", "x", "ph", "ph,ph", "tree", "I", "L",
+                "99999999999999999999999"]
 
 
 @st.composite
@@ -708,6 +758,39 @@ class TestLoaderRejects:
     def test_train_count_below_one(self, count):
         with pytest.raises(CorruptNode):
             deserialize_model(self._mutate("L ", lambda line: f"L {line.split()[1]} {count}"))
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("prefix, field", [("I ", 1), ("I ", 3), ("I ", 4), ("L ", 2)])
+    def test_integer_outside_int64(self, prefix, field, sign):
+        huge = sign + "99999999999999999999999"
+        edit = lambda line: " ".join(p if k != field else huge for k, p in enumerate(line.split()))
+        with pytest.raises(CorruptNode):
+            deserialize_model(self._mutate(prefix, edit))
+
+    @pytest.mark.parametrize("feature", ["-1", "3"])
+    def test_feature_index_out_of_range(self, feature):
+        # three feature names; an I line is never read as a leaf
+        edit = lambda line: " ".join(p if k != 1 else feature for k, p in enumerate(line.split()))
+        with pytest.raises(CorruptNode):
+            deserialize_model(self._mutate("I ", edit))
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param([("I", 0, 0.5, 1, 2), ("I", 0, 0.2, 2, 3), ("L", 1.0, 1), ("L", 2.0, 1)],
+                     id="two-parents"),
+        pytest.param([("I", 0, 0.5, 1, 2), ("L", 1.0, 1), ("I", 0, 0.7, 0, 3), ("L", 2.0, 1)],
+                     id="root-as-child"),
+        pytest.param([("I", 0, 0.5, 1, 2), ("I", 0, 0.2, 1, 3), ("L", 1.0, 1), ("L", 2.0, 1)],
+                     id="self-loop"),
+        pytest.param([("L", 1.0, 1), ("I", 0, 0.5, 1, 2), ("L", 2.0, 1)],
+                     id="unreachable-self-loop"),
+        pytest.param([("I", 0, 0.5, 1, 2), ("L", 1.0, 1), ("L", 2.0, 1), ("I", 0, 0.5, 4, 5),
+                      ("I", 0, 0.5, 3, 6), ("L", 3.0, 1), ("L", 4.0, 1)], id="unreachable-cycle"),
+    ])
+    def test_not_one_tree(self, nodes):
+        model = GbmModel(f0=0.0, trees=[tree_of(nodes)], hyperparams=Hyperparams(),
+                         training_curve=[0.0, 0.0], feature_names=["a"])
+        with pytest.raises(CorruptNode):
+            deserialize_model(serialize_model(model))
 
     def test_duplicate_feature_names(self):
         with pytest.raises(CorruptHeader):

@@ -93,6 +93,15 @@ class TestParseDataset:
         assert len(ds.samples) == 1
         assert ds.provenance.dropped == [(1, "all six wqi inputs missing")]
 
+    def test_strict_all_six_missing_names_row(self):
+        row = list(FIXTURE_ROWS[1])
+        for i in (5, 6, 7, 8, 9, 11):  # do, ph, ec, bod, na, tc
+            row[i] = ""
+        with pytest.raises(MalformedRow) as err:
+            parse_dataset(rows_to_csv(STATION_HEADER, [FIXTURE_ROWS[0], row]), strictness="strict")
+        assert err.value.index == 2
+        assert "all six wqi inputs missing" in str(err.value)
+
     def test_bad_month_year_dropped_in_lenient(self):
         row = list(FIXTURE_ROWS[0])
         row[12] = "13-2019"

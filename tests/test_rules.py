@@ -1,16 +1,20 @@
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aquagauge.rules import (
+    DEFAULT_RULES_RESOURCE,
     FIELDS,
     OPS,
     Condition,
     DuplicatePriority,
     Rule,
     RuleSet,
+    RulesError,
     RuleSyntaxError,
     UnknownField,
     default_ruleset,
@@ -84,6 +88,67 @@ class TestLoadRules:
     def test_conjunction_parses(self):
         rs = load_rules('rule 3 "X" reason "r" suggest "s" when ph < 7 and nph <= 0 and tc > 5')
         assert len(rs.rules[0].conditions) == 3
+
+    @pytest.mark.parametrize("condition", [
+        "ph < nan", "ph >= NaN", "wqi > -nan", "ph between nan 3", "ph between 3 nan",
+        "tc between nan nan",
+    ])
+    def test_nan_threshold_rejected(self, condition):
+        with pytest.raises(RuleSyntaxError) as err:
+            load_rules(f'# x\nrule 1 "X" reason "r" suggest "s" when {condition}')
+        assert err.value.line == 2
+
+    def test_infinite_thresholds_keep_their_meaning(self):
+        rs = load_rules('rule 2 "X" reason "r" suggest "s" when tc between 1000 inf\n'
+                        'rule 1 "Y" reason "r" suggest "s" when ph > -inf')
+        between, above = rs.rules[0].conditions[0], rs.rules[1].conditions[0]
+        assert between.holds(1e300) and not between.holds(999.0)
+        assert above.holds(-1e300) and not above.holds(math.nan)
+
+
+_NON_FINITE_TOKENS = ["nan", "-nan", "NaN", "inf", "-inf", "1e999"]
+_RULE_FUZZ_TOKENS = ["0", "-1", "3", "1e308", "", "x", '"', "rule", "when", "and", "between",
+                     "<", ">=", "wqi", "tc", "#"]
+
+
+@st.composite
+def rule_file_mutations(draw):
+    """The shipped rule file with one rule line changed: a space-separated
+    token swapped (half the time one after "when", and half the time for a
+    non-finite number), the whole line replaced, or the line deleted or
+    doubled."""
+    text = resources.files("aquagauge.data").joinpath(DEFAULT_RULES_RESOURCE).read_text("utf-8")
+    lines = text.splitlines()
+    i = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("rule ")]))
+    how = draw(st.sampled_from(["token", "token", "replace", "delete", "double"]))
+    if how == "token":
+        parts = re.split(r"( )", lines[i])  # odd entries are the separators
+        first = draw(st.sampled_from([0, parts.index("when") // 2]))
+        j = 2 * draw(st.integers(first, len(parts) // 2))
+        tokens = st.one_of(st.sampled_from(_NON_FINITE_TOKENS), st.sampled_from(_RULE_FUZZ_TOKENS))
+        parts[j] = draw(tokens)
+        lines[i] = "".join(parts)
+    elif how == "replace":
+        lines[i] = draw(st.text(max_size=30))
+    elif how == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(rule_file_mutations())
+def test_one_line_mutation_loads_valid_or_raises(text):
+    try:
+        rs = load_rules(text)
+    except RulesError:
+        return
+    for rule in rs.rules:
+        for c in rule.conditions:
+            assert not math.isnan(c.value)
+            if c.op == "between":
+                assert not math.isnan(c.hi) and c.value <= c.hi
 
 
 class TestDiagnose:

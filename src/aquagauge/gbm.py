@@ -19,12 +19,22 @@ fits of the same data with the same hyperparameters serialize byte-identically.
 
 The split search is exact and presorted, after the attribute lists of SLIQ
 (Mehta et al., 1996) and the exact-greedy column blocks of XGBoost (Chen and
-Guestrin, 2016). gbm_fit stably argsorts each feature column once, every tree
-starts from those sorted row lists, and each split stably partitions them
-between its two children, so no node sorts. A node's rows stay in ascending
-order, so a stable sort of a whole column restricted to them is the node's own
-stable sort: the prefix sums see the same values in the same order, and the
-models are byte-identical to those of sorting every feature at every node.
+Guestrin, 2016). gbm_fit sorts each feature column once into a packed list of
+int64 codes, (dense rank of the value << 32) | row; every tree starts from
+those lists, and each split stably partitions them between its two children,
+so no node sorts. A node's lists stay strictly ascending, so each is the
+node's own stable sort. A candidate cut is a rank change between neighbouring
+positions, so the scan reads no feature values.
+
+Each node centres its residuals on the node mean and takes one cumulative sum
+per feature. A cut with k of the node's n rows on the left, left sum S_L and
+right sum S_R has SSE parent_sse - (S_L**2 / k + S_R**2 / (n - k)), the gain
+form of XGBoost, so no sum of squares is taken, and the centring keeps a large
+target offset from swamping the sums. Every candidate whose scanned gain is
+within a hair of the best is re-scored with the exact two-pass SSE, and that
+re-score picks the split. The chosen (feature, threshold, sse) is that of
+direct enumeration, and the models are byte-identical to those of sorting and
+scanning every feature at every node.
 """
 
 from __future__ import annotations
@@ -140,10 +150,6 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
 
 _NODE_DTYPES = (np.intp, np.float64, np.intp, np.intp, np.float64, np.intp)
 
@@ -223,71 +229,80 @@ def _matrix_values(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+_ROW_MASK = 0xFFFFFFFF
+
+
 def _presort(x: np.ndarray) -> np.ndarray:
-    """Every feature's row indices in stable ascending order of its values,
-    one int32 row per feature (shape n_features x n_rows)."""
+    """Every feature's packed attribute list: one int64 per (feature, sorted
+    position), (dense rank of the value << 32) | row, in stable ascending
+    order of the values (shape n_features x n_rows).
+
+    Ranks step exactly where the sorted values increase (-0.0 and 0.0 share a
+    rank), and rows of equal value stay ascending, so each feature's list is
+    strictly ascending as integers.
+    """
     if x.shape[0] > np.iinfo(np.int32).max:
-        raise ValueError("too many rows for int32 row lists")
-    return np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T, dtype=np.int32)
+        raise ValueError("too many rows for 32-bit row fields")
+    order = np.argsort(x, axis=0, kind="stable").T
+    xs = np.take_along_axis(x.T, order, axis=1)
+    packed = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum(xs[:, :-1] < xs[:, 1:], axis=1, out=packed[:, 1:])
+    del xs
+    packed <<= 32
+    packed |= order
+    return packed
 
 
 def _split_node(
     x: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, msl: int
 ) -> SplitCandidate | None:
     """best_split for the node holding `rows` (ascending) of x and y, whose
-    per-feature row lists in stable sorted order are `order`.
+    packed attribute lists (see _presort) are `order`.
 
     A stable sort of a whole column, restricted to the node's ascending rows,
-    is the node's own stable sort, so the prefix sums below see the same
-    values in the same order as sorting the node would give them.
+    is the node's own stable sort, so the scan below sees the node's values in
+    the order that sorting the node would give them.
     """
     n = rows.size
     if n < 2 or n < 2 * msl:
         return None
-    index = order.astype(np.intp)  # one index conversion for both gathers
     # Candidates: sorted positions k - 1 that end a left side of k rows,
-    # msl <= k <= n - msl, between two distinct values of the feature.
-    xs = x[index, np.arange(order.shape[0])[:, None]]
+    # msl <= k <= n - msl, between two distinct values (ranks) of the feature.
+    ranks = order >> 32
     cut = np.zeros(order.shape, dtype=bool)
-    np.less(xs[:, msl - 1 : n - msl], xs[:, msl : n - msl + 1], out=cut[:, msl - 1 : n - msl])
-    del xs
+    np.less(ranks[:, msl - 1 : n - msl], ranks[:, msl : n - msl + 1], out=cut[:, msl - 1 : n - msl])
+    del ranks
     pos = np.flatnonzero(cut)
+    del cut
     if pos.size == 0:
         return None
-    per_feature = np.count_nonzero(cut, axis=1)
-    del cut
-    ks = pos % n + 1
+    features = pos // n
+    ks = pos - features * n + 1
 
-    ys = y[index]
-    del index
-    csum = np.cumsum(ys, axis=1)
+    y_node = y.take(rows)
+    parent_sse = _sse(y_node)
+    # Centred on the node mean, the left sums S_L stay small at any target
+    # offset, and the split SSE is parent_sse - (S_L**2 / k + S_R**2 / (n - k)),
+    # so one cumulative sum scores every candidate by its gain.
+    ys = y.take(order & _ROW_MASK)
+    ys -= y_node.mean()
+    csum = np.cumsum(ys, axis=1, out=ys)
     left_sum = csum.ravel()[pos]
-    right_sum = np.repeat(csum[:, -1], per_feature)
+    right_sum = csum[:, -1].take(features)
     right_sum -= left_sum
-    del csum
-    np.multiply(ys, ys, out=ys)
-    csq = np.cumsum(ys, axis=1, out=ys)
-    left_sq = csq.ravel()[pos]
-    right_sq = np.repeat(csq[:, -1], per_feature)
-    right_sq -= left_sq
-    del ys, csq
-    # scores = (left_sq - left_sum**2 / ks) + (right_sq - right_sum**2 / (n - ks)),
-    # evaluated in place to hold fewer candidate-sized arrays at once
+    del ys, csum
     np.square(left_sum, out=left_sum)
     left_sum /= ks
-    scores = np.subtract(left_sq, left_sum, out=left_sq)
     np.square(right_sum, out=right_sum)
     right_sum /= n - ks
-    right_sq -= right_sum
-    scores += right_sq
+    gain = np.add(left_sum, right_sum, out=left_sum)
 
-    y_node = y[rows]
-    parent_sse = _sse(y_node)
     margin = _NEAR_TIE_RELATIVE_MARGIN * max(parent_sse, 1.0)
     shortlist = []
-    for i in np.flatnonzero(scores <= scores.min() + margin):
-        f, k = int(pos[i] // n), int(ks[i])
-        shortlist.append((f, float(0.5 * (x[order[f, k - 1], f] + x[order[f, k], f]))))
+    for i in np.flatnonzero(gain >= gain.max() - margin):
+        f, k = int(features[i]), int(ks[i])
+        a, b = order[f, k - 1] & _ROW_MASK, order[f, k] & _ROW_MASK
+        shortlist.append((f, float(0.5 * (x[a, f] + x[b, f]))))
 
     best: SplitCandidate | None = None
     for f, thr in sorted(shortlist):
@@ -323,8 +338,8 @@ def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | Non
 
 
 def _partition(order: np.ndarray, goes_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split every feature's sorted row list by goes_left[row], keeping order."""
-    side = goes_left[order.astype(np.intp)].ravel()
+    """Split every feature's packed list by goes_left[row], keeping order."""
+    side = goes_left.take(order & _ROW_MASK).ravel()
     flat = order.ravel()
     n_features = order.shape[0]
     left = np.compress(side, flat).reshape(n_features, -1)
@@ -353,7 +368,7 @@ def fit_tree(
     # one [feature, threshold, left, right, value, count] per node; an internal
     # node's right id is filled in when its right child is made
     nodes: list[list] = []
-    # (rows ascending, per-feature sorted rows, depth, parent id if a right child)
+    # (rows ascending, packed attribute lists, depth, parent id if a right child)
     stack = [(np.arange(r.size, dtype=np.int32), order, 0, -1)]
     while stack:
         idx, order, depth, parent = stack.pop()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from aquagauge.errors import LengthMismatch, NonFinite
 from aquagauge.gbm import (
     _NEAR_TIE_RELATIVE_MARGIN,
+    _ROW_MASK,
     ArityMismatch,
     BadMagic,
     CorruptHeader,
@@ -22,6 +23,8 @@ from aquagauge.gbm import (
     SplitCandidate,
     UnsupportedVersion,
     _matrix_values,
+    _partition,
+    _presort,
     _sse,
     best_split,
     deserialize_model,
@@ -308,6 +311,48 @@ def tied_problems(draw):
         min_samples_leaf=msl,
     )
     return x, y, hp
+
+
+@st.composite
+def offset_problems(draw):
+    """Small problems with rounded (tie-heavy) features whose targets are
+    scaled by up to 1e3 and shifted far from zero."""
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 3))
+    x = np.array(draw(st.lists(st.integers(0, 5), min_size=n * n_features, max_size=n * n_features)),
+                 dtype=np.float64).reshape(n, n_features)
+    unit = draw(st.sampled_from([st.sampled_from([-1.0, 0.0, 0.25, 2.0]), st.floats(-1.0, 1.0)]))
+    base = np.array(draw(st.lists(unit, min_size=n, max_size=n)), dtype=np.float64)
+    scale = 10.0 ** draw(st.floats(0.0, 3.0))
+    offset = draw(st.sampled_from([0.0, 1e6, 1e8, 1e12]))
+    hp = Hyperparams(
+        max_depth=draw(st.integers(0, 3)),
+        min_samples_split=draw(st.integers(2, 12)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+    )
+    return x, offset + scale * base, hp
+
+
+@st.composite
+def packing_matrices(draw):
+    """Matrices whose columns are -0.0/0.0 mixes, constant, 0/1, all distinct
+    or drawn from a small value set."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["signed zeros", "constant", "binary", "distinct", "small set"]))
+        if kind == "constant":
+            columns.append([draw(st.floats(-1e3, 1e3))] * n)
+        elif kind == "distinct":
+            columns.append(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True)))
+        else:
+            values = {
+                "signed zeros": [-0.0, 0.0],
+                "binary": [0.0, 1.0],
+                "small set": [-2.0, -0.0, 0.0, 0.5, 3.0],
+            }[kind]
+            columns.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    return np.array(columns, dtype=np.float64).T.reshape(n, len(columns))
 
 
 # The sha256 of serialize_model(gbm_fit(...)) on golden_xy() with
@@ -679,11 +724,59 @@ class TestPresortedFitter:
             assert [node_bits(n) for n in node_view(tree)] == [node_bits(n) for n in scaled]
             pred = pred + tree_apply(tree, x)
 
+    @settings(max_examples=300, deadline=None)
+    @given(offset_problems())
+    def test_best_split_matches_brute_force_at_target_offsets(self, problem):
+        x, y, hp = problem
+        got = best_split(x, y, hp.min_samples_leaf)
+        want = ref_best_split(x, y, hp.min_samples_leaf)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.feature, got.threshold, got.sse) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset_problems())
+    def test_fit_tree_matches_brute_force_at_target_offsets(self, problem):
+        x, y, hp = problem
+        assert flatten_tree(fit_tree(x, y, hp)) == flatten_ref(ref_fit_tree(x, y, hp), [])
+
     def test_golden_model_sha256(self):
         x, y = golden_xy()
         fm = FeatureMatrix(x, ["a", "b", "c", "d", "e"])
         text = serialize_model(gbm_fit(fm, y, GOLDEN_HP))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256
+
+
+class TestPackedLists:
+    @settings(max_examples=300, deadline=None)
+    @given(packing_matrices())
+    def test_presort_packs_dense_ranks_and_rows(self, x):
+        packed = _presort(x)
+        assert packed.dtype == np.int64 and packed.shape == x.shape[::-1]
+        assert np.all(np.diff(packed, axis=1) > 0)
+        for f, lst in enumerate(packed):
+            rows, ranks = lst & _ROW_MASK, lst >> 32
+            assert np.array_equal(rows, np.argsort(x[:, f], kind="stable"))
+            xs = x[rows, f]
+            assert np.array_equal(np.diff(ranks) != 0, xs[:-1] < xs[1:])
+            assert np.all(np.diff(ranks) <= 1) and (ranks.size == 0 or ranks[0] == 0)
+
+    def test_presort_row_guard(self):
+        with pytest.raises(ValueError):
+            _presort(np.broadcast_to(0.0, (2**31, 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(packing_matrices(), st.data())
+    def test_partition_keeps_lists_sorted_and_complete(self, x, data):
+        goes_left = np.array(data.draw(st.lists(st.booleans(), min_size=x.shape[0],
+                                                max_size=x.shape[0])), dtype=bool)
+        packed = _presort(x)
+        left, right = _partition(packed, goes_left)
+        for parent, lo, hi in zip(packed, left, right):
+            assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
+            assert np.all(goes_left[lo & _ROW_MASK]) and not np.any(goes_left[hi & _ROW_MASK])
+            assert np.array_equal(np.sort(np.concatenate((lo, hi))), parent)
 
 
 def _small_model_text() -> str:

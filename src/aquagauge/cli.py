@@ -55,14 +55,12 @@ def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
     strictness = "strict" if getattr(args, "strict", False) else "lenient"
     parsed = ingest.parse_dataset(text, strictness=strictness, source=args.input)
     ds = ingest.impute_missing(parsed, _IMPUTE_FLAG[args.impute])
-    rows_read = len(parsed.samples) + len(parsed.provenance.dropped)
+    rows_read = len(parsed) + len(parsed.provenance.dropped)
     print(f"log: rows_read={rows_read} rows_dropped={len(ds.provenance.dropped)} "
           f"cells_noted={len(parsed.provenance.notes)}", file=sys.stderr)
+    # imputation adds one note per filled cell and no other notes
+    print(f"log: cells_imputed={len(ds.provenance.notes) - len(parsed.provenance.notes)}", file=sys.stderr)
     return ds
-
-
-def _score(ds: ingest.Dataset, mode: str) -> wqi.WqiColumns:
-    return wqi.score_columns(ingest.sample_columns(ds, ingest.WQI_INPUTS), mode)
 
 
 def _parse_split(spec: str) -> tuple[str, float]:
@@ -81,9 +79,9 @@ def _parse_split(spec: str) -> tuple[str, float]:
 
 def cmd_wqi(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
-    if not ds.samples:
+    if not len(ds):
         raise AquagaugeError("no samples")
-    scored = _score(ds, _MODE_FLAG[args.mode])
+    scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -91,9 +89,10 @@ def cmd_wqi(args: argparse.Namespace) -> int:
          "wph", "wdo", "wbdo", "wec", "wna", "wco", "wqi"]
     )
     writer.writerows(
-        [s.station_code, f"{s.month}-{s.year}", *sub, *(f"{v:.2f}" for v in weighted), f"{v_wqi:.2f}"]
-        for s, sub, weighted, v_wqi in zip(
-            ds.samples, scored.sub.tolist(), scored.weighted.tolist(), scored.wqi.tolist()
+        [station, f"{month}-{year}", *sub, *(f"{v:.2f}" for v in weighted), f"{v_wqi:.2f}"]
+        for station, month, year, sub, weighted, v_wqi in zip(
+            ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(),
+            scored.sub.tolist(), scored.weighted.tolist(), scored.wqi.tolist()
         )
     )
     _emit(buf.getvalue(), args.out)
@@ -127,7 +126,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = gbm.deserialize_model(Path(args.model).read_text(encoding="utf-8"))
     ds = _load_dataset(args)
-    if not ds.samples:
+    if not len(ds):
         raise AquagaugeError("no samples")
     mode = _MODE_FLAG[args.mode]
     fm, keys, wqis = forecast.build_feature_rows(ds, mode)
@@ -162,9 +161,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
-    if not ds.samples:
+    if not len(ds):
         raise AquagaugeError("no samples")
-    scored = _score(ds, _MODE_FLAG[args.mode])
+    scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
     if args.rules:
         ruleset = rules.load_rules(Path(args.rules).read_text(encoding="utf-8"))
     else:
@@ -175,8 +174,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["station_code", "month", "year", "wqi", "disease", "suggestion"])
     writer.writerows(
-        [s.station_code, s.month, s.year, f"{v_wqi:.6f}", *outcomes[pos]]
-        for s, v_wqi, pos in zip(ds.samples, scored.wqi.tolist(), matched.tolist())
+        [station, month, year, f"{v_wqi:.6f}", *outcomes[pos]]
+        for station, month, year, v_wqi, pos in zip(
+            ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(), scored.wqi.tolist(), matched.tolist()
+        )
     )
     _emit(buf.getvalue(), args.out)
     return 0

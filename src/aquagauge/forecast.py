@@ -7,25 +7,24 @@ feature row for an observation holds its six chemical inputs, temperature,
 its own WQI, up to two prior WQI values with presence flags, and the month
 and year; the target is the paired later WQI.
 
-Feature rows are built as columns: the dataset's values come out of
-:func:`ingest.sample_columns`, the WQI out of :func:`wqi.score_columns`, and
-the lags are the WQI column shifted by one and two rows, present where the
-row that many rows back is from the same station. Samples must be sorted by
-(station_code, year, month), as :func:`ingest.parse_dataset` returns them.
+Feature rows are built from the dataset's columns: the WQI comes out of
+:func:`wqi.score_columns`, and the lags are the WQI column shifted by one and
+two rows, present where the row that many rows back is from the same
+station. Samples must be sorted by (station_code, year, month), as
+:func:`ingest.parse_dataset` returns them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AquagaugeError, LengthMismatch
 from .gbm import FeatureMatrix, GbmModel, predict_matrix
-from .ingest import WQI_INPUTS, Dataset, sample_columns
+from .ingest import WQI_INPUTS, Dataset, column_median
 from .wqi import NORMATIVE, score_columns
 
 FEATURE_NAMES = [
@@ -104,7 +103,7 @@ class EvalReport:
         return sum(1 for _, _, e in self.per_example if e is None)
 
 
-def _month_index(year: int, month: int) -> int:
+def _month_index(year: np.ndarray, month: np.ndarray) -> np.ndarray:
     return year * 12 + (month - 1)
 
 
@@ -118,18 +117,21 @@ def build_feature_rows(
     temperature is filled with the dataset median of observed temperatures
     (0.0 when none was ever observed) so rows stay finite.
     """
-    order = [(s.station_code, s.year, s.month) for s in ds.samples]
-    for i in range(1, len(order)):
-        if order[i] < order[i - 1]:
-            raise UnsortedSamples(i, order[i], order[i - 1])
-    cols = sample_columns(ds, (*WQI_INPUTS, "temp", "month", "year"))
+    stations = ds.station_code
+    month_idx = _month_index(ds.year, ds.month)
+    behind = (stations[1:] < stations[:-1]) | (
+        (stations[1:] == stations[:-1]) & (month_idx[1:] < month_idx[:-1]))
+    if behind.any():
+        i = int(np.argmax(behind)) + 1
+        key = [(stations[k], int(ds.year[k]), int(ds.month[k])) for k in (i, i - 1)]
+        raise UnsortedSamples(i, *key)
+    cols = ds.columns((*WQI_INPUTS, "temp"))
     wqis = score_columns(cols[:, :6], mode).wqi
     temp = cols[:, 6]
-    observed_temps = temp[~np.isnan(temp)].tolist()
-    temp_fill = float(statistics.median(observed_temps)) if observed_temps else 0.0
+    observed_temps = temp[~np.isnan(temp)]
+    temp_fill = column_median(observed_temps) if observed_temps.size else 0.0
 
-    n = len(order)
-    stations = np.array([station for station, _, _ in order], dtype=object)
+    n = len(ds)
     values = np.zeros((n, len(FEATURE_NAMES)))
     values[:, :6] = cols[:, :6]
     values[:, 6] = np.where(np.isnan(temp), temp_fill, temp)
@@ -141,8 +143,9 @@ def build_feature_rows(
         present[lag:] = stations[lag:] == stations[:-lag]
         values[lag:, col] = np.where(present[lag:], wqis[:-lag], 0.0)
         values[:, col + 1] = present
-    values[:, 12:] = cols[:, 7:]
-    keys = [(station, month, year) for station, year, month in order]
+    values[:, 12] = ds.month
+    values[:, 13] = ds.year
+    keys = list(zip(stations.tolist(), ds.month.tolist(), ds.year.tolist()))
     return FeatureMatrix(values, list(FEATURE_NAMES)), keys, wqis
 
 
@@ -154,36 +157,29 @@ def build_supervised(ds: Dataset, mode: str = NORMATIVE) -> SupervisedTask:
     contribute nothing. An empty task is legal.
     """
     fm, keys, wqis = build_feature_rows(ds, mode)
-    month_idx = [_month_index(year, month) for _, month, year in keys]
+    n = len(keys)
+    month_idx = _month_index(ds.year, ds.month)
+    # One ascending key over the sorted dataset: each station gets its own
+    # band of `stride` months, wide enough that a key plus a lead of up to
+    # the window stays in the station's band.
+    stride = (int(np.ptp(month_idx)) if n else 0) + WINDOW_MONTHS + WINDOW_TOLERANCE + 1
+    new_station = np.ones(n, dtype=bool)
+    new_station[1:] = ds.station_code[1:] != ds.station_code[:-1]
+    key = np.cumsum(new_station) * stride + month_idx
 
-    by_station: dict[str, list[int]] = {}
-    for i, (station, _, _) in enumerate(keys):
-        by_station.setdefault(station, []).append(i)
+    target = np.full(n, -1)  # row of each row's pair, -1 for none
+    leads = range(WINDOW_MONTHS - WINDOW_TOLERANCE, WINDOW_MONTHS + WINDOW_TOLERANCE + 1)
+    for lead in sorted(leads, key=lambda d: (abs(d - WINDOW_MONTHS), d)):  # nearest first, then earlier
+        # The first row at that month, so of equal keys the earlier row wins.
+        j = np.minimum(np.searchsorted(key, key + lead), n - 1)
+        found = (target < 0) & (key[j] == key + lead)
+        target[found] = j[found]
 
-    pairs: list[tuple[int, float]] = []  # (feature row index, target wqi)
-    for obs in by_station.values():
-        for a_pos, i in enumerate(obs):
-            best_j = None
-            best_dist = None
-            best_delta = None
-            for j in obs[a_pos + 1 :]:
-                delta = month_idx[j] - month_idx[i]
-                if delta > WINDOW_MONTHS + WINDOW_TOLERANCE:
-                    break
-                if delta < WINDOW_MONTHS - WINDOW_TOLERANCE:
-                    continue
-                dist = abs(delta - WINDOW_MONTHS)
-                if best_dist is None or dist < best_dist or (dist == best_dist and delta < best_delta):
-                    best_j, best_dist, best_delta = j, dist, delta
-            if best_j is not None:
-                pairs.append((i, float(wqis[best_j])))
-
-    pairs.sort(key=lambda pair: pair[0])  # dataset order
-    example_rows = [i for i, _ in pairs]
+    rows = np.flatnonzero(target >= 0)
     return SupervisedTask(
-        features=FeatureMatrix(fm.values[example_rows], list(FEATURE_NAMES)),
-        targets=np.asarray([t for _, t in pairs], dtype=np.float64),
-        keys=[keys[i] for i in example_rows],
+        features=FeatureMatrix(fm.values[rows], list(FEATURE_NAMES)),
+        targets=wqis[target[rows]],
+        keys=[keys[i] for i in rows.tolist()],
     )
 
 

@@ -1,14 +1,15 @@
 """Monitoring-station CSV ingestion.
 
-Parses raw station CSVs into validated :class:`WaterSample` records. Header
-names are matched after normalization (lowercase, parenthesized units and
-punctuation stripped), so ``B.O.D.``, ``bod`` and ``B.O. D.`` all map to the
-same column. Real station exports type several numeric columns as free text
-("n/a", "-", trailing-dot numerals), so the default mode is lenient: bad
-cells become missing values and only rows that are unusable outright are
-dropped, with every drop logged. :func:`sample_columns` turns a dataset's
-samples into float64 columns (NaN for missing) for the column scorers in
-``wqi``, ``rules`` and ``forecast``.
+Parses raw station CSVs into a columnar :class:`Dataset`: string, month and
+year columns plus one float64 array of the numeric fields, NaN for a missing
+value, which the column scorers in ``wqi``, ``rules`` and ``forecast`` read
+directly. Header names are matched after normalization (lowercase,
+parenthesized units and punctuation stripped), so ``B.O.D.``, ``bod`` and
+``B.O. D.`` all map to the same column. Real station exports type several
+numeric columns as free text ("n/a", "-", trailing-dot numerals), so the
+default mode is lenient: bad cells become missing values and only rows that
+are unusable outright are dropped, with every drop logged.
+:class:`WaterSample` is the one-sample view of the same data.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import csv
 import io
 import math
 import re
-import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -36,26 +37,11 @@ WQI_INPUTS = (
     "total_coliform",
 )
 
-#: Columns that must be present (by canonical name) in every input header.
-REQUIRED_COLUMNS = (
-    "station_code",
-    "location",
-    "state",
-    "temp",
-    "dissolved_oxygen",
-    "ph",
-    "conductivity",
-    "bod",
-    "nitrate",
-    "fecal_coliform",
-    "total_coliform",
-    "month_year",
-)
-
 # Cell tokens treated as an explicit missing value (case-insensitive).
 MISSING_TOKENS = frozenset({"nan", "na", "n/a", "-"})
 
-_NUMERIC_FIELDS = (
+#: The numeric fields, in the column order of ``Dataset.values``.
+NUMERIC_FIELDS = (
     "temp",
     "dissolved_oxygen",
     "ph",
@@ -66,14 +52,20 @@ _NUMERIC_FIELDS = (
     "total_coliform",
 )
 
+#: Columns that must be present (by canonical name) in every input header.
+REQUIRED_COLUMNS = ("station_code", "location", "state", *NUMERIC_FIELDS, "month_year")
+
+# Columns of the six WQI inputs in ``Dataset.values``, in WQI_INPUTS order.
+_WQI_COLUMNS = [NUMERIC_FIELDS.index(name) for name in WQI_INPUTS]
+
 # Concentration-style fields must be >= 0 when present; pH must sit in [0, 14].
-_NONNEGATIVE_FIELDS = frozenset(_NUMERIC_FIELDS) - {"temp", "ph"}
+_NONNEGATIVE_FIELDS = frozenset(NUMERIC_FIELDS) - {"temp", "ph"}
 
 # Closed range of each numeric field; the finite ends also shut out NaN and
 # the infinities.
 _RANGES = {
     name: (0.0 if name in _NONNEGATIVE_FIELDS else -sys.float_info.max, sys.float_info.max)
-    for name in _NUMERIC_FIELDS
+    for name in NUMERIC_FIELDS
 } | {"ph": (0.0, 14.0)}
 
 _MONTH_YEAR_RE = re.compile(r"^(\d{1,2})-(\d{4})$")
@@ -175,10 +167,60 @@ class Provenance:
         return "\n".join(f"row {n}: {reason}" for n, reason in self.dropped)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    samples: list[WaterSample]
-    provenance: Provenance = field(default_factory=Provenance, compare=False)
+    """Station observations as columns, one entry per sample.
+
+    ``values`` holds the :data:`NUMERIC_FIELDS` as float64 columns, NaN where
+    a value is missing. The string columns are object arrays and month, year
+    and ``source_row`` (the sample's 1-based data row in its CSV) are int64.
+    Treat a dataset as immutable: :attr:`samples` is built from the columns
+    once, on first use.
+    """
+
+    station_code: np.ndarray
+    location: np.ndarray
+    state: np.ndarray
+    month: np.ndarray
+    year: np.ndarray
+    source_row: np.ndarray
+    values: np.ndarray
+    provenance: Provenance = field(default_factory=Provenance)
+
+    @classmethod
+    def from_samples(cls, samples: list[WaterSample], provenance: Provenance | None = None) -> Dataset:
+        """The samples as a dataset, in the given order; a sample without a
+        source_row takes its 1-based position."""
+        def column(name: str, dtype) -> np.ndarray:
+            return np.array([getattr(s, name) for s in samples], dtype=dtype)
+
+        row = np.dtype((np.float64, (len(NUMERIC_FIELDS),)))  # None converts to NaN
+        return cls(column("station_code", object), column("location", object), column("state", object),
+                   column("month", np.int64), column("year", np.int64),
+                   np.array([pos if s.source_row is None else s.source_row
+                             for pos, s in enumerate(samples, start=1)], dtype=np.int64),
+                   np.fromiter(map(attrgetter(*NUMERIC_FIELDS), samples), dtype=row, count=len(samples)),
+                   Provenance() if provenance is None else provenance)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def columns(self, fields: tuple[str, ...]) -> np.ndarray:
+        """The named numeric fields as a (samples, fields) float64 array, in
+        the given order."""
+        return self.values[:, [NUMERIC_FIELDS.index(name) for name in fields]]
+
+    @cached_property
+    def samples(self) -> list[WaterSample]:
+        """The dataset as WaterSample records, None for a missing value."""
+        return [
+            WaterSample(code, location, state,
+                        **{name: None if math.isnan(v) else v for name, v in zip(NUMERIC_FIELDS, row)},
+                        month=month, year=year, source_row=ref)
+            for code, location, state, row, month, year, ref in zip(
+                self.station_code.tolist(), self.location.tolist(), self.state.tolist(),
+                self.values.tolist(), self.month.tolist(), self.year.tolist(), self.source_row.tolist())
+        ]
 
 
 def normalize_column(name: str) -> str | None:
@@ -270,6 +312,27 @@ def _csv_records(text: str) -> list[list[str] | csv.Error]:
             records.append(exc)
 
 
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _fresh_copies(cells: list[str]) -> np.ndarray:
+    """The cells as an object array of fresh strings, one per distinct value.
+
+    A dataset so holds none of the parsed CSV's own cell strings, whose memory
+    is then all free for reuse once parsing ends, and it stores a station
+    code, location or state repeated over many rows once.
+    """
+    copies: dict[str, str] = {}
+    for cell in cells:
+        if cell not in copies:
+            copies[cell] = cell.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+    return np.array([copies[cell] for cell in cells], dtype=object)
+
+
 def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<memory>") -> Dataset:
     """Parse a station CSV (single header row, comma separated) into a Dataset.
 
@@ -277,19 +340,20 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
     (logged as notes) and rows that are unusable (unreadable as CSV, wrong
     arity, no station code, bad month-year, or all six WQI inputs missing)
     are dropped and logged. In strict mode any such defect raises
-    :class:`MalformedRow`.
+    :class:`MalformedRow` for the first defective row.
 
-    Samples are returned sorted by (station_code, year, month); the drop log
-    accounts for every input row that did not become a sample.
+    Samples are returned sorted by (station_code, year, month), rows of equal
+    key in input order; the drop log accounts for every input row that did
+    not become a sample.
     """
     if strictness not in ("strict", "lenient"):
         raise ValueError(f"strictness must be 'strict' or 'lenient', got {strictness!r}")
     strict = strictness == "strict"
 
-    rows = _csv_records(csv_text)
-    if not rows:
+    records = _csv_records(csv_text)
+    if not records:
         raise EmptyInput()
-    header, data_rows = rows[0], rows[1:]
+    header, data_rows = records[0], records[1:]
     if isinstance(header, csv.Error):
         raise MalformedRow(0, f"header is not readable CSV: {header}")
 
@@ -303,122 +367,110 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
             raise MissingColumn(required)
 
     prov = Provenance(source=source)
-    samples: list[WaterSample] = []
-    numeric_cols = [(name, col_of[name], *_RANGES[name]) for name in _NUMERIC_FIELDS]
-    dates: dict[str, tuple[int, int]] = {}  # month-year token -> (month, year)
-
+    dropped: dict[int, str] = {}  # data row -> why it was dropped; one reason per row
+    rows: list[list[str]] = []
+    row_ids: list[int] = []  # data row of each entry of `rows`
     for i, row in enumerate(data_rows, start=1):
-        if isinstance(row, csv.Error) or len(row) != len(header):
-            reason = (f"not readable CSV: {row}" if isinstance(row, csv.Error)
-                      else f"expected {len(header)} cells, got {len(row)}")
-            if strict:
-                raise MalformedRow(i, reason)
-            prov.dropped.append((i, reason))
-            continue
+        if isinstance(row, csv.Error):
+            dropped[i] = f"not readable CSV: {row}"
+        elif len(row) != len(header):
+            dropped[i] = f"expected {len(header)} cells, got {len(row)}"
+        else:
+            rows.append(row)
+            row_ids.append(i)
+    # The cells of each used column, as lists (zip(*rows) would allocate one
+    # iterator per row, and the cyclic collector then walks them all).
+    cells = {name: [row[col] for row in rows] for name, col in col_of.items()}
 
-        station = row[col_of["station_code"]].strip()
-        if not station:
-            if strict:
-                raise MalformedRow(i, "empty station code")
-            prov.dropped.append((i, "empty station code"))
-            continue
+    stations = [cell.strip() for cell in cells["station_code"]]
+    tokens = cells["month_year"]
+    dates: dict[str, int | str] = {}  # token -> year * 12 + month - 1, or why it is bad
+    for token in set(tokens):
+        try:
+            month, year = parse_month_year(token)
+        except BadDateToken as exc:
+            dates[token] = str(exc)
+        else:
+            dates[token] = year * 12 + month - 1
+    usable = np.ones(len(rows), dtype=bool)
+    for k, (station, token) in enumerate(zip(stations, tokens)):
+        date = dates[token] if station else "empty station code"
+        if isinstance(date, str):
+            usable[k] = False
+            dropped[row_ids[k]] = date
 
-        token = row[col_of["month_year"]]
-        if token not in dates:
-            try:
-                dates[token] = parse_month_year(token)
-            except BadDateToken as exc:
-                if strict:
-                    raise MalformedRow(i, str(exc)) from exc
-                prov.dropped.append((i, str(exc)))
-                continue
-        month, year = dates[token]
+    values = np.empty((len(rows), len(NUMERIC_FIELDS)))
+    for f, name in enumerate(NUMERIC_FIELDS):
+        values[:, f] = np.fromiter(map(_float_or_nan, cells[name]), dtype=np.float64, count=len(rows))
+    lo, hi = np.array([_RANGES[name] for name in NUMERIC_FIELDS]).T
+    # Most cells are plain in-range numerals, which float() reads as
+    # _classify_cell would. Every other cell of a usable row takes the slow
+    # path, in (row, field) order, so notes and errors come out in row order.
+    irregular = ~((lo <= values) & (values <= hi)) & usable[:, None]
+    cell_error = None
+    try:
+        for k, f in zip(*(axis.tolist() for axis in np.nonzero(irregular))):
+            name = NUMERIC_FIELDS[f]
+            value = _irregular_cell(row_ids[k], name, cells[name][k], strict, prov.notes)
+            values[k, f] = math.nan if value is None else value
+    except MalformedRow as exc:  # strict mode only; rows after it are left unread
+        cell_error = exc
+    all_missing = usable & np.isnan(values[:, _WQI_COLUMNS]).all(axis=1)
+    for k in np.flatnonzero(all_missing).tolist():
+        dropped[row_ids[k]] = "all six wqi inputs missing"
 
-        values: dict[str, float | None] = {}
-        for name, col, lo, hi in numeric_cols:
-            cell = row[col]
-            # Most cells are plain in-range numerals, which float() reads as
-            # _classify_cell would; every other cell takes the slow path.
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not lo <= value <= hi:
-                value = _irregular_cell(i, name, cell, strict, prov.notes)
-            values[name] = value
+    if strict and (dropped or cell_error):
+        first = min(dropped, default=math.inf)
+        # A row's cells are read before its six wqi inputs are checked.
+        if cell_error is not None and cell_error.index <= first:
+            raise cell_error
+        raise MalformedRow(first, dropped[first])
+    prov.dropped = sorted(dropped.items())
 
-        if all(values[name] is None for name in WQI_INPUTS):
-            if strict:
-                raise MalformedRow(i, "all six wqi inputs missing")
-            prov.dropped.append((i, "all six wqi inputs missing"))
-            continue
-
-        samples.append(
-            WaterSample(
-                station_code=station,
-                location=row[col_of["location"]].strip(),
-                state=row[col_of["state"]].strip(),
-                **values,
-                month=month,
-                year=year,
-                source_row=i,
-            )
-        )
-
-    samples.sort(key=lambda s: (s.station_code, s.year, s.month))
-    return Dataset(samples=samples, provenance=prov)
-
-
-def sample_columns(ds: Dataset, fields: tuple[str, ...]) -> np.ndarray:
-    """The named numeric fields of every sample as a float64 array of shape
-    (samples, fields), one column per field in the given order; NaN where a
-    value is missing."""
-    row = np.dtype((np.float64, (len(fields),)))  # None converts to NaN
-    return np.fromiter(map(attrgetter(*fields), ds.samples), dtype=row, count=len(ds.samples))
-
-
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
+    kept = np.flatnonzero(usable & ~all_missing)
+    station = _fresh_copies([stations[k] for k in kept.tolist()])
+    month_idx = np.fromiter((dates[tokens[k]] for k in kept.tolist()), dtype=np.int64, count=len(kept))
+    # Rank station codes in Python's string order: numpy's fixed-width
+    # strings would drop trailing NULs and so tie distinct codes.
+    rank_of = {code: r for r, code in enumerate(sorted(set(station.tolist())))}
+    rank = np.fromiter(map(rank_of.__getitem__, station.tolist()), dtype=np.int64, count=len(kept))
+    order = np.lexsort((month_idx, rank))  # stable, so equal keys keep input order
+    kept, month_idx = kept[order], month_idx[order]
+    location, state = (_fresh_copies([cells[name][k].strip() for k in kept.tolist()])
+                       for name in ("location", "state"))
+    return Dataset(station[order], location, state, month_idx % 12 + 1, month_idx // 12,
+                   np.array(row_ids, dtype=np.int64)[kept], values[kept], prov)
 
 
 def serialize_dataset(ds: Dataset) -> str:
     """Write a dataset back to CSV text that reparses to identical samples."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "station_code",
-            "location",
-            "state",
-            "temp",
-            "do",
-            "ph",
-            "conductivity",
-            "bod",
-            "nitrate",
-            "fecal_coliform",
-            "total_coliform",
-            "month_year",
-        ]
+    writer.writerow(["station_code", "location", "state", "temp", "do", "ph", "conductivity", "bod",
+                     "nitrate", "fecal_coliform", "total_coliform", "month_year"])
+    writer.writerows(
+        [code, location, state, *("" if math.isnan(v) else repr(v) for v in row), f"{month}-{year}"]
+        for code, location, state, row, month, year in zip(
+            ds.station_code.tolist(), ds.location.tolist(), ds.state.tolist(), ds.values.tolist(),
+            ds.month.tolist(), ds.year.tolist())
     )
-    for s in ds.samples:
-        writer.writerow(
-            [
-                s.station_code,
-                s.location,
-                s.state,
-                _cell(s.temp),
-                _cell(s.dissolved_oxygen),
-                _cell(s.ph),
-                _cell(s.conductivity),
-                _cell(s.bod),
-                _cell(s.nitrate),
-                _cell(s.fecal_coliform),
-                _cell(s.total_coliform),
-                f"{s.month}-{s.year}",
-            ]
-        )
     return buf.getvalue()
+
+
+def column_median(observed: np.ndarray) -> float:
+    """The median of a non-empty, NaN-free float64 array.
+
+    Bit for bit ``statistics.median``, except that two middle values whose sum
+    overflows are halved before they are added, so the median of finite
+    values stays finite.
+    """
+    ordered = np.sort(observed, kind="stable")
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    a, b = float(ordered[mid - 1]), float(ordered[mid])
+    mean = (a + b) / 2
+    return a / 2 + b / 2 if math.isinf(mean) else mean
 
 
 def impute_missing(ds: Dataset, policy: str = "drop_row") -> Dataset:
@@ -432,41 +484,28 @@ def impute_missing(ds: Dataset, policy: str = "drop_row") -> Dataset:
     if policy not in ("drop_row", "median"):
         raise ValueError(f"policy must be 'drop_row' or 'median', got {policy!r}")
 
-    prov = Provenance(
-        source=ds.provenance.source,
-        dropped=list(ds.provenance.dropped),
-        notes=list(ds.provenance.notes),
-    )
+    prov = Provenance(ds.provenance.source, list(ds.provenance.dropped), list(ds.provenance.notes))
+    inputs = ds.values[:, _WQI_COLUMNS]
+    missing = np.isnan(inputs)
+    cells = list(zip(*(axis.tolist() for axis in np.nonzero(missing))))  # (sample, input), row-major
+    refs = ds.source_row.tolist()
 
     if policy == "drop_row":
-        kept = []
-        for pos, s in enumerate(ds.samples, start=1):
-            missing = s.missing_wqi_inputs()
-            if missing:
-                ref = s.source_row if s.source_row is not None else pos
-                prov.dropped.append((ref, f"missing {', '.join(missing)} (drop_row policy)"))
-            else:
-                kept.append(s)
-        return Dataset(samples=kept, provenance=prov)
+        names: dict[int, list[str]] = {}
+        for k, c in cells:
+            names.setdefault(k, []).append(WQI_INPUTS[c])
+        prov.dropped.extend((refs[k], f"missing {', '.join(names[k])} (drop_row policy)") for k in names)
+        kept = np.flatnonzero(~missing.any(axis=1))
+        return Dataset(ds.station_code[kept], ds.location[kept], ds.state[kept], ds.month[kept],
+                       ds.year[kept], ds.source_row[kept], ds.values[kept], prov)
 
-    medians: dict[str, float] = {}
-    for name in WQI_INPUTS:
-        observed = [getattr(s, name) for s in ds.samples if getattr(s, name) is not None]
-        needed = any(getattr(s, name) is None for s in ds.samples)
-        if needed and not observed:
+    medians = []
+    for c, name in enumerate(WQI_INPUTS):
+        observed = inputs[~missing[:, c], c]
+        if not observed.size and missing[:, c].any():
             raise AllMissingColumn(name)
-        if observed:
-            medians[name] = float(statistics.median(observed))
-
-    filled = []
-    for pos, s in enumerate(ds.samples, start=1):
-        missing = s.missing_wqi_inputs()
-        if missing:
-            ref = s.source_row if s.source_row is not None else pos
-            patch = {name: medians[name] for name in missing}
-            for name in missing:
-                prov.notes.append((ref, f"{name} imputed with median {medians[name]!r}"))
-            filled.append(replace(s, **patch))
-        else:
-            filled.append(s)
-    return Dataset(samples=filled, provenance=prov)
+        medians.append(column_median(observed) if observed.size else math.nan)
+    prov.notes.extend((refs[k], f"{WQI_INPUTS[c]} imputed with median {medians[c]!r}") for k, c in cells)
+    values = ds.values.copy()
+    values[:, _WQI_COLUMNS] = np.where(missing, medians, inputs)
+    return Dataset(ds.station_code, ds.location, ds.state, ds.month, ds.year, ds.source_row, values, prov)

@@ -81,7 +81,7 @@ def mk_sample(
 
 def mk_dataset(samples) -> Dataset:
     ordered = sorted(samples, key=lambda s: (s.station_code, s.year, s.month))
-    return Dataset(samples=ordered, provenance=Provenance(source="<fixture>"))
+    return Dataset.from_samples(ordered, Provenance(source="<fixture>"))
 
 
 def synthetic_station_rows(n_stations=12, n_periods=6, seed=11):

@@ -91,6 +91,19 @@ class TestWqiCommand:
             assert "log: rows_read=5 rows_dropped=1 cells_noted=1" in err.splitlines()
             assert len(out.splitlines()) == 1 + 4
 
+    def test_imputed_cells_logged(self, capsys, tmp_path):
+        rows = [list(r) for r in FIXTURE_ROWS]
+        rows[1][6] = ""  # blank pH: missing, not noted
+        rows[2][7] = "n/a"  # conductivity token: missing and noted
+        path = tmp_path / "gaps.csv"
+        path.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
+        for impute, dropped, imputed in (("median", 0, 2), ("drop", 2, 0)):
+            code, _, err = run(capsys, "diagnose", "--input", str(path), "--impute", impute)
+            assert code == 0
+            lines = err.splitlines()
+            assert f"log: rows_read=5 rows_dropped={dropped} cells_noted=1" in lines
+            assert f"log: cells_imputed={imputed}" in lines
+
 
 class TestTrainCommand:
     def test_train_writes_model_and_curve(self, capsys, synthetic_csv_path, tmp_path):

@@ -117,6 +117,13 @@ class TestBuildSupervised:
         by_key = dict(zip([k[0:2] for k in keys], fm.values[:, idx]))
         assert by_key[("A", 8)] == 25.0
 
+    def test_temp_fill_of_huge_temperatures_stays_finite(self):
+        ds = mk_dataset(
+            [obs("A", 8, 2019, temp=1e308), obs("A", 12, 2019, temp=1.7e308), obs("B", 1, 2019, temp=None)]
+        )
+        fm, keys, _ = build_feature_rows(ds)
+        assert fm.values[keys.index(("B", 1, 2019)), FEATURE_NAMES.index("temp")] == 1e308 / 2 + 1.7e308 / 2
+
 
 def loop_feature_rows(ds, mode=NORMATIVE):
     """One sample at a time, per-station history list: the reference for the
@@ -168,7 +175,7 @@ class TestUnsortedSamples:
     @given(st.lists(_series_sample, min_size=2, max_size=12), st.randoms(use_true_random=False))
     def test_shuffled_dataset_raises(self, samples, rnd):
         rnd.shuffle(samples)
-        ds = Dataset(samples=samples)
+        ds = Dataset.from_samples(samples)
         order = [(s.station_code, s.year, s.month) for s in samples]
         if order == sorted(order):
             build_supervised(ds)
@@ -181,11 +188,11 @@ class TestUnsortedSamples:
     @given(st.lists(_series_sample, max_size=12), st.randoms(use_true_random=False))
     def test_parsed_dataset_never_raises(self, samples, rnd):
         rnd.shuffle(samples)  # row order in the CSV is arbitrary
-        ds = parse_dataset(serialize_dataset(Dataset(samples=samples)))
+        ds = parse_dataset(serialize_dataset(Dataset.from_samples(samples)))
         build_supervised(ds)
 
     def test_equal_keys_allowed(self):
-        ds = Dataset(samples=[obs("A", 8, 2019), obs("A", 8, 2019, ph=8.0), obs("A", 12, 2019)])
+        ds = Dataset.from_samples([obs("A", 8, 2019), obs("A", 8, 2019, ph=8.0), obs("A", 12, 2019)])
         assert len(build_feature_rows(ds)[1]) == 3
 
 

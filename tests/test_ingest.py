@@ -1,9 +1,11 @@
 import ast
 import math
 import re
+import statistics
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aquagauge.ingest import (
     MISSING_TOKENS,
@@ -13,6 +15,7 @@ from aquagauge.ingest import (
     MalformedRow,
     MissingColumn,
     coerce_numeric,
+    column_median,
     impute_missing,
     normalize_column,
     parse_dataset,
@@ -274,6 +277,13 @@ class TestImpute:
         with pytest.raises(AllMissingColumn):
             impute_missing(ds, "median")
 
+    def test_median_of_huge_values_stays_finite(self):
+        ds = mk_dataset([mk_sample(station="A", ec=1e308), mk_sample(station="B", ec=1.7e308),
+                         mk_sample(station="C", ec=None)])
+        out = impute_missing(ds, "median")
+        assert out.samples[2].conductivity == 1e308 / 2 + 1.7e308 / 2
+        assert out.provenance.notes == [(3, f"conductivity imputed with median {1e308 / 2 + 1.7e308 / 2!r}")]
+
     def test_original_untouched(self):
         ds = mk_dataset([mk_sample(station="A", ph=None), mk_sample(station="B", ph=7.0)])
         impute_missing(ds, "drop_row")
@@ -323,3 +333,15 @@ class TestStationCsvFuzz:
         else:
             strict = parse_dataset(text, strictness="strict")
             assert strict.samples == lenient.samples
+
+
+class TestColumnMedian:
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30))
+    @example([5e-324, 5e-324])  # halving first would round each half to 0
+    def test_bits_of_statistics_median(self, values):
+        assert column_median(np.array(values)).hex() == float(statistics.median(values)).hex()
+
+    def test_middle_pair_sum_overflows(self):
+        big = [-1.7e308, 1e308, 1.7e308, 1.7e308]
+        assert column_median(np.array(big)) == 1e308 / 2 + 1.7e308 / 2
+        assert column_median(np.array([-1.7e308, -1.7e308])) == -1.7e308

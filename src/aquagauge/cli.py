@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import os
 import sys
 import tempfile
@@ -36,11 +36,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
+def _emit(out_path: str | None, header: list[str], rows) -> None:
+    """Write the header and rows as CSV to out_path, or to stdout when None."""
+    text = ingest.csv_text(header, rows)
+    if out_path is None:
         sys.stdout.write(text)
+    else:
+        _atomic_write(out_path, text)
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -63,9 +65,10 @@ def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
     return ds
 
 
-def _parse_split(spec: str) -> tuple[str, float]:
+def _parse_split(spec: str) -> float | None:
+    """The test fraction of a --split value, or None for 'all'."""
     if spec == "all":
-        return "all", 0.0
+        return None
     kind, _, frac = spec.partition(":")
     if kind == "station" and frac:
         try:
@@ -73,7 +76,7 @@ def _parse_split(spec: str) -> tuple[str, float]:
         except ValueError:
             fraction = -1.0
         if 0.0 < fraction < 1.0:
-            return "station", fraction
+            return fraction
     raise AquagaugeError(f"bad --split value {spec!r}; expected 'all' or 'station:<fraction>'")
 
 
@@ -82,40 +85,34 @@ def cmd_wqi(args: argparse.Namespace) -> int:
     if not len(ds):
         raise AquagaugeError("no samples")
     scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    _emit(
+        args.out,
         ["station_code", "month_year", "nph", "ndo", "nbdo", "nec", "nna", "nco",
-         "wph", "wdo", "wbdo", "wec", "wna", "wco", "wqi"]
+         "wph", "wdo", "wbdo", "wec", "wna", "wco", "wqi"],
+        ([station, f"{month}-{year}", *sub, *(f"{v:.2f}" for v in weighted), f"{v_wqi:.2f}"]
+         for station, month, year, sub, weighted, v_wqi in zip(
+             ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(),
+             scored.sub.tolist(), scored.weighted.tolist(), scored.wqi.tolist())),
     )
-    writer.writerows(
-        [station, f"{month}-{year}", *sub, *(f"{v:.2f}" for v in weighted), f"{v_wqi:.2f}"]
-        for station, month, year, sub, weighted, v_wqi in zip(
-            ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(),
-            scored.sub.tolist(), scored.weighted.tolist(), scored.wqi.tolist()
-        )
-    )
-    _emit(buf.getvalue(), args.out)
     return 0
 
 
+def _task(args: argparse.Namespace, side: int) -> forecast.SupervisedTask:
+    """The supervised task of --input, or with a station --split its
+    training (side 0) or test (side 1) side."""
+    task = forecast.build_supervised(_load_dataset(args), _MODE_FLAG[args.mode])
+    fraction = _parse_split(args.split)
+    if fraction is not None:
+        task = forecast.split_by_station(task, fraction, args.seed)[side]
+    return task
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args)
-    mode = _MODE_FLAG[args.mode]
-    task = forecast.build_supervised(ds, mode)
-    kind, fraction = _parse_split(args.split)
-    if kind == "station":
-        task, _ = forecast.split_by_station(task, fraction, args.seed)
+    task = _task(args, 0)
     if len(task) == 0:
         raise AquagaugeError("training task is empty: need >= 2 observations for some station")
-    hp = gbm.Hyperparams(
-        n_trees=args.n_trees,
-        learning_rate=args.learning_rate,
-        max_depth=args.max_depth,
-        min_samples_split=args.min_samples_split,
-        min_samples_leaf=args.min_samples_leaf,
-        seed=args.seed,
-    )
+    # the training flags are named after the Hyperparams fields
+    hp = gbm.Hyperparams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(gbm.Hyperparams)})
     model = gbm.gbm_fit(task.features, task.targets, hp)
     _atomic_write(args.model, gbm.serialize_model(model))
     _atomic_write(args.out, forecast.curve_csv(model.training_curve))
@@ -133,23 +130,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if model.feature_names != fm.feature_names:
         raise forecast.FeatureMismatch(model.feature_names, fm.feature_names)
     predictions = gbm.predict_matrix(model, fm.values)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["station_code", "month", "year", "wqi", "predicted_wqi"])
-    for (station, month, year), current, predicted in zip(keys, wqis, predictions):
-        writer.writerow([station, month, year, f"{current:.6f}", f"{predicted:.6f}"])
-    _emit(buf.getvalue(), args.out)
+    _emit(args.out, ["station_code", "month", "year", "wqi", "predicted_wqi"],
+          ([station, month, year, f"{current:.6f}", f"{predicted:.6f}"]
+           for (station, month, year), current, predicted in zip(keys, wqis, predictions)))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = gbm.deserialize_model(Path(args.model).read_text(encoding="utf-8"))
-    ds = _load_dataset(args)
-    mode = _MODE_FLAG[args.mode]
-    task = forecast.build_supervised(ds, mode)
-    kind, fraction = _parse_split(args.split)
-    if kind == "station":
-        _, task = forecast.split_by_station(task, fraction, args.seed)
+    task = _task(args, 1)
     if len(task) == 0:
         raise AquagaugeError("evaluation task is empty")
     report = forecast.evaluate(model, task)
@@ -170,47 +159,34 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         ruleset = rules.default_ruleset()
     outcomes = [(r.name, r.suggestion) for r in (*ruleset.rules, ruleset.default_rule)]
     matched = rules.diagnose_columns(scored, ruleset)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["station_code", "month", "year", "wqi", "disease", "suggestion"])
-    writer.writerows(
-        [station, month, year, f"{v_wqi:.6f}", *outcomes[pos]]
-        for station, month, year, v_wqi, pos in zip(
-            ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(), scored.wqi.tolist(), matched.tolist()
-        )
-    )
-    _emit(buf.getvalue(), args.out)
+    _emit(args.out, ["station_code", "month", "year", "wqi", "disease", "suggestion"],
+          ([station, month, year, f"{v_wqi:.6f}", *outcomes[pos]]
+           for station, month, year, v_wqi, pos in zip(
+               ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(), scored.wqi.tolist(),
+               matched.tolist())))
     return 0
 
 
 def cmd_plot_data(args: argparse.Namespace) -> int:
-    did_anything = False
+    if not (args.model or args.input):
+        raise AquagaugeError("nothing to plot: give --model and/or --input")
     if args.model:
         model = gbm.deserialize_model(Path(args.model).read_text(encoding="utf-8"))
         if not model.training_curve:
             raise AquagaugeError("model file carries no training curve")
         _atomic_write(args.out_curve, forecast.curve_csv(model.training_curve))
-        did_anything = True
     if args.input:
         with open(args.input, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
                 raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
             rows = [(row["actual"], row["predicted"]) for row in reader]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["actual", "predicted"])
-        writer.writerows(rows)
-        _atomic_write(args.out_scatter, buf.getvalue())
-        did_anything = True
-    if not did_anything:
-        raise AquagaugeError("nothing to plot: give --model and/or --input")
+        _emit(args.out_scatter, ["actual", "predicted"], rows)
     return 0
 
 
-def _add_shared(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        p.add_argument("--input", required=True, help="input CSV path")
+def _add_shared(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="input CSV path")
     p.add_argument("--mode", choices=sorted(_MODE_FLAG), default="normative",
                    help="coliform scoring mode (default: normative)")
     p.add_argument("--impute", choices=sorted(_IMPUTE_FLAG), default="drop",
@@ -279,10 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except AquagaugeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AquagaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal invariant violations

@@ -16,15 +16,14 @@ station. Samples must be sorted by (station_code, year, month), as
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import AquagaugeError, LengthMismatch
 from .gbm import FeatureMatrix, GbmModel, predict_matrix
-from .ingest import WQI_INPUTS, Dataset, column_median
+from .ingest import WQI_INPUTS, Dataset, column_median, csv_text
 from .wqi import NORMATIVE, score_columns
 
 FEATURE_NAMES = [
@@ -253,23 +252,22 @@ def split_by_station(
     """
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
-    stations = sorted({station for station, _, _ in task.keys})
+    codes = np.array([station for station, _, _ in task.keys], dtype=object)
+    stations, station_of = np.unique(codes, return_inverse=True)  # in Python's str order
     n_test = int(len(stations) * test_fraction)
     if n_test == 0 and test_fraction > 0.0 and len(stations) >= 2:
         n_test = 1
     rng = np.random.default_rng(seed)
-    shuffled = [stations[i] for i in rng.permutation(len(stations))]
-    test_stations = set(shuffled[:n_test])
+    test = np.isin(station_of, rng.permutation(len(stations))[:n_test])
 
-    def take(selector) -> SupervisedTask:
-        idx = [i for i, (station, _, _) in enumerate(task.keys) if selector(station)]
+    def take(side: np.ndarray) -> SupervisedTask:
         return SupervisedTask(
-            features=FeatureMatrix(task.features.values[idx], list(task.features.feature_names)),
-            targets=task.targets[idx],
-            keys=[task.keys[i] for i in idx],
+            features=FeatureMatrix(task.features.values[side], list(task.features.feature_names)),
+            targets=task.targets[side],
+            keys=list(compress(task.keys, side.tolist())),
         )
 
-    return take(lambda s: s not in test_stations), take(lambda s: s in test_stations)
+    return take(~test), take(test)
 
 
 def report_csv(report: EvalReport, keys: list[tuple[str, int, int]]) -> str:
@@ -277,13 +275,9 @@ def report_csv(report: EvalReport, keys: list[tuple[str, int, int]]) -> str:
     where the actual is 0)."""
     if len(keys) != len(report.per_example):
         raise LengthMismatch(len(report.per_example), len(keys))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["station_code", "month", "year", "actual", "predicted", "percentile_error"])
-    for (station, month, year), (a, p, e) in zip(keys, report.per_example):
-        pct = "" if e is None else f"{e:.6f}"
-        writer.writerow([station, month, year, f"{a:.6f}", f"{p:.6f}", pct])
-    return buf.getvalue()
+    return csv_text(["station_code", "month", "year", "actual", "predicted", "percentile_error"],
+                    ([station, month, year, f"{a:.6f}", f"{p:.6f}", "" if e is None else f"{e:.6f}"]
+                     for (station, month, year), (a, p, e) in zip(keys, report.per_example)))
 
 
 def summary_line(report: EvalReport) -> str:
@@ -292,9 +286,4 @@ def summary_line(report: EvalReport) -> str:
 
 def curve_csv(curve: list[float]) -> str:
     """Training curve as two-column CSV (iteration, loss)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "loss"])
-    for i, loss in enumerate(curve):
-        writer.writerow([i, format(loss, ".17g")])
-    return buf.getvalue()
+    return csv_text(["iteration", "loss"], ([i, format(loss, ".17g")] for i, loss in enumerate(curve)))

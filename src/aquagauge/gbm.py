@@ -9,8 +9,9 @@ training curve records the training MSE after every iteration and is
 non-increasing by construction.
 
 A tree is a RegressionTree of parallel node arrays, as in scikit-learn's Tree
-(Pedregosa et al., 2011). tree_apply is the one traversal, for the fit and for
-prediction; gbm_fit multiplies each fitted tree's values by the learning rate.
+(Pedregosa et al., 2011). tree_apply is the one traversal, for prediction; the
+fit knows each training row's leaf as it grows the tree. gbm_fit multiplies
+each fitted tree's values by the learning rate.
 
 Fitting is deterministic: split thresholds are midpoints between consecutive
 distinct sorted feature values, candidate ties break toward the lower
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -255,9 +256,10 @@ def _presort(x: np.ndarray) -> np.ndarray:
 
 def _split_node(
     x: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, msl: int
-) -> SplitCandidate | None:
+) -> tuple[SplitCandidate, np.ndarray, np.ndarray] | None:
     """best_split for the node holding `rows` (ascending) of x and y, whose
-    packed attribute lists (see _presort) are `order`.
+    packed attribute lists (see _presort) are `order`, with the split's left
+    mask over `rows` and the row of each entry of `order`.
 
     A stable sort of a whole column, restricted to the node's ascending rows,
     is the node's own stable sort, so the scan below sees the node's values in
@@ -284,7 +286,8 @@ def _split_node(
     # Centred on the node mean, the left sums S_L stay small at any target
     # offset, and the split SSE is parent_sse - (S_L**2 / k + S_R**2 / (n - k)),
     # so one cumulative sum scores every candidate by its gain.
-    ys = y.take(order & _ROW_MASK)
+    sorted_rows = order & _ROW_MASK
+    ys = y.take(sorted_rows)
     ys -= y_node.mean()
     csum = np.cumsum(ys, axis=1, out=ys)
     left_sum = csum.ravel()[pos]
@@ -301,21 +304,21 @@ def _split_node(
     shortlist = []
     for i in np.flatnonzero(gain >= gain.max() - margin):
         f, k = int(features[i]), int(ks[i])
-        a, b = order[f, k - 1] & _ROW_MASK, order[f, k] & _ROW_MASK
+        a, b = sorted_rows[f, k - 1], sorted_rows[f, k]
         shortlist.append((f, float(0.5 * (x[a, f] + x[b, f]))))
 
-    best: SplitCandidate | None = None
+    best: tuple[SplitCandidate, np.ndarray] | None = None
     for f, thr in sorted(shortlist):
         mask = x[rows, f] <= thr
         n_left = int(mask.sum())
         if n_left < msl or n - n_left < msl:
             continue
         exact = _sse(y_node[mask]) + _sse(y_node[~mask])
-        if best is None or exact < best.sse:
-            best = SplitCandidate(feature=f, threshold=thr, sse=exact)
-    if best is None or not parent_sse - best.sse > 0.0:
+        if best is None or exact < best[0].sse:
+            best = SplitCandidate(feature=f, threshold=thr, sse=exact), mask
+    if best is None or not parent_sse - best[0].sse > 0.0:
         return None
-    return best
+    return (*best, sorted_rows)
 
 
 def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | None:
@@ -334,27 +337,25 @@ def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | Non
     n, _ = x.shape
     if n != y.size:
         raise LengthMismatch(n, y.size)
-    return _split_node(x, y, np.arange(n, dtype=np.int32), _presort(x), min_samples_leaf)
+    split = _split_node(x, y, np.arange(n, dtype=np.int32), _presort(x), min_samples_leaf)
+    return None if split is None else split[0]
 
 
-def _partition(order: np.ndarray, goes_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split every feature's packed list by goes_left[row], keeping order."""
-    side = goes_left.take(order & _ROW_MASK).ravel()
+def _partition(order: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split every feature's packed list by `side`, True where an entry goes
+    left, keeping order."""
+    side = side.ravel()
     flat = order.ravel()
     n_features = order.shape[0]
     left = np.compress(side, flat).reshape(n_features, -1)
     return left, np.compress(~side, flat).reshape(n_features, -1)
 
 
-def fit_tree(
-    rows, residuals, hp: Hyperparams, _presorted: np.ndarray | None = None
-) -> RegressionTree:
+def fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
     """Greedy CART on residuals. A node splits only while its row count is at
     least min_samples_split and its depth is below max_depth; leaves carry the
-    mean residual and their training row count.
-
-    `_presorted` is _presort(rows), passed by gbm_fit so that every tree of a
-    fit shares one sort. Nodes are numbered in preorder (left subtree first).
+    mean residual and their training row count. Nodes are numbered in
+    preorder (left subtree first).
     """
     x = _matrix_values(rows)
     r = np.asarray(residuals, dtype=np.float64)
@@ -362,9 +363,17 @@ def fit_tree(
         raise EmptyTargets()
     if x.shape[0] != r.size:
         raise LengthMismatch(x.shape[0], r.size)
-    order = _presort(x) if _presorted is None else _presorted
+    return _grow(x, r, hp, _presort(x))[0]
 
+
+def _grow(
+    x: np.ndarray, r: np.ndarray, hp: Hyperparams, order: np.ndarray
+) -> tuple[RegressionTree, np.ndarray]:
+    """fit_tree on checked arrays whose packed attribute lists are `order`
+    (gbm_fit shares one _presort among its trees). Also returns the leaf id
+    of every row."""
     goes_left = np.zeros(r.size, dtype=bool)
+    leaf_of = np.empty(r.size, dtype=np.intp)
     # one [feature, threshold, left, right, value, count] per node; an internal
     # node's right id is filled in when its right child is made
     nodes: list[list] = []
@@ -375,20 +384,21 @@ def fit_tree(
         node_id = len(nodes)
         if parent >= 0:
             nodes[parent][3] = node_id
-        cand = None
+        split = None
         if depth < hp.max_depth and idx.size >= hp.min_samples_split:
-            cand = _split_node(x, r, idx, order, hp.min_samples_leaf)
-        if cand is None:
+            split = _split_node(x, r, idx, order, hp.min_samples_leaf)
+        if split is None:
             nodes.append([-1, 0.0, -1, -1, line_search_leaf(r[idx]), idx.size])
+            leaf_of[idx] = node_id
             continue
+        cand, mask, sorted_rows = split
         nodes.append([cand.feature, cand.threshold, node_id + 1, -1, 0.0, 0])
-        mask = x[idx, cand.feature] <= cand.threshold
         goes_left[idx] = mask
-        left_order, right_order = _partition(order, goes_left)
+        left_order, right_order = _partition(order, goes_left.take(sorted_rows))
         stack.append((idx[~mask], right_order, depth + 1, node_id))
         stack.append((idx[mask], left_order, depth + 1, -1))
-        del order, left_order, right_order  # the stack owns the child lists now
-    return RegressionTree.from_rows(nodes)
+        del order, split, sorted_rows, left_order, right_order  # the stack owns the child lists now
+    return RegressionTree.from_rows(nodes), leaf_of
 
 
 def _levels(tree: RegressionTree, node_id: int = 0):
@@ -453,9 +463,9 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     presorted = _presort(fm.values)
     for _ in range(hp.n_trees):
         resid = negative_gradient(targets, pred)
-        tree = fit_tree(fm.values, resid, hp, presorted)
+        tree, leaf_of = _grow(fm.values, resid, hp, presorted)
         tree.value *= hp.learning_rate
-        pred = pred + tree_apply(tree, fm.values)
+        pred = pred + tree.value[leaf_of]
         trees.append(tree)
         curve.append(float(np.mean((targets - pred) ** 2)))
     return GbmModel(
@@ -490,6 +500,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _finite(text: str) -> float:
+    """float(text), raising ValueError for NaN and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+# Each Hyperparams field, in declaration order, which is its order in the
+# model header, with the parser of its header value.
+_HP_FIELDS = [(f.name, _finite if isinstance(f.default, float) else int) for f in fields(Hyperparams)]
+
+
 def serialize_model(model: GbmModel) -> str:
     """Write a model to the line-oriented text format (exact round trip)."""
     for name in model.feature_names:
@@ -500,12 +523,7 @@ def serialize_model(model: GbmModel) -> str:
         MODEL_MAGIC,
         f"version {MODEL_VERSION}",
         f"loss={model.loss}",
-        f"n_trees={hp.n_trees}",
-        f"learning_rate={_fmt(hp.learning_rate)}",
-        f"max_depth={hp.max_depth}",
-        f"min_samples_split={hp.min_samples_split}",
-        f"min_samples_leaf={hp.min_samples_leaf}",
-        f"seed={hp.seed}",
+        *(f"{name}={(_fmt if parse is _finite else str)(getattr(hp, name))}" for name, parse in _HP_FIELDS),
         f"f0={_fmt(model.f0)}",
         "feature_names=" + ",".join(model.feature_names),
         "training_curve=" + ",".join(_fmt(v) for v in model.training_curve),
@@ -522,14 +540,6 @@ def serialize_model(model: GbmModel) -> str:
 
 
 _TREE_HEADER_RE = re.compile(r"^tree (\d+) nodes (\d+)$")
-
-
-def _finite(text: str) -> float:
-    """float(text), raising ValueError for NaN and infinities."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
 
 
 def _int_in(text: str, lo: int, hi: int) -> int:
@@ -570,6 +580,7 @@ def deserialize_model(text: str) -> GbmModel:
     if version != str(MODEL_VERSION):
         raise UnsupportedVersion(version)
 
+    required = ("loss", *(name for name, _ in _HP_FIELDS), "f0", "feature_names")
     header: dict[str, str] = {}
     pos = 2
     while pos < len(lines) and not lines[pos].startswith("tree "):
@@ -577,45 +588,31 @@ def deserialize_model(text: str) -> GbmModel:
         if "=" not in line:
             raise CorruptHeader(f"expected key=value, got {line!r}")
         key, _, value = line.partition("=")
+        if key not in required and key != "training_curve":
+            raise CorruptHeader(f"unknown key {key!r}")
         if key in header:
             raise CorruptHeader(f"duplicate key {key!r}")
         header[key] = value
         pos += 1
 
-    required = (
-        "loss",
-        "n_trees",
-        "learning_rate",
-        "max_depth",
-        "min_samples_split",
-        "min_samples_leaf",
-        "seed",
-        "f0",
-        "feature_names",
-    )
     for key in required:
         if key not in header:
             raise CorruptHeader(f"missing key {key!r}")
     if header["loss"] != SQUARED_ERROR:
         raise CorruptHeader(f"unknown loss {header['loss']!r}")
     try:
-        hp = Hyperparams(
-            n_trees=int(header["n_trees"]),
-            learning_rate=_finite(header["learning_rate"]),
-            max_depth=int(header["max_depth"]),
-            min_samples_split=int(header["min_samples_split"]),
-            min_samples_leaf=int(header["min_samples_leaf"]),
-            seed=int(header["seed"]),
-        )
+        hp = Hyperparams(**{name: parse(header[name]) for name, parse in _HP_FIELDS})
         f0 = _finite(header["f0"])
     except ValueError as exc:
         raise CorruptHeader(str(exc)) from exc
-    feature_names = [s for s in header["feature_names"].split(",") if s]
+    feature_names = header["feature_names"].split(",") if header["feature_names"] else []
+    if "" in feature_names:
+        raise CorruptHeader("empty feature name")
     if len(set(feature_names)) != len(feature_names):
         raise CorruptHeader("duplicate feature names")
     curve_text = header.get("training_curve", "")
     try:
-        curve = [_finite(tok) for tok in curve_text.split(",") if tok]
+        curve = [_finite(tok) for tok in curve_text.split(",")] if curve_text else []
     except ValueError as exc:
         raise CorruptHeader(f"bad training_curve: {exc}") from exc
 

@@ -442,19 +442,26 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
                    np.array(row_ids, dtype=np.int64)[kept], values[kept], prov)
 
 
-def serialize_dataset(ds: Dataset) -> str:
-    """Write a dataset back to CSV text that reparses to identical samples."""
+def csv_text(header: list[str], rows) -> str:
+    """The header and rows as CSV text, in the one dialect of every CSV the
+    package writes: the csv module's minimal quoting and LF line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["station_code", "location", "state", "temp", "do", "ph", "conductivity", "bod",
-                     "nitrate", "fecal_coliform", "total_coliform", "month_year"])
-    writer.writerows(
-        [code, location, state, *("" if math.isnan(v) else repr(v) for v in row), f"{month}-{year}"]
-        for code, location, state, row, month, year in zip(
-            ds.station_code.tolist(), ds.location.tolist(), ds.state.tolist(), ds.values.tolist(),
-            ds.month.tolist(), ds.year.tolist())
-    )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def serialize_dataset(ds: Dataset) -> str:
+    """Write a dataset back to CSV text that reparses to identical samples."""
+    return csv_text(
+        ["station_code", "location", "state", "temp", "do", "ph", "conductivity", "bod",
+         "nitrate", "fecal_coliform", "total_coliform", "month_year"],
+        ([code, location, state, *("" if math.isnan(v) else repr(v) for v in row), f"{month}-{year}"]
+         for code, location, state, row, month, year in zip(
+             ds.station_code.tolist(), ds.location.tolist(), ds.state.tolist(), ds.values.tolist(),
+             ds.month.tolist(), ds.year.tolist())),
+    )
 
 
 def column_median(observed: np.ndarray) -> float:

@@ -253,18 +253,13 @@ def diagnose(rec: WqiRecord, rs: RuleSet) -> Diagnosis:
     for rule in rs.rules:
         echo = {c.field: _field_value(rec, c.field) for c in rule.conditions}
         if all(c.holds(echo[c.field]) for c in rule.conditions):
-            return Diagnosis(
-                disease=rule.name,
-                reason=rule.reason,
-                suggestion=rule.suggestion,
-                matched_rule_priority=rule.priority,
-                inputs_echo=echo,
-            )
-    d = rs.default_rule
+            break
+    else:
+        rule, echo = rs.default_rule, {}
     return Diagnosis(
-        disease=d.name,
-        reason=d.reason,
-        suggestion=d.suggestion,
-        matched_rule_priority=d.priority,
-        inputs_echo={},
+        disease=rule.name,
+        reason=rule.reason,
+        suggestion=rule.suggestion,
+        matched_rule_priority=rule.priority,
+        inputs_echo=echo,
     )

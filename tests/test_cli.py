@@ -318,3 +318,35 @@ def test_golden_output_csv(capsys, fixture_csv_path, synthetic_csv_path, trained
         argv += ["--model", trained_model_path]
     assert run(capsys, *argv)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[data, command, mode]
+
+
+def test_every_csv_shares_one_dialect(capsys, tmp_path):
+    """A station code that needs quoting survives every CSV the commands
+    write, and every file ends its lines with LF alone."""
+    code = 'Stn "7", Sõ'
+    rows = [[row[0], code if row[1] == "2003" else row[1], *row[2:]] for row in synthetic_station_rows()]
+    data, model = tmp_path / "odd.csv", tmp_path / "model.txt"
+    data.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
+    out = {name: tmp_path / f"{name}.csv"
+           for name in ("wqi", "diagnose", "predict", "curve", "report", "loss", "scatter")}
+    commands = [
+        ["wqi", "--input", str(data), "--out", str(out["wqi"])],
+        ["diagnose", "--input", str(data), "--out", str(out["diagnose"])],
+        ["train", "--input", str(data), "--model", str(model), "--out", str(out["curve"]),
+         "--split", "all", *TRAIN_ARGS],
+        ["predict", "--input", str(data), "--model", str(model), "--out", str(out["predict"])],
+        ["evaluate", "--input", str(data), "--model", str(model), "--out", str(out["report"]),
+         "--split", "all"],
+        ["plot-data", "--model", str(model), "--input", str(out["report"]),
+         "--out-curve", str(out["loss"]), "--out-scatter", str(out["scatter"])],
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    for name, path in out.items():
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n"), name
+        with open(path, encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert len({len(record) for record in table}) == 1, name
+        if name in ("wqi", "diagnose", "predict", "report"):
+            assert code in [record[0] for record in table[1:]], name

@@ -346,6 +346,22 @@ class TestSplitByStation:
                  for seed in range(8)}
         assert len(picks) > 1
 
+    @pytest.mark.parametrize("fraction, seed", [(0.25, 42), (0.5, 7), (0.9, 3)])
+    def test_each_side_is_its_stations_rows_in_task_order(self, fraction, seed):
+        task = _toy_task(64)
+        # codes that differ only in a trailing NUL are distinct stations
+        task.keys = [(s + "\x00" * (i // 8 % 2), m, y) for i, (s, m, y) in enumerate(task.keys)]
+        stations = sorted({s for s, _, _ in task.keys})
+        n_test = int(len(stations) * fraction)
+        drawn = {stations[i] for i in np.random.default_rng(seed).permutation(len(stations))[:n_test]}
+        train, test = split_by_station(task, fraction, seed)
+        assert {s for s, _, _ in test.keys} == drawn
+        for side, on_side in ((train, lambda s: s not in drawn), (test, lambda s: s in drawn)):
+            rows = [i for i, (s, _, _) in enumerate(task.keys) if on_side(s)]
+            assert side.keys == [task.keys[i] for i in rows]
+            assert np.array_equal(side.features.values, task.features.values[rows])
+            assert np.array_equal(side.targets, task.targets[rows])
+
     def test_zero_fraction_keeps_everything(self):
         task = _toy_task(16)
         train, test = split_by_station(task, 0.0, seed=0)

@@ -772,7 +772,7 @@ class TestPackedLists:
         goes_left = np.array(data.draw(st.lists(st.booleans(), min_size=x.shape[0],
                                                 max_size=x.shape[0])), dtype=bool)
         packed = _presort(x)
-        left, right = _partition(packed, goes_left)
+        left, right = _partition(packed, goes_left.take(packed & _ROW_MASK))
         for parent, lo, hi in zip(packed, left, right):
             assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
             assert np.all(goes_left[lo & _ROW_MASK]) and not np.any(goes_left[hi & _ROW_MASK])
@@ -892,6 +892,32 @@ class TestLoaderRejects:
     def test_duplicate_header_key(self):
         with pytest.raises(CorruptHeader):
             deserialize_model(self._mutate("training_curve=", lambda _: "f0=1.0"))
+
+    def test_unknown_header_key(self):
+        with pytest.raises(CorruptHeader):
+            deserialize_model(self._mutate("f0=", lambda line: line + "\nbogus=1"))
+
+    @pytest.mark.parametrize("names", [",ph,do,bod", "ph,,do,bod", "ph,do,bod,"])
+    def test_empty_feature_name(self, names):
+        with pytest.raises(CorruptHeader):
+            deserialize_model(self._mutate("feature_names=", lambda _: f"feature_names={names}"))
+
+    @pytest.mark.parametrize("edit", [lambda line: line.replace("=", "=,", 1),
+                                      lambda line: line.replace(",", ",,", 1),
+                                      lambda line: line + ","], ids=["leading", "inner", "trailing"])
+    def test_empty_training_curve_token(self, edit):
+        with pytest.raises(CorruptHeader):
+            deserialize_model(self._mutate("training_curve=", edit))
+
+    def test_absent_training_curve_loads(self):
+        lines = [line for line in _small_model_text().splitlines() if not line.startswith("training_curve=")]
+        assert deserialize_model("\n".join(lines) + "\n").training_curve == []
+
+    def test_empty_feature_names_value_loads(self):
+        model = GbmModel(f0=1.5, trees=[], hyperparams=Hyperparams(n_trees=0), training_curve=[0.25])
+        text = serialize_model(model)
+        assert "\nfeature_names=\n" in text
+        assert deserialize_model(text).feature_names == []
 
     def test_unmutated_text_loads(self):
         assert deserialize_model(_small_model_text()).feature_names == ["ph", "do", "bod"]

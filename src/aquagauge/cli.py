@@ -132,7 +132,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predictions = gbm.predict_matrix(model, fm.values)
     _emit(args.out, ["station_code", "month", "year", "wqi", "predicted_wqi"],
           ([station, month, year, f"{current:.6f}", f"{predicted:.6f}"]
-           for (station, month, year), current, predicted in zip(keys, wqis, predictions)))
+           for (station, month, year), current, predicted in zip(keys, wqis.tolist(), predictions.tolist())))
     return 0
 
 

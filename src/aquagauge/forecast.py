@@ -227,8 +227,8 @@ def evaluate(model: GbmModel, task: SupervisedTask) -> EvalReport:
         raise Empty("task")
     predictions = predict_matrix(model, task.features.values)
     per_example = [
-        (float(a), float(p), None if a == 0 else percentile_error(float(a), float(p)))
-        for a, p in zip(task.targets, predictions)
+        (a, p, None if a == 0 else percentile_error(a, p))
+        for a, p in zip(task.targets.tolist(), predictions.tolist())
     ]
     errors = [e for _, _, e in per_example if e is not None]
     if not errors:

@@ -11,7 +11,10 @@ non-increasing by construction.
 A tree is a RegressionTree of parallel node arrays, as in scikit-learn's Tree
 (Pedregosa et al., 2011). tree_apply is the one traversal, for prediction; the
 fit knows each training row's leaf as it grows the tree. gbm_fit multiplies
-each fitted tree's values by the learning rate.
+each fitted tree's values by the learning rate. Prediction walks each tree
+over a column-major copy of x, made once per predict_matrix call, so every
+node gathers its rows from one contiguous feature column (the feature-major
+layout of Asadi et al., 2014).
 
 Fitting is deterministic: split thresholds are midpoints between consecutive
 distinct sorted feature values, candidate ties break toward the lower
@@ -420,18 +423,26 @@ def node_train_count(tree: RegressionTree, node_id: int = 0) -> int:
 
 
 def tree_apply(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    """Vectorized leaf-value lookup for every row of x."""
+    """Vectorized leaf-value lookup for every row of x.
+
+    The walk reads x column-major: each internal node gathers its rows from
+    one contiguous feature column. predict_matrix makes that copy once per
+    call, so the asfortranarray here is free for it.
+    """
+    x = np.asfortranarray(x, dtype=np.float64)
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right, value = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
     out = np.empty(x.shape[0], dtype=np.float64)
     stack = [(0, np.arange(x.shape[0]))]
     while stack:
         node_id, idx = stack.pop()
-        f = tree.feature[node_id]
+        f = feature[node_id]
         if f < 0:
-            out[idx] = tree.value[node_id]
+            out[idx] = value[node_id]
         else:
-            mask = x[idx, f] <= tree.threshold[node_id]
-            stack.append((tree.left[node_id], idx[mask]))
-            stack.append((tree.right[node_id], idx[~mask]))
+            mask = x[:, f].take(idx) <= threshold[node_id]
+            stack.append((left[node_id], idx.compress(mask)))
+            stack.append((right[node_id], idx.compress(~mask)))
     return out
 
 
@@ -484,12 +495,16 @@ def gbm_predict(model: GbmModel, row) -> float:
 
 
 def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
-    """Ensemble predictions for every row of x: f0 plus every tree's output."""
+    """Ensemble predictions for every row of x: f0 plus every tree's output.
+
+    x is copied column-major once, and every tree_apply walks that copy.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(model.feature_names):
         raise ArityMismatch(len(model.feature_names), x.shape[1] if x.ndim == 2 else -1)
     if not np.all(np.isfinite(x)):
         raise NonFinite(None, context="feature matrix")
+    x = np.asfortranarray(x)
     out = np.full(x.shape[0], model.f0, dtype=np.float64)
     for tree in model.trees:
         out += tree_apply(tree, x)

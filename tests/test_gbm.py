@@ -355,6 +355,57 @@ def packing_matrices(draw):
     return np.array(columns, dtype=np.float64).T.reshape(n, len(columns))
 
 
+@st.composite
+def traversal_cases(draw):
+    """A matrix of -0.0/0.0, small and large cells, plus f0 and one to four
+    random preorder trees over it. Each threshold is a cell of its feature's
+    column, so some rows land exactly on it."""
+    n = draw(st.integers(1, 24))
+    n_features = draw(st.integers(1, 4))
+    cell = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, 0.5]),
+                     st.floats(-1e-9, 1e-9), st.floats(-1e12, 1e12))
+    x = np.array(draw(st.lists(cell, min_size=n * n_features, max_size=n * n_features)),
+                 dtype=np.float64).reshape(n, n_features)
+    leaf_value = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e-3, 1e-3), st.floats(-1e9, 1e9))
+
+    def grow(nodes, depth):
+        node_id = len(nodes)
+        nodes.append(None)
+        if depth == 4 or draw(st.booleans()):
+            nodes[node_id] = ("L", draw(leaf_value), draw(st.integers(1, 50)))
+        else:
+            f = draw(st.integers(0, n_features - 1))
+            threshold = draw(st.sampled_from(x[:, f].tolist()))
+            left = grow(nodes, depth + 1)
+            right = grow(nodes, depth + 1)
+            nodes[node_id] = ("I", f, threshold, left, right)
+        return node_id
+
+    trees = []
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = []
+        grow(nodes, 0)
+        trees.append(tree_of(nodes))
+    return x, draw(st.floats(-1e6, 1e6)), trees
+
+
+def traversal_layouts(x: np.ndarray) -> dict[str, np.ndarray]:
+    """x as C-order, F-order, strided and column-subset views, int64 and zero rows."""
+    wide = np.hstack([x, np.full((x.shape[0], 1), 7.0)])
+    return {
+        "C order": np.ascontiguousarray(x),
+        "F order": np.asfortranarray(x),
+        "every other row": x[::2],
+        "column-subset view": wide[:, :-1],
+        "int64": np.trunc(x).astype(np.int64),  # |x| <= 1e12, so float64 holds each exactly
+        "zero rows": x[:0],
+    }
+
+
+def as_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 # The sha256 of serialize_model(gbm_fit(...)) on golden_xy() with
 # GOLDEN_HP, computed with the per-node argsort fitter.
 GOLDEN_MODEL_SHA256 = "2303ed8543f388bc03b0c120201266b0f7445f35d2d3b12f8bd07c8079397394"
@@ -599,6 +650,27 @@ class TestPredict:
             for tree in model.trees:
                 acc += view_predict(node_view(tree), row)
             assert gbm_predict(model, row) == acc
+
+    @settings(max_examples=300, deadline=None)
+    @given(traversal_cases())
+    def test_traversal_matches_view_predict_bit_for_bit(self, case):
+        x, f0, trees = case
+        model = GbmModel(f0=f0, trees=trees, hyperparams=Hyperparams(),
+                         training_curve=[0.0] * (len(trees) + 1),
+                         feature_names=[f"f{j}" for j in range(x.shape[1])])
+        views = [node_view(tree) for tree in trees]
+        for layout, xl in traversal_layouts(x).items():
+            rows = xl.tolist()
+            for tree, nodes in zip(trees, views):
+                want = [view_predict(nodes, row) for row in rows]
+                assert np.array_equal(as_bits(tree_apply(tree, xl)), as_bits(want)), layout
+            want = []
+            for row in rows:
+                acc = f0
+                for nodes in views:
+                    acc += view_predict(nodes, row)
+                want.append(acc)
+            assert np.array_equal(as_bits(predict_matrix(model, xl)), as_bits(want)), layout
 
     def test_predict_matrix_agrees_with_row_predict(self, synth_xy):
         x, y = synth_xy

@@ -39,6 +39,14 @@ within a hair of the best is re-scored with the exact two-pass SSE, and that
 re-score picks the split. The chosen (feature, threshold, sse) is that of
 direct enumeration, and the models are byte-identical to those of sorting and
 scanning every feature at every node.
+
+A node never recomputes what its parent knew, as XGBoost's exact greedy
+passes node statistics down. The re-score gathers each candidate's feature
+from a column-major copy of x, made once per fit, and takes the mean and
+two-pass SSE of both sides; the children inherit them as their centring mean
+and node SSE, and a leaf's value is its inherited mean, so only the root
+computes its own. A child that cannot split (at max_depth, or below
+min_samples_split rows) gets no packed lists.
 """
 
 from __future__ import annotations
@@ -217,14 +225,21 @@ def line_search_leaf(residuals_in_leaf) -> float:
     r = np.asarray(residuals_in_leaf, dtype=np.float64)
     if r.size == 0:
         raise EmptyLeaf()
-    return float(np.mean(r))
+    return _stats(r)[0]
+
+
+def _stats(values: np.ndarray) -> tuple[float, float]:
+    """(mean, sum of squared deviations from the mean, two-pass) of a
+    non-empty float64 array, bit for bit np.mean and np.sum((v - mean) ** 2):
+    those wrappers are np.add.reduce, / size and np.square underneath."""
+    mean = np.add.reduce(values) / values.size
+    dev = values - mean
+    return float(mean), float(np.add.reduce(np.square(dev, out=dev)))
 
 
 def _sse(values: np.ndarray) -> float:
     """Sum of squared deviations from the mean, two-pass."""
-    if values.size < 2:
-        return 0.0
-    return float(np.sum((values - values.mean()) ** 2))
+    return _stats(values)[1] if values.size >= 2 else 0.0
 
 
 def _matrix_values(rows) -> np.ndarray:
@@ -257,12 +272,17 @@ def _presort(x: np.ndarray) -> np.ndarray:
     return packed
 
 
+_Stats = tuple[float, float]  # (mean, sse) of a node's targets, from _stats
+
+
 def _split_node(
-    x: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, msl: int
-) -> tuple[SplitCandidate, np.ndarray, np.ndarray] | None:
-    """best_split for the node holding `rows` (ascending) of x and y, whose
-    packed attribute lists (see _presort) are `order`, with the split's left
-    mask over `rows` and the row of each entry of `order`.
+    xt: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, msl: int, stats: _Stats
+) -> tuple[SplitCandidate, np.ndarray, np.ndarray, _Stats, _Stats] | None:
+    """best_split for the node holding `rows` (ascending) of the column-major
+    xt (one row per feature) and of y, whose packed attribute lists (see
+    _presort) are `order` and whose targets y[rows] have _stats `stats`.
+    Returns the split, its left mask over `rows`, the row of each entry of
+    `order`, and the _stats of the left and the right child's targets.
 
     A stable sort of a whole column, restricted to the node's ascending rows,
     is the node's own stable sort, so the scan below sees the node's values in
@@ -277,22 +297,21 @@ def _split_node(
     cut = np.zeros(order.shape, dtype=bool)
     np.less(ranks[:, msl - 1 : n - msl], ranks[:, msl : n - msl + 1], out=cut[:, msl - 1 : n - msl])
     del ranks
-    pos = np.flatnonzero(cut)
+    pos = cut.ravel().nonzero()[0]
     del cut
     if pos.size == 0:
         return None
-    features = pos // n
-    ks = pos - features * n + 1
+    features, ks = np.divmod(pos, n)
+    ks += 1
 
-    y_node = y.take(rows)
-    parent_sse = _sse(y_node)
+    mean, parent_sse = stats
     # Centred on the node mean, the left sums S_L stay small at any target
     # offset, and the split SSE is parent_sse - (S_L**2 / k + S_R**2 / (n - k)),
     # so one cumulative sum scores every candidate by its gain.
     sorted_rows = order & _ROW_MASK
     ys = y.take(sorted_rows)
-    ys -= y_node.mean()
-    csum = np.cumsum(ys, axis=1, out=ys)
+    ys -= mean
+    csum = ys.cumsum(axis=1, out=ys)
     left_sum = csum.ravel()[pos]
     right_sum = csum[:, -1].take(features)
     right_sum -= left_sum
@@ -305,23 +324,28 @@ def _split_node(
 
     margin = _NEAR_TIE_RELATIVE_MARGIN * max(parent_sse, 1.0)
     shortlist = []
-    for i in np.flatnonzero(gain >= gain.max() - margin):
+    for i in (gain >= gain.max() - margin).nonzero()[0]:
         f, k = int(features[i]), int(ks[i])
         a, b = sorted_rows[f, k - 1], sorted_rows[f, k]
-        shortlist.append((f, float(0.5 * (x[a, f] + x[b, f]))))
+        shortlist.append((f, float(0.5 * (xt[f, a] + xt[f, b]))))
 
-    best: tuple[SplitCandidate, np.ndarray] | None = None
+    # The exact re-score: each side's _stats, in ascending row order, are
+    # those its child would compute, so the children inherit them.
+    y_node = y.take(rows)
+    best = None
     for f, thr in sorted(shortlist):
-        mask = x[rows, f] <= thr
-        n_left = int(mask.sum())
+        mask = xt[f].take(rows) <= thr
+        n_left = np.count_nonzero(mask)
         if n_left < msl or n - n_left < msl:
             continue
-        exact = _sse(y_node[mask]) + _sse(y_node[~mask])
+        left, right = _stats(y_node.compress(mask)), _stats(y_node.compress(~mask))
+        exact = left[1] + right[1]
         if best is None or exact < best[0].sse:
-            best = SplitCandidate(feature=f, threshold=thr, sse=exact), mask
+            best = SplitCandidate(feature=f, threshold=thr, sse=exact), mask, left, right
     if best is None or not parent_sse - best[0].sse > 0.0:
         return None
-    return (*best, sorted_rows)
+    cand, mask, left, right = best
+    return cand, mask, sorted_rows, left, right
 
 
 def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | None:
@@ -340,18 +364,17 @@ def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | Non
     n, _ = x.shape
     if n != y.size:
         raise LengthMismatch(n, y.size)
-    split = _split_node(x, y, np.arange(n, dtype=np.int32), _presort(x), min_samples_leaf)
+    if n < 2:  # no split, and an empty node has no mean for _stats
+        return None
+    xt = np.ascontiguousarray(x.T)
+    split = _split_node(xt, y, np.arange(n, dtype=np.int32), _presort(x), min_samples_leaf, _stats(y))
     return None if split is None else split[0]
 
 
-def _partition(order: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split every feature's packed list by `side`, True where an entry goes
-    left, keeping order."""
-    side = side.ravel()
-    flat = order.ravel()
-    n_features = order.shape[0]
-    left = np.compress(side, flat).reshape(n_features, -1)
-    return left, np.compress(~side, flat).reshape(n_features, -1)
+def _child_lists(order: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The entries of every feature's packed list where `side` is True,
+    keeping order: one child's lists."""
+    return order.compress(side.ravel()).reshape(order.shape[0], -1)
 
 
 def fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
@@ -366,40 +389,57 @@ def fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
         raise EmptyTargets()
     if x.shape[0] != r.size:
         raise LengthMismatch(x.shape[0], r.size)
-    return _grow(x, r, hp, _presort(x))[0]
+    return _grow(np.ascontiguousarray(x.T), r, hp, _presort(x))[0]
 
 
 def _grow(
-    x: np.ndarray, r: np.ndarray, hp: Hyperparams, order: np.ndarray
+    xt: np.ndarray, r: np.ndarray, hp: Hyperparams, order: np.ndarray
 ) -> tuple[RegressionTree, np.ndarray]:
-    """fit_tree on checked arrays whose packed attribute lists are `order`
-    (gbm_fit shares one _presort among its trees). Also returns the leaf id
-    of every row."""
+    """fit_tree on checked arrays, x given column-major as xt (one row per
+    feature), whose packed attribute lists are `order` (gbm_fit shares one xt
+    and one _presort among its trees). Also returns the leaf id of every row.
+
+    Only the root computes its targets' _stats; every child inherits those of
+    its side from its parent's exact re-score. A node that cannot split gets
+    no packed lists.
+    """
+    def splittable(size: int, depth: int) -> bool:
+        return depth < hp.max_depth and size >= hp.min_samples_split
+
     goes_left = np.zeros(r.size, dtype=bool)
     leaf_of = np.empty(r.size, dtype=np.intp)
     # one [feature, threshold, left, right, value, count] per node; an internal
     # node's right id is filled in when its right child is made
     nodes: list[list] = []
-    # (rows ascending, packed attribute lists, depth, parent id if a right child)
-    stack = [(np.arange(r.size, dtype=np.int32), order, 0, -1)]
+    # (rows ascending, packed attribute lists or None for a leaf, _stats of
+    # the rows' residuals, depth, parent id if a right child)
+    stack = [(np.arange(r.size, dtype=np.int32), order if splittable(r.size, 0) else None, _stats(r), 0, -1)]
     while stack:
-        idx, order, depth, parent = stack.pop()
+        idx, order, stats, depth, parent = stack.pop()
         node_id = len(nodes)
         if parent >= 0:
             nodes[parent][3] = node_id
-        split = None
-        if depth < hp.max_depth and idx.size >= hp.min_samples_split:
-            split = _split_node(x, r, idx, order, hp.min_samples_leaf)
+        split = None if order is None else _split_node(xt, r, idx, order, hp.min_samples_leaf, stats)
         if split is None:
-            nodes.append([-1, 0.0, -1, -1, line_search_leaf(r[idx]), idx.size])
+            nodes.append([-1, 0.0, -1, -1, stats[0], idx.size])
             leaf_of[idx] = node_id
             continue
-        cand, mask, sorted_rows = split
+        cand, mask, sorted_rows, left, right = split
         nodes.append([cand.feature, cand.threshold, node_id + 1, -1, 0.0, 0])
-        goes_left[idx] = mask
-        left_order, right_order = _partition(order, goes_left.take(sorted_rows))
-        stack.append((idx[~mask], right_order, depth + 1, node_id))
-        stack.append((idx[mask], left_order, depth + 1, -1))
+        left_idx, right_idx = idx.compress(mask), idx.compress(~mask)
+        split_left = splittable(left_idx.size, depth + 1)
+        split_right = splittable(right_idx.size, depth + 1)
+        left_order = right_order = None
+        if split_left or split_right:
+            goes_left[idx] = mask
+            side = goes_left.take(sorted_rows)
+            if split_left:
+                left_order = _child_lists(order, side)
+            if split_right:
+                right_order = _child_lists(order, ~side)
+            del side
+        stack.append((right_idx, right_order, right, depth + 1, node_id))
+        stack.append((left_idx, left_order, left, depth + 1, -1))
         del order, split, sorted_rows, left_order, right_order  # the stack owns the child lists now
     return RegressionTree.from_rows(nodes), leaf_of
 
@@ -471,10 +511,11 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     pred = np.full(targets.size, f0, dtype=np.float64)
     curve = [float(np.mean((targets - pred) ** 2))]
     trees: list[RegressionTree] = []
+    xt = np.ascontiguousarray(fm.values.T)
     presorted = _presort(fm.values)
     for _ in range(hp.n_trees):
         resid = negative_gradient(targets, pred)
-        tree, leaf_of = _grow(fm.values, resid, hp, presorted)
+        tree, leaf_of = _grow(xt, resid, hp, presorted)
         tree.value *= hp.learning_rate
         pred = pred + tree.value[leaf_of]
         trees.append(tree)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aquagauge import gbm
 from aquagauge.errors import LengthMismatch, NonFinite
 from aquagauge.gbm import (
     _NEAR_TIE_RELATIVE_MARGIN,
@@ -22,10 +23,11 @@ from aquagauge.gbm import (
     RegressionTree,
     SplitCandidate,
     UnsupportedVersion,
+    _child_lists,
     _matrix_values,
-    _partition,
     _presort,
     _sse,
+    _stats,
     best_split,
     deserialize_model,
     fit_tree,
@@ -334,6 +336,18 @@ def offset_problems(draw):
 
 
 @st.composite
+def stats_arrays(draw):
+    """1-200 floats, tie-heavy or spread, with signed zeros, shifted by up
+    to 1e12 (signed zeros keep their sign only without a shift)."""
+    n = draw(st.integers(1, 200))
+    unit = draw(st.sampled_from([st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e-9]),
+                                 st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)]))
+    v = np.array(draw(st.lists(unit, min_size=n, max_size=n)), dtype=np.float64)
+    offset = draw(st.sampled_from([0.0, 1.0, -1e6, 1e9, 1e12, -1e12]))
+    return v + offset if offset else v
+
+
+@st.composite
 def packing_matrices(draw):
     """Matrices whose columns are -0.0/0.0 mixes, constant, 0/1, all distinct
     or drawn from a small value set."""
@@ -472,6 +486,14 @@ class TestPrimitives:
     def test_line_search_empty(self):
         with pytest.raises(EmptyLeaf):
             line_search_leaf([])
+
+    @settings(max_examples=500, deadline=None)
+    @given(stats_arrays())
+    def test_stats_is_mean_and_two_pass_sse_bit_for_bit(self, v):
+        got = np.array(_stats(v)).view(np.int64)
+        want = np.array([np.mean(v), ref_sse(v)]).view(np.int64)
+        assert np.array_equal(got, want)
+        assert _sse(v) == (ref_sse(v) if v.size >= 2 else 0.0)
 
 
 class TestBestSplit:
@@ -844,11 +866,65 @@ class TestPackedLists:
         goes_left = np.array(data.draw(st.lists(st.booleans(), min_size=x.shape[0],
                                                 max_size=x.shape[0])), dtype=bool)
         packed = _presort(x)
-        left, right = _partition(packed, goes_left.take(packed & _ROW_MASK))
+        side = goes_left.take(packed & _ROW_MASK)
+        left, right = _child_lists(packed, side), _child_lists(packed, ~side)
         for parent, lo, hi in zip(packed, left, right):
             assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
             assert np.all(goes_left[lo & _ROW_MASK]) and not np.any(goes_left[hi & _ROW_MASK])
             assert np.array_equal(np.sort(np.concatenate((lo, hi))), parent)
+
+
+class TestLeafChildren:
+    """A child that cannot split gets no packed lists, and the tree is still
+    the per-node argsort fitter's."""
+
+    def _count_child_lists(self, monkeypatch) -> list:
+        calls = []
+        real = gbm._child_lists
+
+        def counted(order, side):
+            calls.append(order.shape)
+            return real(order, side)
+
+        monkeypatch.setattr(gbm, "_child_lists", counted)
+        return calls
+
+    @pytest.mark.parametrize("hp", [
+        Hyperparams(max_depth=1, min_samples_split=2, min_samples_leaf=1),
+        # every root child keeps 41-59 of the 100 rows, below min_samples_split
+        Hyperparams(max_depth=8, min_samples_split=60, min_samples_leaf=41),
+    ])
+    def test_leaf_children_build_no_lists(self, monkeypatch, synth_xy, hp):
+        x, y = synth_xy[0][:100], synth_xy[1][:100]
+        calls = self._count_child_lists(monkeypatch)
+        tree = fit_tree(x, y, hp)
+        assert calls == []
+        assert tree.feature.size == 3
+        ref = argsort_fit_tree(x, y, hp)
+        assert [node_bits(n) for n in node_view(tree)] == [node_bits(n) for n in ref]
+        model = gbm_fit(x, y, Hyperparams(n_trees=3, max_depth=hp.max_depth,
+                                          min_samples_split=hp.min_samples_split,
+                                          min_samples_leaf=hp.min_samples_leaf))
+        assert calls == [] and all(t.feature.size == 3 for t in model.trees)
+
+    def test_only_splittable_children_get_lists(self, monkeypatch, synth_xy):
+        x, y = synth_xy
+        hp = Hyperparams(max_depth=3, min_samples_split=40, min_samples_leaf=10)
+        calls = self._count_child_lists(monkeypatch)
+        tree = fit_tree(x, y, hp)
+        ref = argsort_fit_tree(x, y, hp)
+        assert [node_bits(n) for n in node_view(tree)] == [node_bits(n) for n in ref]
+        # one list set per node that may split: depth below 3, >= 40 rows
+        depth = {0: 0}
+        splittable = 0
+        for i in range(tree.feature.size):
+            if tree.feature[i] >= 0:
+                for child in (tree.left[i], tree.right[i]):
+                    depth[child] = depth[i] + 1
+                    if depth[child] < 3 and node_train_count(tree, child) >= 40:
+                        splittable += 1
+        assert 0 < len(calls) == splittable
+        assert all(shape[0] == x.shape[1] for shape in calls)
 
 
 def _small_model_text() -> str:

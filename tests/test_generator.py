@@ -1,0 +1,118 @@
+"""scripts/generate_station_csv.py against its per-value reference.
+
+``loop_generate_rows`` is the generator as it was before it dropped numpy's
+per-value ``uniform``/``normal``/``clip`` calls. It is kept here as the
+oracle: every file the benchmark and the examples start from must stay byte
+for byte what a seed gave before, so the rewritten ``generate_rows`` must
+return exactly the same rows for any shape, missing rate and seed.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
+_spec = importlib.util.spec_from_file_location("generate_station_csv", SCRIPT)
+generator = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generator)
+
+# sha256 of the file main(["--stations", "60", "--seed", "0", ...]) writes:
+# pins the stream itself, so that the reference and the generator cannot
+# drift together (a numpy that draws differently fails here too).
+GOLDEN_60_STATIONS_SHA256 = "f55f584a5effd387df3f4530f85a8b3c280c2c516688df854f23ae14828b6d75"
+
+
+def loop_generate_rows(n_stations, n_periods, missing_rate, rng):
+    rows = []
+    serial = 0
+    for k in range(n_stations):
+        station = str(1200 + k)
+        region = generator.REGIONS[k % len(generator.REGIONS)]
+        ph = rng.uniform(6.4, 8.4)
+        do = rng.uniform(3.5, 10.0)
+        bod = rng.uniform(0.5, 8.0)
+        ec = rng.uniform(40.0, 320.0)
+        na = rng.uniform(0.1, 40.0)
+        tc = rng.uniform(5.0, 4000.0)
+        temp = rng.uniform(20.0, 33.0)
+        month, year = int(rng.integers(1, 13)), 2017
+        for _ in range(n_periods):
+            cells = [
+                f"{temp:.1f}",
+                f"{do:.2f}",
+                f"{ph:.2f}",
+                f"{ec:.1f}",
+                f"{bod:.2f}",
+                f"{na:.2f}",
+                f"{rng.uniform(1, 9000):.0f}",
+                f"{tc:.1f}",
+            ]
+            for i in range(len(cells)):
+                if rng.random() < missing_rate:
+                    cells[i] = "n/a" if rng.random() < 0.5 else ""
+            rows.append([str(serial), station, f"Area {k}, {region}", region, *cells, f"{month}-{year}"])
+            serial += 1
+            month += 4
+            if month > 12:
+                month -= 12
+                year += 1
+            ph = float(np.clip(ph + rng.normal(0, 0.15), 5.5, 9.5))
+            do = float(np.clip(do + rng.normal(0, 0.5), 1.0, 13.0))
+            bod = float(np.clip(bod + rng.normal(0, 0.6), 0.2, 20.0))
+            ec = float(np.clip(ec + rng.normal(0, 18.0), 10.0, 450.0))
+            na = float(np.clip(na + rng.normal(0, 2.5), 0.05, 120.0))
+            tc = float(np.clip(tc * rng.uniform(0.5, 1.8), 1.0, 50000.0))
+            temp = float(np.clip(temp + rng.normal(0, 1.2), 12.0, 38.0))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    st.integers(0, 2**63 - 1),
+)
+def test_rows_match_per_value_reference(n_stations, n_periods, missing_rate, seed):
+    got = generator.generate_rows(n_stations, n_periods, missing_rate, np.random.default_rng(seed))
+    want = loop_generate_rows(n_stations, n_periods, missing_rate, np.random.default_rng(seed))
+    assert got == want
+
+
+def test_golden_file_sha256(tmp_path, capsys):
+    out = tmp_path / "stations.csv"
+    assert generator.main(["--stations", "60", "--seed", "0", "--out", str(out)]) == 0
+    assert "wrote 540 rows for 60 stations" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_60_STATIONS_SHA256
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--stations", "-5"],
+        ["--periods", "0"],
+        ["--periods", "-1"],
+        ["--missing-rate", "2"],
+        ["--missing-rate", "-0.1"],
+        ["--missing-rate", "nan"],
+    ],
+)
+def test_rejects_nonsense_arguments(tmp_path, capsys, args):
+    out = tmp_path / "stations.csv"
+    with pytest.raises(SystemExit) as exc:
+        generator.main([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert args[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--stations", "0"], ["--periods", "1"], ["--missing-rate", "0"],
+                                  ["--missing-rate", "1"]])
+def test_accepts_edge_arguments(tmp_path, args):
+    out = tmp_path / "stations.csv"
+    assert generator.main([*args, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("Serial No,")

@@ -181,6 +181,10 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
                 raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
             rows = [(row["actual"], row["predicted"]) for row in reader]
+        for i, row in enumerate(rows, start=1):
+            for name, cell in zip(("actual", "predicted"), row):
+                if ingest.coerce_numeric(cell or "") is None:
+                    raise ingest.MalformedRow(i, f"{name} is not a finite number: {cell!r}")
         _emit(args.out_scatter, ["actual", "predicted"], rows)
     return 0
 

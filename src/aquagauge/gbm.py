@@ -359,6 +359,8 @@ def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | Non
     (feature, threshold, sse) matches direct enumeration, ties resolved
     toward the lower (feature, threshold).
     """
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
     x = _matrix_values(rows)
     y = np.asarray(targets, dtype=np.float64)
     n, _ = x.shape

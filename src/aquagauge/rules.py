@@ -12,9 +12,9 @@ priority and the first match wins. Records matching nothing fall through to
 the built-in default, "No Disease" / "Comfortable". A condition on a raw
 field the record does not carry evaluates false, so diagnosis is total.
 
-:func:`diagnose` takes one scored record; :func:`diagnose_columns` takes the
-:class:`~aquagauge.wqi.WqiColumns` of a whole dataset and evaluates each
-condition once over all rows, with the same :meth:`Condition.holds`.
+:func:`diagnose_columns` takes the :class:`~aquagauge.wqi.WqiColumns` of a
+whole dataset and evaluates each condition once over all rows. It is the only
+matcher: :func:`diagnose` takes one scored record as a one-row call of it.
 """
 
 from __future__ import annotations
@@ -32,16 +32,6 @@ from .wqi import WqiColumns, WqiRecord
 
 FIELDS = ("wqi", "nph", "ndo", "nbdo", "nec", "nna", "nco", "ph", "do", "bod", "ec", "na", "tc")
 OPS = ("<", "<=", ">", ">=", "between")
-
-_SAMPLE_ATTR = {
-    "ph": "ph",
-    "do": "dissolved_oxygen",
-    "bod": "bod",
-    "ec": "conductivity",
-    "na": "nitrate",
-    "tc": "total_coliform",
-}
-_SUB_ATTR = ("nph", "ndo", "nbdo", "nec", "nna", "nco")  # SubIndices field order
 
 DEFAULT_RULES_RESOURCE = "default.rules"
 
@@ -77,9 +67,7 @@ class Condition:
 
     def holds(self, value):
         """Whether the condition holds for a float, or elementwise for a float
-        array. A missing value (None or NaN) fails every condition."""
-        if value is None:
-            return False
+        array. A missing value (NaN) fails every condition."""
         if self.op == "<":
             return value < self.value
         if self.op == "<=":
@@ -213,27 +201,13 @@ def default_ruleset() -> RuleSet:
     return _default_ruleset_cache
 
 
-def _field_value(rec: WqiRecord, name: str) -> float | None:
-    if name == "wqi":
-        return rec.wqi
-    if name in _SUB_ATTR:
-        return float(getattr(rec.sub, name))
-    if rec.sample is None:
-        return None
-    return getattr(rec.sample, _SAMPLE_ATTR[name])
-
-
 def _field_columns(cols: WqiColumns) -> dict[str, np.ndarray]:
-    out = {"wqi": cols.wqi}
-    out.update(zip(_SUB_ATTR, cols.sub.T))
-    for name, attr in _SAMPLE_ATTR.items():
-        out[name] = cols.inputs[:, WQI_INPUTS.index(attr)]
-    return out
+    return dict(zip(FIELDS, (cols.wqi, *cols.sub.T, *cols.inputs.T)))
 
 
 def diagnose_columns(cols: WqiColumns, rs: RuleSet) -> np.ndarray:
-    """Position in ``rs.rules`` of the rule each row matches, as
-    :func:`diagnose` picks it; ``len(rs.rules)`` where the default applies.
+    """Position in ``rs.rules`` of the first rule whose conditions all hold
+    on each row; ``len(rs.rules)`` where the default applies.
 
     A NaN raw input is a missing one and fails every condition on it.
     """
@@ -249,13 +223,20 @@ def diagnose_columns(cols: WqiColumns, rs: RuleSet) -> np.ndarray:
 
 
 def diagnose(rec: WqiRecord, rs: RuleSet) -> Diagnosis:
-    """First matching rule wins (descending priority); default otherwise."""
-    for rule in rs.rules:
-        echo = {c.field: _field_value(rec, c.field) for c in rule.conditions}
-        if all(c.holds(echo[c.field]) for c in rule.conditions):
-            break
-    else:
+    """First matching rule wins (descending priority); default otherwise.
+    The echo holds the fields the matched rule reads."""
+    raw = (None if rec.sample is None else getattr(rec.sample, name) for name in WQI_INPUTS)
+    row = np.array([rec.wqi, *rec.sub.as_tuple(), *(math.nan if v is None else v for v in raw)],
+                   dtype=np.float64)
+    # diagnose_columns reads no weighted scores; the sub-index view stands in.
+    cols = WqiColumns(inputs=row[None, 7:], sub=row[None, 1:7], weighted=row[None, 1:7], wqi=row[:1])
+    pos = int(diagnose_columns(cols, rs)[0])
+    if pos == len(rs.rules):
         rule, echo = rs.default_rule, {}
+    else:
+        rule = rs.rules[pos]
+        values = dict(zip(FIELDS, row.tolist()))
+        echo = {c.field: values[c.field] for c in rule.conditions}
     return Diagnosis(
         disease=rule.name,
         reason=rule.reason,

@@ -16,10 +16,11 @@ The weights sum to 0.998, so the WQI range is [0, 99.8] (the float64 image
 of the top end overshoots by ~1e-14 because 0.998 is not exactly
 representable).
 
-:func:`sub_index` and :func:`compute_wqi` score one sample. :func:`score_columns`
-scores a whole dataset at once from its float64 input columns: it reads the
-same band tables with numpy masks and sums the weighted scores in the same
-order, so every score and WQI equals the one-sample result bit for bit.
+:func:`score_columns` scores a whole dataset from its float64 input columns
+with numpy masks over the band tables; it is the only scoring code.
+:func:`sub_index`, :func:`weighted_scores` and :func:`compute_wqi` score one
+sample as one-row calls of it, and :func:`reachable_wqi_values` runs its
+weighted sum over every combination of sub-index scores.
 """
 
 from __future__ import annotations
@@ -147,57 +148,43 @@ class WqiRecord:
     mode: str
 
 
-def sub_index(kind: str, value: float, mode: str = NORMATIVE) -> int:
-    """Score one parameter value into {0, 40, 60, 80, 100}."""
+def _check(kind: str, value: float, mode: str) -> None:
     if kind not in _BANDS:
         raise ValueError(f"unknown sub-index kind: {kind!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if not math.isfinite(value):
         raise NonFinite(value, context=f"{kind} value")
-    for lo, hi, score in _BANDS[kind]:
-        if lo <= value <= hi:
-            return score
-    for lo, hi, score in _GAP_BANDS.get(kind, ()):
-        if lo <= value <= hi:
-            return score
-    if kind == "co" and mode == LEGACY_NCO and value > 1000.0:
-        return 40
-    return 0
+
+
+def sub_index(kind: str, value: float, mode: str = NORMATIVE) -> int:
+    """Score one parameter value into {0, 40, 60, 80, 100}."""
+    _check(kind, value, mode)
+    return int(_score_column(kind, np.array([value], dtype=np.float64), mode)[0])
 
 
 def weighted_scores(sub: SubIndices) -> WeightedScores:
     """Scale each sub-index by its fixed weight."""
-    return WeightedScores(
-        wph=sub.nph * WEIGHTS["ph"],
-        wdo=sub.ndo * WEIGHTS["do"],
-        wbdo=sub.nbdo * WEIGHTS["bod"],
-        wec=sub.nec * WEIGHTS["ec"],
-        wna=sub.nna * WEIGHTS["na"],
-        wco=sub.nco * WEIGHTS["co"],
-    )
+    weighted, _ = _weigh(np.array([sub.as_tuple()]))
+    return WeightedScores(*weighted[0].tolist())
 
 
 def compute_wqi(sample: WaterSample, mode: str = NORMATIVE) -> WqiRecord:
     """Score a sample end to end: sub-indices, weighted scores, aggregate WQI.
 
     Requires all six inputs present (pH, DO, BOD, conductivity, nitrate and
-    total coliform; total, not fecal, feeds the coliform sub-index).
+    total coliform; total, not fecal, feeds the coliform sub-index). A NaN or
+    infinite input raises NonFinite, as :func:`sub_index` does.
     """
     missing = sample.missing_wqi_inputs()
     if missing:
         raise MissingInput(missing)
-    sub = SubIndices(
-        nph=sub_index("ph", sample.ph, mode),
-        ndo=sub_index("do", sample.dissolved_oxygen, mode),
-        nbdo=sub_index("bod", sample.bod, mode),
-        nec=sub_index("ec", sample.conductivity, mode),
-        nna=sub_index("na", sample.nitrate, mode),
-        nco=sub_index("co", sample.total_coliform, mode),
-    )
-    w = weighted_scores(sub)
-    wqi = w.wph + w.wdo + w.wbdo + w.wec + w.wna + w.wco
-    return WqiRecord(sample=sample, sub=sub, weighted=w, wqi=wqi, mode=mode)
+    values = [getattr(sample, name) for name in WQI_INPUTS]
+    for kind, value in zip(SUB_INDEX_KINDS, values):
+        _check(kind, value, mode)
+    cols = score_columns(np.array([values], dtype=np.float64), mode)
+    return WqiRecord(sample=sample, sub=SubIndices(*cols.sub[0].tolist()),
+                     weighted=WeightedScores(*cols.weighted[0].tolist()), wqi=float(cols.wqi[0]), mode=mode)
 
 
 @dataclass
@@ -211,8 +198,8 @@ class WqiColumns:
 
 
 def _score_column(kind: str, values: np.ndarray, mode: str) -> np.ndarray:
-    """:func:`sub_index` over a finite column: rules are applied from the last
-    one :func:`sub_index` would try to the first, so the first match wins."""
+    """Score a finite column: rules are applied from the last one in table
+    order to the first, so the first match wins."""
     score = np.zeros(values.shape, dtype=np.int64)
     if kind == "co" and mode == LEGACY_NCO:
         score[values > 1000.0] = 40
@@ -223,8 +210,7 @@ def _score_column(kind: str, values: np.ndarray, mode: str) -> np.ndarray:
 
 def score_columns(inputs: np.ndarray, mode: str = NORMATIVE) -> WqiColumns:
     """Score every row of a (samples, 6) float64 array of the WQI inputs, in
-    ``ingest.WQI_INPUTS`` order with NaN for a missing value, as
-    :func:`compute_wqi` scores one sample.
+    ``ingest.WQI_INPUTS`` order with NaN for a missing value.
 
     Raises ValueError for an unknown mode, then, for the first row holding a
     non-finite value, MissingInput naming its NaN inputs or NonFinite for its
@@ -246,22 +232,25 @@ def score_columns(inputs: np.ndarray, mode: str = NORMATIVE) -> WqiColumns:
     sub = np.column_stack(
         [_score_column(kind, inputs[:, j], mode) for j, kind in enumerate(SUB_INDEX_KINDS)]
     )
+    weighted, wqi = _weigh(sub)
+    return WqiColumns(inputs=inputs, sub=sub, weighted=weighted, wqi=wqi)
+
+
+def _weigh(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted scores of (n, 6) sub-indices and their left-to-right row sums."""
     weighted = sub * np.array([WEIGHTS[kind] for kind in SUB_INDEX_KINDS])
     wqi = weighted[:, 0].copy()
     for j in range(1, len(SUB_INDEX_KINDS)):
-        wqi += weighted[:, j]  # left to right, as compute_wqi adds its terms
-    return WqiColumns(inputs=inputs, sub=sub, weighted=weighted, wqi=wqi)
+        wqi += weighted[:, j]
+    return weighted, wqi
 
 
 @lru_cache(maxsize=1)
 def reachable_wqi_values() -> frozenset[float]:
     """Every WQI value producible by some combination of sub-index scores.
 
-    Uses the same term order as :func:`compute_wqi`, so membership is exact
-    float equality.
+    Uses the same weighted sum as :func:`score_columns`, so membership is
+    exact float equality.
     """
-    values = set()
-    for combo in itertools.product(SUB_INDEX_SCORES, repeat=6):
-        w = weighted_scores(SubIndices(*combo))
-        values.add(w.wph + w.wdo + w.wbdo + w.wec + w.wna + w.wco)
-    return frozenset(values)
+    combos = np.array(list(itertools.product(SUB_INDEX_SCORES, repeat=len(SUB_INDEX_KINDS))))
+    return frozenset(_weigh(combos)[1].tolist())

@@ -264,6 +264,9 @@ class TestDiagnoseCommand:
         assert run(capsys, "diagnose", "--input", str(path))[0] == 2
 
 
+REPORT_HEADER = "station_code,month,year,actual,predicted,percentile_error"
+
+
 class TestPlotDataCommand:
     def test_curve_export(self, capsys, trained_model_path, tmp_path):
         curve_path = tmp_path / "curve_data.csv"
@@ -285,6 +288,22 @@ class TestPlotDataCommand:
         lines = scatter_path.read_text().splitlines()
         assert lines[0] == "actual,predicted"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("text,row,detail", [
+        (f"{REPORT_HEADER}\nS,1,2019,50.0,51.0,2.0\nS,1,2019,50.0\n", 2, "predicted is not a finite number: None"),
+        ("actual,predicted\nabc,xyz\n", 1, "actual is not a finite number: 'abc'"),
+        (f"{REPORT_HEADER}\nS,1,2019,nan,51.0,\n", 1, "actual is not a finite number: 'nan'"),
+        (f"{REPORT_HEADER}\nS,1,2019,50.0,-inf,\n", 1, "predicted is not a finite number: '-inf'"),
+        (f"{REPORT_HEADER}\nS,1,2019,50.0,,\n", 1, "predicted is not a finite number: ''"),
+    ], ids=["no-predicted-cell", "non-numeric", "nan", "infinite", "empty"])
+    def test_malformed_report_row_exits_2(self, capsys, tmp_path, text, row, detail):
+        report_path = tmp_path / "report.csv"
+        report_path.write_text(text, encoding="utf-8")
+        scatter_path = tmp_path / "scatter.csv"
+        code, _, err = run(capsys, "plot-data", "--input", str(report_path), "--out-scatter", str(scatter_path))
+        assert code == 2
+        assert f"row {row}: {detail}" in err
+        assert not scatter_path.exists()
 
     def test_no_inputs_exits_2(self, capsys):
         code, _, err = run(capsys, "plot-data")

@@ -26,8 +26,9 @@ from aquagauge.forecast import (
 )
 from aquagauge.gbm import FeatureMatrix, Hyperparams, gbm_fit
 from aquagauge.ingest import Dataset, parse_dataset, serialize_dataset
-from aquagauge.wqi import LEGACY_NCO, NORMATIVE, compute_wqi
+from aquagauge.wqi import LEGACY_NCO, NORMATIVE
 from conftest import mk_dataset, mk_sample
+from scoring_reference import loop_compute_wqi
 
 
 def obs(station, month, year, **kw):
@@ -40,7 +41,7 @@ class TestBuildSupervised:
         task = build_supervised(ds)
         assert len(task) == 1
         assert task.keys == [("A", 8, 2019)]
-        assert task.targets[0] == compute_wqi(ds.samples[1]).wqi
+        assert task.targets[0] == loop_compute_wqi(ds.samples[1]).wqi
 
     def test_single_observation_contributes_nothing(self):
         assert len(build_supervised(mk_dataset([obs("A", 8, 2019)]))) == 0
@@ -50,7 +51,7 @@ class TestBuildSupervised:
             [obs("A", 8, 2019, ph=7.5), obs("A", 12, 2019, ph=8.0), obs("A", 4, 2020, ph=6.9)]
         )
         task = build_supervised(ds)
-        wqi_by_month = {s.month: compute_wqi(s).wqi for s in ds.samples}
+        wqi_by_month = {s.month: loop_compute_wqi(s).wqi for s in ds.samples}
         assert task.keys == [("A", 8, 2019), ("A", 12, 2019)]
         assert list(task.targets) == [wqi_by_month[12], wqi_by_month[4]]
         # second example carries exactly one prior-wqi lag
@@ -78,14 +79,14 @@ class TestBuildSupervised:
         )
         task = build_supervised(ds)
         # first example must target the 12-2019 observation (delta 4), not 11-2019
-        assert task.targets[0] == compute_wqi(ds.samples[2]).wqi
+        assert task.targets[0] == loop_compute_wqi(ds.samples[2]).wqi
 
     def test_tie_goes_to_earlier(self):
         ds = mk_dataset(
             [obs("A", 8, 2019), obs("A", 11, 2019, ph=6.5), obs("A", 1, 2020, ph=8.0)]
         )
         task = build_supervised(ds)
-        assert task.targets[0] == compute_wqi(ds.samples[1]).wqi  # delta 3 wins over 5
+        assert task.targets[0] == loop_compute_wqi(ds.samples[1]).wqi  # delta 3 wins over 5
 
     def test_never_pairs_across_stations(self):
         rng = np.random.default_rng(2)
@@ -98,7 +99,7 @@ class TestBuildSupervised:
         task = build_supervised(ds)
         station_wqis = {}
         for s in ds.samples:
-            station_wqis.setdefault(s.station_code, set()).add(compute_wqi(s).wqi)
+            station_wqis.setdefault(s.station_code, set()).add(loop_compute_wqi(s).wqi)
         for (station, _, _), target in zip(task.keys, task.targets):
             assert target in station_wqis[station]
 
@@ -134,7 +135,7 @@ def loop_feature_rows(ds, mode=NORMATIVE):
     for _, group in itertools.groupby(ds.samples, key=lambda s: s.station_code):
         history = []
         for s in group:
-            wqi = compute_wqi(s, mode).wqi
+            wqi = loop_compute_wqi(s, mode).wqi
             lag1 = history[-1] if len(history) >= 1 else None
             lag2 = history[-2] if len(history) >= 2 else None
             rows.append([s.ph, s.dissolved_oxygen, s.bod, s.conductivity, s.nitrate, s.total_coliform,

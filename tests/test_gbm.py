@@ -515,6 +515,13 @@ class TestBestSplit:
         got = best_split(x, y, 3)
         assert got.threshold == 2.5
 
+    @pytest.mark.parametrize("msl", [0, -1])
+    def test_min_samples_leaf_below_one_rejected(self, msl):
+        x = np.arange(6.0).reshape(-1, 1)
+        y = np.array([0.0, 0, 0, 10, 10, 10])
+        with pytest.raises(ValueError, match="min_samples_leaf must be >= 1"):
+            best_split(x, y, msl)
+
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(123)
         for _ in range(100):

@@ -4,7 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aquagauge.rules import (
     DEFAULT_RULES_RESOURCE,
@@ -24,6 +24,7 @@ from aquagauge.rules import (
 )
 from aquagauge.wqi import SubIndices, WeightedScores, WqiColumns, WqiRecord, compute_wqi, score_columns
 from conftest import mk_sample
+from scoring_reference import loop_compute_wqi, loop_diagnose, outcome
 
 
 def record(wqi_value, sample=None, sub=None):
@@ -249,14 +250,16 @@ def _matched_priorities(rs, matched):
 
 
 class TestDiagnoseColumns:
+    """Against the frozen scalar diagnose, ``loop_diagnose``."""
+
     @given(st.lists(st.tuples(*[st.floats(0.0, 5000.0)] * 6), max_size=40),
            st.sampled_from(["normative", "legacy_nco"]))
     def test_default_ruleset_matches_diagnose(self, rows, mode):
         cols = score_columns(np.array(rows, dtype=np.float64).reshape(len(rows), 6), mode)
         rs = default_ruleset()
         want = [
-            diagnose(compute_wqi(mk_sample(ph=r[0], do=r[1], bod=r[2], ec=r[3], na=r[4], tc=r[5]), mode),
-                     rs).matched_rule_priority
+            loop_diagnose(loop_compute_wqi(mk_sample(ph=r[0], do=r[1], bod=r[2], ec=r[3], na=r[4], tc=r[5]),
+                                           mode), rs).matched_rule_priority
             for r in rows
         ]
         assert _matched_priorities(rs, diagnose_columns(cols, rs)) == want
@@ -281,7 +284,7 @@ class TestDiagnoseColumns:
             weighted=np.zeros((n, 6)),
             wqi=np.array([w for _, _, w in rows], dtype=np.float64),
         )
-        want = [diagnose(_record_row(*row), rs).matched_rule_priority for row in rows]
+        want = [loop_diagnose(_record_row(*row), rs).matched_rule_priority for row in rows]
         assert _matched_priorities(rs, diagnose_columns(cols, rs)) == want
 
     def test_condition_holds_on_arrays(self):
@@ -290,3 +293,29 @@ class TestDiagnoseColumns:
             False, False, True, True, True, False]
         assert Condition("wqi", "<", 10.0).holds(values).tolist() == [False, True] + [False] * 4
         assert not Condition("tc", ">=", 0.0).holds(math.nan)
+
+
+_RAW = st.one_of(st.none(), st.just(math.nan), _VALUE)
+
+
+class TestDiagnoseMatchesReference:
+    """diagnose, now a one-row call of diagnose_columns, against the frozen
+    scalar matcher: the same Diagnosis, inputs_echo included."""
+
+    @given(
+        st.one_of(_rules_text(), st.just(None)),  # None: the shipped ruleset
+        st.one_of(st.none(), st.tuples(*[_RAW] * 6)),  # None: a record with no sample
+        st.tuples(*[_SUB] * 6),
+        st.one_of(st.just(math.nan), _VALUE),
+    )
+    @example('rule 1 "X" reason "r" suggest "s" when wqi < 50 and tc > 0', None, (100,) * 6, 10.0)
+    @example('rule 2 "X" reason "r" suggest "s" when wqi < 50\n'
+             'rule 1 "Y" reason "r" suggest "s" when nco >= 80 and tc > 0',
+             (7.5, 6.7, 1.3, 203.0, 0.1, 30.0), (100, 100, 100, 100, 100, 80), math.nan)
+    def test_same_diagnosis(self, text, raw, sub, wqi_value):
+        rs = default_ruleset() if text is None else load_rules(text)
+        sample = None if raw is None else mk_sample(ph=raw[0], do=raw[1], bod=raw[2], ec=raw[3], na=raw[4],
+                                                     tc=raw[5])
+        rec = WqiRecord(sample=sample, sub=SubIndices(*sub), weighted=WeightedScores(*[0.0] * 6),
+                        wqi=wqi_value, mode="normative")
+        assert outcome(diagnose, rec, rs) == outcome(loop_diagnose, rec, rs)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aquagauge.errors import NonFinite
 from aquagauge.wqi import (
@@ -10,6 +10,8 @@ from aquagauge.wqi import (
     _GAP_BANDS,
     LEGACY_NCO,
     NORMATIVE,
+    SUB_INDEX_KINDS,
+    SUB_INDEX_SCORES,
     MissingInput,
     SubIndices,
     compute_wqi,
@@ -19,6 +21,13 @@ from aquagauge.wqi import (
     weighted_scores,
 )
 from conftest import mk_sample
+from scoring_reference import (
+    loop_compute_wqi,
+    loop_reachable_wqi_values,
+    loop_sub_index,
+    loop_weighted_scores,
+    outcome,
+)
 
 APPROX = 0.005  # printed tables carry two decimals
 
@@ -223,12 +232,14 @@ def _as_sample(row):
 
 
 class TestScoreColumns:
+    """Against the frozen scalar compute_wqi, ``loop_compute_wqi``."""
+
     @given(st.lists(st.tuples(*[_INPUT_VALUE] * 6), max_size=30), st.sampled_from([NORMATIVE, LEGACY_NCO]))
     def test_equals_compute_wqi_bit_for_bit(self, rows, mode):
         cols = score_columns(np.array(rows, dtype=np.float64).reshape(len(rows), 6), mode)
         assert cols.sub.dtype == np.int64
         for i, row in enumerate(rows):
-            rec = compute_wqi(_as_sample(row), mode)
+            rec = loop_compute_wqi(_as_sample(row), mode)
             assert tuple(cols.sub[i].tolist()) == rec.sub.as_tuple()
             assert tuple(cols.weighted[i].tolist()) == rec.weighted.as_tuple()
             assert cols.wqi[i].tobytes() == np.float64(rec.wqi).tobytes()
@@ -245,7 +256,7 @@ class TestScoreColumns:
         inputs[i, j] = bad
         with pytest.raises((MissingInput, NonFinite)) as want:
             for row in inputs:
-                compute_wqi(_as_sample(row))
+                loop_compute_wqi(_as_sample(row))
         with pytest.raises(type(want.value)) as got:
             score_columns(inputs)
         assert str(got.value) == str(want.value)
@@ -265,3 +276,36 @@ class TestScoreColumns:
     def test_empty(self):
         cols = score_columns(np.empty((0, 6)))
         assert cols.sub.shape == (0, 6) and cols.weighted.shape == (0, 6) and cols.wqi.shape == (0,)
+
+
+_MODE = st.sampled_from([NORMATIVE, LEGACY_NCO, "bogus"])
+_ANY_VALUE = st.one_of(_INPUT_VALUE, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+class TestOneRowCallsMatchReference:
+    """The one-sample API, now one-row calls of the column code, against the
+    frozen scalar implementations: same result, or same exception and message."""
+
+    @given(st.sampled_from([*SUB_INDEX_KINDS, "temp"]), _ANY_VALUE, _MODE)
+    def test_sub_index(self, kind, value, mode):
+        assert outcome(sub_index, kind, value, mode) == outcome(loop_sub_index, kind, value, mode)
+
+    @given(st.tuples(*[st.sampled_from(SUB_INDEX_SCORES)] * 6))
+    def test_weighted_scores(self, scores):
+        sub = SubIndices(*scores)
+        assert outcome(weighted_scores, sub) == outcome(loop_weighted_scores, sub)
+
+    # NaN and the infinities go into the sample as they are, not through
+    # _as_sample: a float NaN is a non-finite value, not a missing one.
+    @given(st.tuples(*[st.one_of(st.none(), _ANY_VALUE)] * 6), _MODE)
+    @example((7.0, math.nan, 1.0, 50.0, 1.0, 3.0), NORMATIVE)
+    @example((7.0, math.nan, 1.0, 50.0, 1.0, 3.0), "bogus")
+    @example((7.0, 6.0, 1.0, 50.0, 1.0, -math.inf), LEGACY_NCO)
+    @example((math.inf, 6.0, None, 50.0, 1.0, 3.0), NORMATIVE)
+    def test_compute_wqi(self, row, mode):
+        ph, do, bod, ec, na, tc = row
+        sample = mk_sample(ph=ph, do=do, bod=bod, ec=ec, na=na, tc=tc)
+        assert outcome(compute_wqi, sample, mode) == outcome(loop_compute_wqi, sample, mode)
+
+    def test_reachable_wqi_values(self):
+        assert reachable_wqi_values() == loop_reachable_wqi_values()

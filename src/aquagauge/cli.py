@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import os
 import sys
 import tempfile
@@ -36,6 +37,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 is a data error."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise AquagaugeError(f"{path} is not UTF-8: {exc}") from exc
+
+
 def _emit(out_path: str | None, header: list[str], rows) -> None:
     """Write the header and rows as CSV to out_path, or to stdout when None."""
     text = ingest.csv_text(header, rows)
@@ -53,7 +63,7 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = _read_text(args.input)
     strictness = "strict" if getattr(args, "strict", False) else "lenient"
     parsed = ingest.parse_dataset(text, strictness=strictness, source=args.input)
     ds = ingest.impute_missing(parsed, _IMPUTE_FLAG[args.impute])
@@ -108,11 +118,14 @@ def _task(args: argparse.Namespace, side: int) -> forecast.SupervisedTask:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # the training flags are named after the Hyperparams fields
+    try:
+        hp = gbm.Hyperparams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(gbm.Hyperparams)})
+    except ValueError as exc:
+        raise AquagaugeError(str(exc)) from exc
     task = _task(args, 0)
     if len(task) == 0:
         raise AquagaugeError("training task is empty: need >= 2 observations for some station")
-    # the training flags are named after the Hyperparams fields
-    hp = gbm.Hyperparams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(gbm.Hyperparams)})
     model = gbm.gbm_fit(task.features, task.targets, hp)
     _atomic_write(args.model, gbm.serialize_model(model))
     _atomic_write(args.out, forecast.curve_csv(model.training_curve))
@@ -121,7 +134,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    model = gbm.deserialize_model(Path(args.model).read_text(encoding="utf-8"))
+    model = gbm.deserialize_model(_read_text(args.model))
     ds = _load_dataset(args)
     if not len(ds):
         raise AquagaugeError("no samples")
@@ -137,7 +150,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model = gbm.deserialize_model(Path(args.model).read_text(encoding="utf-8"))
+    model = gbm.deserialize_model(_read_text(args.model))
     task = _task(args, 1)
     if len(task) == 0:
         raise AquagaugeError("evaluation task is empty")
@@ -154,7 +167,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         raise AquagaugeError("no samples")
     scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
     if args.rules:
-        ruleset = rules.load_rules(Path(args.rules).read_text(encoding="utf-8"))
+        ruleset = rules.load_rules(_read_text(args.rules))
     else:
         ruleset = rules.default_ruleset()
     outcomes = [(r.name, r.suggestion) for r in (*ruleset.rules, ruleset.default_rule)]
@@ -171,16 +184,15 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     if not (args.model or args.input):
         raise AquagaugeError("nothing to plot: give --model and/or --input")
     if args.model:
-        model = gbm.deserialize_model(Path(args.model).read_text(encoding="utf-8"))
+        model = gbm.deserialize_model(_read_text(args.model))
         if not model.training_curve:
             raise AquagaugeError("model file carries no training curve")
         _atomic_write(args.out_curve, forecast.curve_csv(model.training_curve))
     if args.input:
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
-                raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
-            rows = [(row["actual"], row["predicted"]) for row in reader]
+        reader = csv.DictReader(io.StringIO(_read_text(args.input, newline=""), newline=""))
+        if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
+            raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
+        rows = [(row["actual"], row["predicted"]) for row in reader]
         for i, row in enumerate(rows, start=1):
             for name, cell in zip(("actual", "predicted"), row):
                 if ingest.coerce_numeric(cell or "") is None:
@@ -195,7 +207,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
                    help="coliform scoring mode (default: normative)")
     p.add_argument("--impute", choices=sorted(_IMPUTE_FLAG), default="drop",
                    help="missing-value policy for the six wqi inputs (default: drop)")
-    p.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
     p.add_argument("--strict", action="store_true", help="error on any malformed cell")
 
 
@@ -217,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="training_curve.csv", help="where to write the loss curve CSV")
     p.add_argument("--split", default="station:0.2",
                    help="'all' or 'station:<test fraction>'; training uses the non-test side")
+    p.add_argument("--seed", type=int, default=0, help="seed of the station split")
     p.add_argument("--n-trees", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--max-depth", type=int, default=8)
@@ -236,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="eval_report.csv", help="per-example report CSV path")
     p.add_argument("--split", default="station:0.2",
                    help="'all' or 'station:<test fraction>'; evaluation uses the test side")
+    p.add_argument("--seed", type=int, default=0, help="seed of the station split")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("diagnose", help="disease diagnosis per sample from the rule file")

@@ -158,10 +158,6 @@ class FeatureMatrix:
         if len(self.feature_names) != self.values.shape[1]:
             raise LengthMismatch(self.values.shape[1], len(self.feature_names))
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
 
 _NODE_DTYPES = (np.intp, np.float64, np.intp, np.intp, np.float64, np.intp)
 
@@ -242,12 +238,6 @@ def _sse(values: np.ndarray) -> float:
     return _stats(values)[1] if values.size >= 2 else 0.0
 
 
-def _matrix_values(rows) -> np.ndarray:
-    if isinstance(rows, FeatureMatrix):
-        return rows.values
-    return np.asarray(rows, dtype=np.float64)
-
-
 _ROW_MASK = 0xFFFFFFFF
 
 
@@ -270,6 +260,22 @@ def _presort(x: np.ndarray) -> np.ndarray:
     packed <<= 32
     packed |= order
     return packed
+
+
+def _fit_inputs(x, y) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """x and y checked as gbm_fit documents: the feature names, y as float64,
+    x column-major (one row per feature) and x's packed lists (see _presort)."""
+    if not isinstance(x, FeatureMatrix):
+        x = np.asarray(x, dtype=np.float64)
+        x = FeatureMatrix(x, [f"f{j}" for j in range(x.shape[1] if x.ndim == 2 else 0)])
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError("targets must be 1-D")
+    if y.size != len(x.values):
+        raise LengthMismatch(len(x.values), y.size)
+    if not np.all(np.isfinite(y)):
+        raise NonFinite(None, context="targets")
+    return list(x.feature_names), y, np.ascontiguousarray(x.values.T), _presort(x.values)
 
 
 _Stats = tuple[float, float]  # (mean, sse) of a node's targets, from _stats
@@ -357,19 +363,15 @@ def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | Non
     scanned with prefix sums, then everything within a hair of the scanned
     optimum is re-scored with the exact two-pass SSE so that the returned
     (feature, threshold, sse) matches direct enumeration, ties resolved
-    toward the lower (feature, threshold).
+    toward the lower (feature, threshold). rows and targets are checked as
+    gbm_fit checks x and y; fewer than 2 rows give None.
     """
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be >= 1")
-    x = _matrix_values(rows)
-    y = np.asarray(targets, dtype=np.float64)
-    n, _ = x.shape
-    if n != y.size:
-        raise LengthMismatch(n, y.size)
-    if n < 2:  # no split, and an empty node has no mean for _stats
+    _, y, xt, order = _fit_inputs(rows, targets)
+    if y.size < 2:  # no split, and an empty node has no mean for _stats
         return None
-    xt = np.ascontiguousarray(x.T)
-    split = _split_node(xt, y, np.arange(n, dtype=np.int32), _presort(x), min_samples_leaf, _stats(y))
+    split = _split_node(xt, y, np.arange(y.size, dtype=np.int32), order, min_samples_leaf, _stats(y))
     return None if split is None else split[0]
 
 
@@ -383,15 +385,13 @@ def fit_tree(rows, residuals, hp: Hyperparams) -> RegressionTree:
     """Greedy CART on residuals. A node splits only while its row count is at
     least min_samples_split and its depth is below max_depth; leaves carry the
     mean residual and their training row count. Nodes are numbered in
-    preorder (left subtree first).
+    preorder (left subtree first). rows and residuals are checked as gbm_fit
+    checks x and y, zero rows included (EmptyTargets).
     """
-    x = _matrix_values(rows)
-    r = np.asarray(residuals, dtype=np.float64)
+    _, r, xt, order = _fit_inputs(rows, residuals)
     if r.size == 0:
         raise EmptyTargets()
-    if x.shape[0] != r.size:
-        raise LengthMismatch(x.shape[0], r.size)
-    return _grow(np.ascontiguousarray(x.T), r, hp, _presort(x))[0]
+    return _grow(xt, r, hp, order)[0]
 
 
 def _grow(
@@ -491,30 +491,19 @@ def tree_apply(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
 def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     """Run the boosting loop and return the fitted ensemble.
 
-    Leaf values are stored with the learning rate already applied, so
-    prediction is plainly f0 plus the sum of tree outputs. training_curve[0]
-    is the loss of the constant model; entry t is the training MSE after
-    adding tree t.
+    x is a FeatureMatrix, or a 2-D array (else ValueError) whose columns are
+    named f0, f1, ...; y is 1-D (else ValueError) with one target per row of
+    x (else LengthMismatch). NaN or infinity in x or y raises NonFinite, and
+    zero rows raise EmptyTargets. Leaf values are stored with the learning
+    rate already applied, so prediction is plainly f0 plus the sum of tree
+    outputs. training_curve[0] is the loss of the constant model; entry t is
+    the training MSE after adding tree t.
     """
-    if isinstance(x, FeatureMatrix):
-        fm = x
-    else:
-        arr = np.asarray(x, dtype=np.float64)
-        fm = FeatureMatrix(arr, [f"f{j}" for j in range(arr.shape[1])])
-    targets = np.asarray(y, dtype=np.float64)
-    if targets.size == 0:
-        raise EmptyTargets()
-    if fm.n_rows != targets.size:
-        raise LengthMismatch(fm.n_rows, targets.size)
-    if not np.all(np.isfinite(targets)):
-        raise NonFinite(None, context="targets")
-
+    feature_names, targets, xt, presorted = _fit_inputs(x, y)
     f0 = init_constant(targets)
     pred = np.full(targets.size, f0, dtype=np.float64)
     curve = [float(np.mean((targets - pred) ** 2))]
     trees: list[RegressionTree] = []
-    xt = np.ascontiguousarray(fm.values.T)
-    presorted = _presort(fm.values)
     for _ in range(hp.n_trees):
         resid = negative_gradient(targets, pred)
         tree, leaf_of = _grow(xt, resid, hp, presorted)
@@ -528,7 +517,7 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
         hyperparams=hp,
         loss=SQUARED_ERROR,
         training_curve=curve,
-        feature_names=list(fm.feature_names),
+        feature_names=feature_names,
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import shlex
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -189,16 +190,10 @@ def load_rules(text: str) -> RuleSet:
     return RuleSet(rules=rules)
 
 
-_default_ruleset_cache: RuleSet | None = None
-
-
+@lru_cache(maxsize=1)
 def default_ruleset() -> RuleSet:
     """The ruleset shipped with the package."""
-    global _default_ruleset_cache
-    if _default_ruleset_cache is None:
-        text = resources.files("aquagauge.data").joinpath(DEFAULT_RULES_RESOURCE).read_text("utf-8")
-        _default_ruleset_cache = load_rules(text)
-    return _default_ruleset_cache
+    return load_rules(resources.files("aquagauge.data").joinpath(DEFAULT_RULES_RESOURCE).read_text("utf-8"))
 
 
 def _field_columns(cols: WqiColumns) -> dict[str, np.ndarray]:

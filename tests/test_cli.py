@@ -147,6 +147,20 @@ class TestTrainCommand:
         task = build_supervised(impute_missing(parse_dataset(text), "drop_row"))
         assert model.f0 == pytest.approx(float(np.mean(task.targets)), abs=1e-12)
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n-trees", "-1", "n_trees must be >= 0"),
+        ("--learning-rate", "0", "learning_rate must be in (0, 1]"),
+        ("--min-samples-leaf", "0", "min_samples_leaf must be >= 1"),
+        ("--max-depth", "-2", "max_depth must be >= 0"),
+    ])
+    def test_out_of_range_hyperparameter_exits_2(self, capsys, synthetic_csv_path, tmp_path, flag, value, message):
+        model_path = tmp_path / "model.txt"
+        code, _, err = run(capsys, "train", "--input", synthetic_csv_path, "--model", str(model_path),
+                           "--out", str(tmp_path / "c.csv"), flag, value)
+        assert code == 2
+        assert f"error: {message}" in err.splitlines()
+        assert not model_path.exists()
+
     def test_deterministic_model_file(self, capsys, synthetic_csv_path, tmp_path):
         paths = [tmp_path / "m1.txt", tmp_path / "m2.txt"]
         for p in paths:
@@ -309,6 +323,55 @@ class TestPlotDataCommand:
         code, _, err = run(capsys, "plot-data")
         assert code == 2
         assert "nothing to plot" in err
+
+
+LATIN1 = b"Dh\xe2ka"  # 'Dhâka' in Latin-1: \xe2 starts no valid UTF-8 sequence here
+
+
+@pytest.mark.parametrize("kind", ["station-csv", "rules", "model", "report"])
+def test_file_that_is_not_utf8_exits_2(capsys, fixture_csv_path, trained_model_path, tmp_path, kind):
+    bad = tmp_path / f"bad-{kind}"
+    if kind == "station-csv":
+        text = rows_to_csv(STATION_HEADER, [[FIXTURE_ROWS[0][0], "@", *FIXTURE_ROWS[0][2:]]])
+        bad.write_bytes(text.encode("utf-8").replace(b"@", LATIN1))
+        argv = ["wqi", "--input", str(bad)]
+    elif kind == "rules":
+        bad.write_bytes(b"# " + LATIN1 + b"\n")
+        argv = ["diagnose", "--input", fixture_csv_path, "--rules", str(bad)]
+    elif kind == "model":
+        with open(trained_model_path, "rb") as fh:
+            bad.write_bytes(fh.read().replace(b"feature_names=", b"feature_names=" + LATIN1 + b"_", 1))
+        argv = ["predict", "--input", fixture_csv_path, "--model", str(bad)]
+    else:
+        bad.write_bytes(f"{REPORT_HEADER}\n".encode() + LATIN1 + b",1,2019,50.0,51.0,2.0\n")
+        argv = ["plot-data", "--input", str(bad), "--out-scatter", str(tmp_path / "scatter.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: {bad} is not UTF-8" in err
+    assert "internal error" not in err
+
+
+def test_seed_only_on_split_commands(capsys, synthetic_csv_path, tmp_path):
+    """--seed exists only where a station split reads it: train writes it to
+    the model file and evaluate draws its test side from it."""
+    for command in ("wqi", "predict", "diagnose"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", synthetic_csv_path, "--seed", "1"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    model = tmp_path / "model.txt"
+    code, _, err = run(capsys, "train", "--input", synthetic_csv_path, "--model", str(model),
+                       "--out", str(tmp_path / "c.csv"), "--seed", "1", *TRAIN_ARGS)
+    assert code == 0 and "log: seed=1" in err.splitlines()
+    assert deserialize_model(model.read_text(encoding="utf-8")).hyperparams.seed == 1
+    stations = {}
+    for seed in ("0", "1"):
+        report = tmp_path / f"report{seed}.csv"
+        code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", str(model),
+                           "--out", str(report), "--seed", seed)
+        assert code == 0 and f"log: seed={seed}" in err.splitlines()
+        stations[seed] = {row["station_code"] for row in csv.DictReader(report.read_text().splitlines())}
+    assert stations["0"] != stations["1"]
 
 
 # sha256 of each CLI output on the conftest fixtures, computed with the

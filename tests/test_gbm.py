@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -24,7 +25,6 @@ from aquagauge.gbm import (
     SplitCandidate,
     UnsupportedVersion,
     _child_lists,
-    _matrix_values,
     _presort,
     _sse,
     _stats,
@@ -180,7 +180,7 @@ def argsort_best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandida
     (feature, threshold, sse) matches direct enumeration, ties resolved
     toward the lower (feature, threshold).
     """
-    x = _matrix_values(rows)
+    x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     n, n_features = x.shape
     msl = min_samples_leaf
@@ -243,7 +243,7 @@ def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> list[tuple]:
     least min_samples_split and its depth is below max_depth; leaves carry the
     mean residual and their training row count. Returns the node_view of the
     tree."""
-    x = _matrix_values(rows)
+    x = np.asarray(rows, dtype=np.float64)
     r = np.asarray(residuals, dtype=np.float64)
     if r.size == 0:
         raise EmptyTargets()
@@ -932,6 +932,84 @@ class TestLeafChildren:
                         splittable += 1
         assert 0 < len(calls) == splittable
         assert all(shape[0] == x.shape[1] for shape in calls)
+
+
+# ---------------------------------------------------------------------------
+# The fitter contract: best_split, fit_tree and gbm_fit check x and y alike,
+# whether x comes as a FeatureMatrix or as a bare array.
+# ---------------------------------------------------------------------------
+
+CONTRACT_HP = Hyperparams(n_trees=3, max_depth=2, min_samples_split=2, min_samples_leaf=1)
+FITTERS = {
+    "best_split": lambda x, y: best_split(x, y, 1),
+    "fit_tree": lambda x, y: fit_tree(x, y, CONTRACT_HP),
+    "gbm_fit": lambda x, y: gbm_fit(x, y, CONTRACT_HP),
+}
+
+
+def named(x) -> FeatureMatrix:
+    """x as a FeatureMatrix with the names gbm_fit gives a bare array."""
+    return FeatureMatrix(x, [f"f{j}" for j in range(np.shape(x)[-1])])
+
+
+X3 = [[1.0, 4.0], [2.0, 5.0], [3.0, 7.0]]
+Y3 = [1.0, 2.0, 4.0]
+MALFORMED = {  # x, y, the error and its message
+    "1-D x": ([1.0, 2.0, 3.0], Y3, ValueError, "feature matrix must be 2-D"),
+    "3-D x": ([X3], Y3, ValueError, "feature matrix must be 2-D"),
+    "2-D y": (X3, [[v] for v in Y3], ValueError, "targets must be 1-D"),
+    "short y": (X3, Y3[:2], LengthMismatch, "expected 3, got 2"),
+    "long y": (X3, Y3 + [8.0], LengthMismatch, "expected 3, got 4"),
+    "rows without targets": (X3, [], LengthMismatch, "expected 3, got 0"),
+    "targets without rows": (np.empty((0, 2)), Y3, LengthMismatch, "expected 0, got 3"),
+}
+
+
+class TestFitterContract:
+    @pytest.mark.parametrize("wrap", [False, True], ids=["array", "FeatureMatrix"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_malformed_shapes_rejected(self, fitter, case, wrap):
+        x, y, error, message = MALFORMED[case]
+        with pytest.raises(error, match=re.escape(message)):
+            FITTERS[fitter](named(x) if wrap else x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_non_finite_values_rejected(self, data):
+        n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        x = np.arange(n * d, dtype=np.float64).reshape(n, d)
+        y = np.arange(n, dtype=np.float64)
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if data.draw(st.booleans()):
+            x[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))] = bad
+        else:
+            y[data.draw(st.integers(0, n - 1))] = bad
+        wrap = data.draw(st.booleans())
+        for fit in FITTERS.values():
+            with pytest.raises(NonFinite):
+                fit(named(x) if wrap else x.tolist(), y.tolist())
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["array", "FeatureMatrix"])
+    def test_zero_rows(self, wrap):
+        x = np.empty((0, 2))
+        assert best_split(named(x) if wrap else x, [], 1) is None
+        with pytest.raises(EmptyTargets):
+            fit_tree(named(x) if wrap else x, [], CONTRACT_HP)
+        with pytest.raises(EmptyTargets):
+            gbm_fit(named(x) if wrap else x, [], CONTRACT_HP)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_problems())
+    def test_same_fit_whichever_way_x_is_passed(self, problem):
+        x, y, hp = problem
+        hp = dataclasses.replace(hp, n_trees=3)
+        layouts = [x, np.asfortranarray(x), x.tolist(), named(x)]
+        splits = [best_split(xl, y, hp.min_samples_leaf) for xl in layouts]
+        trees = [[node_bits(n) for n in node_view(fit_tree(xl, y, hp))] for xl in layouts]
+        models = [serialize_model(gbm_fit(xl, y.tolist(), hp)) for xl in layouts]
+        for got in (splits, trees, models):
+            assert all(g == got[0] for g in got[1:])
 
 
 def _small_model_text() -> str:

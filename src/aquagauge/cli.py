@@ -25,9 +25,15 @@ _IMPUTE_FLAG = {"drop": "drop_row", "median": "median"}
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file and a rename, in the mode open(path, "w")
+    gives: an existing file keeps its mode, a new one gets 0o666 less the umask."""
     target = Path(path)
+    umask = os.umask(0)  # only setting the umask reads it
+    os.umask(umask)
+    mode = os.stat(target).st_mode & 0o7777 if target.exists() else 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=f".{target.name}.")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, target)
@@ -113,12 +119,14 @@ def _task(args: argparse.Namespace, side: int) -> forecast.SupervisedTask:
     task = forecast.build_supervised(_load_dataset(args), _MODE_FLAG[args.mode])
     fraction = _parse_split(args.split)
     if fraction is not None:
-        task = forecast.split_by_station(task, fraction, args.seed)[side]
+        try:
+            task = forecast.split_by_station(task, fraction, args.seed)[side]
+        except ValueError as exc:  # _parse_split checked the fraction
+            raise AquagaugeError(f"bad --seed {args.seed}: {exc}") from exc
     return task
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # the training flags are named after the Hyperparams fields
     try:
         hp = gbm.Hyperparams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(gbm.Hyperparams)})
     except ValueError as exc:
@@ -228,12 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="training_curve.csv", help="where to write the loss curve CSV")
     p.add_argument("--split", default="station:0.2",
                    help="'all' or 'station:<test fraction>'; training uses the non-test side")
-    p.add_argument("--seed", type=int, default=0, help="seed of the station split")
-    p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--min-samples-split", type=int, default=200)
-    p.add_argument("--min-samples-leaf", type=int, default=30)
+    for f in dataclasses.fields(gbm.Hyperparams):  # cmd_train reads them back by field name
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                       help="seed of the station split" if f.name == "seed" else None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="current wqi plus the 4-month-ahead prediction per sample")
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="eval_report.csv", help="per-example report CSV path")
     p.add_argument("--split", default="station:0.2",
                    help="'all' or 'station:<test fraction>'; evaluation uses the test side")
-    p.add_argument("--seed", type=int, default=0, help="seed of the station split")
+    p.add_argument("--seed", type=int, default=gbm.Hyperparams.seed, help="seed of the station split")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("diagnose", help="disease diagnosis per sample from the rule file")

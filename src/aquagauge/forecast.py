@@ -248,10 +248,12 @@ def split_by_station(
 
     The test side receives floor(test_fraction * n_stations) stations, at
     least one when the fraction is positive and there are two or more
-    stations to split.
+    stations to split. A negative seed raises ValueError.
     """
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     codes = np.array([station for station, _, _ in task.keys], dtype=object)
     stations, station_of = np.unique(codes, return_inverse=True)  # in Python's str order
     n_test = int(len(stations) * test_fraction)

@@ -16,10 +16,11 @@ over a column-major copy of x, made once per predict_matrix call, so every
 node gathers its rows from one contiguous feature column (the feature-major
 layout of Asadi et al., 2014).
 
-Fitting is deterministic: split thresholds are midpoints between consecutive
-distinct sorted feature values, candidate ties break toward the lower
-(feature index, threshold), and there is no row or feature subsampling. Two
-fits of the same data with the same hyperparameters serialize byte-identically.
+Fitting is deterministic: the threshold between consecutive distinct sorted
+feature values a < b is 0.5 * (a + b), or a where that rounds up to b or
+overflows. Candidate ties break toward the lower (feature index, threshold),
+and there is no row or feature subsampling. Two fits of the same data with
+the same hyperparameters serialize byte-identically.
 
 The split search is exact and presorted, after the attribute lists of SLIQ
 (Mehta et al., 1996) and the exact-greedy column blocks of XGBoost (Chen and
@@ -194,7 +195,6 @@ class GbmModel:
     f0: float
     trees: list[RegressionTree]
     hyperparams: Hyperparams
-    loss: str = SQUARED_ERROR
     training_curve: list[float] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
 
@@ -332,8 +332,9 @@ def _split_node(
     shortlist = []
     for i in (gain >= gain.max() - margin).nonzero()[0]:
         f, k = int(features[i]), int(ks[i])
-        a, b = sorted_rows[f, k - 1], sorted_rows[f, k]
-        shortlist.append((f, float(0.5 * (xt[f, a] + xt[f, b]))))
+        a, b = float(xt[f, sorted_rows[f, k - 1]]), float(xt[f, sorted_rows[f, k]])
+        thr = 0.5 * (a + b)  # a Python float: an overflow gives inf, and no warning
+        shortlist.append((f, thr if a <= thr < b else a))
 
     # The exact re-score: each side's _stats, in ascending row order, are
     # those its child would compute, so the children inherit them.
@@ -357,14 +358,15 @@ def _split_node(
 def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | None:
     """Exhaustive best two-leaf split by total SSE, or None when infeasible.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature; both sides must keep at least min_samples_leaf
-    rows and the split must strictly reduce the node SSE. Candidates are
-    scanned with prefix sums, then everything within a hair of the scanned
-    optimum is re-scored with the exact two-pass SSE so that the returned
-    (feature, threshold, sse) matches direct enumeration, ties resolved
-    toward the lower (feature, threshold). rows and targets are checked as
-    gbm_fit checks x and y; fewer than 2 rows give None.
+    The threshold between consecutive distinct sorted values a < b of a
+    feature is 0.5 * (a + b), or a where that rounds up to b or overflows;
+    both sides must keep at least min_samples_leaf rows and the split must
+    strictly reduce the node SSE. Candidates are scanned with prefix sums,
+    then everything within a hair of the scanned optimum is re-scored with
+    the exact two-pass SSE so that the returned (feature, threshold, sse)
+    matches direct enumeration, ties resolved toward the lower (feature,
+    threshold). rows and targets are checked as gbm_fit checks x and y;
+    fewer than 2 rows give None.
     """
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be >= 1")
@@ -515,7 +517,6 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
         f0=f0,
         trees=trees,
         hyperparams=hp,
-        loss=SQUARED_ERROR,
         training_curve=curve,
         feature_names=feature_names,
     )
@@ -560,16 +561,21 @@ def _finite(text: str) -> float:
 _HP_FIELDS = [(f.name, _finite if isinstance(f.default, float) else int) for f in fields(Hyperparams)]
 
 
+def _valid_feature_names(names: list[str]) -> bool:
+    """Whether names can be a model file's feature_names: unique, each
+    non-empty and holding no comma and no line boundary of str.splitlines."""
+    return len(set(names)) == len(names) and all("," not in n and n.splitlines() == [n] for n in names)
+
+
 def serialize_model(model: GbmModel) -> str:
-    """Write a model to the line-oriented text format (exact round trip)."""
-    for name in model.feature_names:
-        if not name or "," in name or "\n" in name:
-            raise ValueError(f"feature name not serializable: {name!r}")
+    """Write a model to the text format (exact round trip); ValueError for names the loader rejects."""
+    if not _valid_feature_names(model.feature_names):
+        raise ValueError(f"feature names not serializable: {model.feature_names!r}")
     hp = model.hyperparams
     lines = [
         MODEL_MAGIC,
         f"version {MODEL_VERSION}",
-        f"loss={model.loss}",
+        f"loss={SQUARED_ERROR}",
         *(f"{name}={(_fmt if parse is _finite else str)(getattr(hp, name))}" for name, parse in _HP_FIELDS),
         f"f0={_fmt(model.f0)}",
         "feature_names=" + ",".join(model.feature_names),
@@ -653,10 +659,8 @@ def deserialize_model(text: str) -> GbmModel:
     except ValueError as exc:
         raise CorruptHeader(str(exc)) from exc
     feature_names = header["feature_names"].split(",") if header["feature_names"] else []
-    if "" in feature_names:
-        raise CorruptHeader("empty feature name")
-    if len(set(feature_names)) != len(feature_names):
-        raise CorruptHeader("duplicate feature names")
+    if not _valid_feature_names(feature_names):
+        raise CorruptHeader(f"bad feature names: {header['feature_names']!r}")
     curve_text = header.get("training_curve", "")
     try:
         curve = [_finite(tok) for tok in curve_text.split(",")] if curve_text else []
@@ -704,7 +708,6 @@ def deserialize_model(text: str) -> GbmModel:
         f0=f0,
         trees=trees,
         hyperparams=hp,
-        loss=header["loss"],
         training_curve=curve,
         feature_names=feature_names,
     )

@@ -275,26 +275,21 @@ def _classify_cell(cell: str) -> tuple[str, float | None]:
     return "value", value
 
 
-def _irregular_cell(row: int, name: str, cell: str, strict: bool, notes: list) -> float | None:
-    """The value of a cell that is not a plain in-range numeral, or None for a
-    missing, junk or out-of-range one; notes each coerced non-empty cell and,
-    in strict mode, raises MalformedRow for junk and out-of-range values."""
+def _irregular_cell(name: str, cell: str) -> tuple[float | None, str | None, str | None]:
+    """(value, note, defect) of a cell that is not a plain in-range numeral:
+    its value, None for a missing, junk or out-of-range cell; the note that
+    logs a coerced non-empty cell; and why strict mode rejects a junk or
+    out-of-range cell. A note or defect that does not apply is None."""
     kind, value = _classify_cell(cell)
     token = cell.strip()
-    if kind == "junk" and strict:
-        raise MalformedRow(row, f"{name} cell {token!r} is not numeric")
-    if kind != "value":
-        if token:
-            notes.append((row, f"{name} cell {token!r} coerced to missing"))
-        return None
-    lo, hi = _RANGES[name]
-    if lo <= value <= hi:
-        return value
-    bad = f"ph {value} outside [0, 14]" if name == "ph" else f"{name} {value} is negative"
-    if strict:
-        raise MalformedRow(row, bad)
-    notes.append((row, f"{bad}; coerced to missing"))
-    return None
+    if kind == "value":
+        lo, hi = _RANGES[name]
+        if lo <= value <= hi:
+            return value, None, None
+        bad = f"ph {value} outside [0, 14]" if name == "ph" else f"{name} {value} is negative"
+        return None, f"{bad}; coerced to missing", bad
+    note = f"{name} cell {token!r} coerced to missing" if token else None
+    return None, note, f"{name} cell {token!r} is not numeric" if kind == "junk" else None
 
 
 def _csv_records(text: str) -> list[list[str] | csv.Error]:
@@ -405,26 +400,23 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
     lo, hi = np.array([_RANGES[name] for name in NUMERIC_FIELDS]).T
     # Most cells are plain in-range numerals, which float() reads as
     # _classify_cell would. Every other cell of a usable row takes the slow
-    # path, in (row, field) order, so notes and errors come out in row order.
+    # path, in (row, field) order, so notes come out in row order and a row's
+    # first defective cell names it.
     irregular = ~((lo <= values) & (values <= hi)) & usable[:, None]
-    cell_error = None
-    try:
-        for k, f in zip(*(axis.tolist() for axis in np.nonzero(irregular))):
-            name = NUMERIC_FIELDS[f]
-            value = _irregular_cell(row_ids[k], name, cells[name][k], strict, prov.notes)
-            values[k, f] = math.nan if value is None else value
-    except MalformedRow as exc:  # strict mode only; rows after it are left unread
-        cell_error = exc
+    for k, f in zip(*(axis.tolist() for axis in np.nonzero(irregular))):
+        name = NUMERIC_FIELDS[f]
+        value, note, defect = _irregular_cell(name, cells[name][k])
+        values[k, f] = math.nan if value is None else value
+        if note is not None:
+            prov.notes.append((row_ids[k], note))
+        if strict and defect is not None:
+            dropped.setdefault(row_ids[k], defect)
     all_missing = usable & np.isnan(values[:, _WQI_COLUMNS]).all(axis=1)
     for k in np.flatnonzero(all_missing).tolist():
-        dropped[row_ids[k]] = "all six wqi inputs missing"
+        dropped.setdefault(row_ids[k], "all six wqi inputs missing")
 
-    if strict and (dropped or cell_error):
-        first = min(dropped, default=math.inf)
-        # A row's cells are read before its six wqi inputs are checked.
-        if cell_error is not None and cell_error.index <= first:
-            raise cell_error
-        raise MalformedRow(first, dropped[first])
+    if strict and dropped:
+        raise MalformedRow(*min(dropped.items()))  # the first defective row
     prov.dropped = sorted(dropped.items())
 
     kept = np.flatnonzero(usable & ~all_missing)

@@ -20,6 +20,7 @@ matcher: :func:`diagnose` takes one scored record as a one-row call of it.
 from __future__ import annotations
 
 import math
+import operator
 import shlex
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +33,9 @@ from .ingest import WQI_INPUTS
 from .wqi import WqiColumns, WqiRecord
 
 FIELDS = ("wqi", "nph", "ndo", "nbdo", "nec", "nna", "nco", "ph", "do", "bod", "ec", "na", "tc")
-OPS = ("<", "<=", ">", ">=", "between")
+# Each operator's comparison; 'between' is the one two-bound operator.
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+OPS = (*_COMPARE, "between")
 
 DEFAULT_RULES_RESOURCE = "default.rules"
 
@@ -69,15 +72,9 @@ class Condition:
     def holds(self, value):
         """Whether the condition holds for a float, or elementwise for a float
         array. A missing value (NaN) fails every condition."""
-        if self.op == "<":
-            return value < self.value
-        if self.op == "<=":
-            return value <= self.value
-        if self.op == ">":
-            return value > self.value
-        if self.op == ">=":
-            return value >= self.value
-        return (self.value <= value) & (value <= self.hi)
+        if self.op == "between":
+            return (self.value <= value) & (value <= self.hi)
+        return _COMPARE[self.op](value, self.value)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -372,6 +374,36 @@ def test_seed_only_on_split_commands(capsys, synthetic_csv_path, tmp_path):
         assert code == 0 and f"log: seed={seed}" in err.splitlines()
         stations[seed] = {row["station_code"] for row in csv.DictReader(report.read_text().splitlines())}
     assert stations["0"] != stations["1"]
+
+
+@pytest.mark.parametrize("command,seed", [("train", "-5"), ("evaluate", "-1")])
+def test_negative_seed_exits_2(request, capsys, synthetic_csv_path, tmp_path, command, seed):
+    # evaluate reads a model before it splits; train writes one
+    model = request.getfixturevalue("trained_model_path") if command == "evaluate" else str(tmp_path / "m.txt")
+    code, _, err = run(capsys, command, "--input", synthetic_csv_path, "--model", model,
+                       "--out", str(tmp_path / "out.csv"), "--seed", seed)
+    assert code == 2
+    assert f"error: bad --seed {seed}: seed must be >= 0" in err.splitlines()
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.parametrize("existing", [None, 0o640], ids=["new-file", "existing-file"])
+def test_output_file_mode_is_that_of_open(capsys, fixture_csv_path, tmp_path, umask_022, existing):
+    """Outputs get the mode open(path, "w") gives: 0o666 less the umask for
+    a new file, the old mode for a file written over."""
+    out = tmp_path / "scores.csv"
+    if existing is not None:
+        out.write_text("old\n")
+        out.chmod(existing)
+    code, _, _ = run(capsys, "wqi", "--input", fixture_csv_path, "--out", str(out))
+    assert code == 0 and out.read_text().startswith("station_code,")
+    assert stat.S_IMODE(out.stat().st_mode) == (0o644 if existing is None else existing)
 
 
 # sha256 of each CLI output on the conftest fixtures, computed with the

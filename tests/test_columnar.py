@@ -102,7 +102,11 @@ def loop_parse_dataset(csv_text, strictness="lenient", source="<memory>"):
             except ValueError:
                 value = math.nan
             if not lo <= value <= hi:
-                value = _irregular_cell(i, name, cell, strict, prov.notes)
+                value, note, defect = _irregular_cell(name, cell)
+                if strict and defect is not None:
+                    raise MalformedRow(i, defect)
+                if note is not None:
+                    prov.notes.append((i, note))
             values[name] = value
         if all(values[name] is None for name in WQI_INPUTS):
             if strict:
@@ -236,6 +240,10 @@ class TestAgainstRowLoop:
     @given(_csv_text)
     # a junk cell in a row whose six wqi inputs are all unusable: the cell is the error
     @example(_station_csv([("row", "A", "", ["7.5"] * 8, "1-2019"), ("blank", "A", "", ["junk"] + [""] * 7, "5-2019")]))
+    # two bad cells in one row: the first in field order is the error
+    @example(_station_csv([("row", "A", "", ["7.5", "7.5", "15", "junk"] + ["7.5"] * 4, "1-2019")]))
+    # a bad cell in the row after a dropped row: the dropped row is the error
+    @example(_station_csv([("short", "A", "", ["7.5"] * 8, "1-2019"), ("row", "A", "", ["7.5", "-3"] + ["7.5"] * 6, "5-2019")]))
     def test_strict_mode_same_error(self, text):
         got = _parse_or_error(parse_dataset, text, "strict")
         want = _parse_or_error(loop_parse_dataset, text, "strict")

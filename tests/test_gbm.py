@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aquagauge import gbm
 from aquagauge.errors import LengthMismatch, NonFinite
@@ -53,13 +54,20 @@ def ref_sse(v: np.ndarray) -> float:
     return float(np.sum((v - v.mean()) ** 2))
 
 
+def ref_threshold(a: float, b: float) -> float:
+    """The cut between distinct values a < b: their midpoint on Python floats
+    when a <= it < b, else a (the midpoint rounds up to b or overflows)."""
+    thr = 0.5 * (a + b)
+    return thr if a <= thr < b else a
+
+
 def ref_best_split(x: np.ndarray, y: np.ndarray, msl: int):
     n, d = x.shape
     parent = ref_sse(y)
     best = None
     for f in range(d):
-        u = np.unique(x[:, f])
-        for thr in (u[:-1] + u[1:]) / 2.0:
+        u = np.unique(x[:, f]).tolist()
+        for thr in map(ref_threshold, u[:-1], u[1:]):
             mask = x[:, f] <= thr
             nl = int(mask.sum())
             if nl < msl or n - nl < msl:
@@ -210,7 +218,7 @@ def argsort_best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandida
         right_sq = csq[-1] - left_sq
         score = (left_sq - left_sum**2 / ks) + (right_sq - right_sum**2 / (n - ks))
         cand_feature.append(np.full(ks.size, f))
-        cand_threshold.append(0.5 * (xs[ks - 1] + xs[ks]))
+        cand_threshold.append(np.array(list(map(ref_threshold, xs[ks - 1].tolist(), xs[ks].tolist()))))
         cand_score.append(score)
     if not cand_feature:
         return None
@@ -545,6 +553,29 @@ class TestBestSplit:
         assert got.feature == 0
         assert got.threshold == 1.5
 
+    _finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+
+    @settings(max_examples=300, deadline=None)
+    @given(_finite, st.one_of(st.just(None), _finite), st.integers(1, 3))
+    @example(1e308, 1.7e308, 3)  # the midpoint overflows
+    @example(-1.7e308, -1e308, 3)
+    @example(5e-324, 1e-323, 3)  # the midpoint of two subnormals rounds up
+    @example(1.0000000000000002, 1.0000000000000004, 3)  # adjacent doubles
+    def test_distinct_values_split_apart_at_any_scale(self, a, b, reps):
+        """Two distinct values with separable targets are always cut apart:
+        the threshold t keeps a <= t < b. b None stands for a's successor."""
+        b = math.nextafter(a, math.inf) if b is None else b
+        a, b = min(a, b), max(a, b)
+        assume(a < b and math.isfinite(b))
+        x = np.array([[a]] * reps + [[b]] * reps)
+        y = np.array([0.0] * reps + [1.0] * reps)
+        got = best_split(x, y)
+        assert got is not None and got.feature == 0 and a <= got.threshold < b
+        assert ref_best_split(x, y, 1)[:2] == (0, got.threshold)
+        tree = fit_tree(x, y, Hyperparams(max_depth=1, min_samples_split=2, min_samples_leaf=1))
+        assert tree.feature[0] == 0 and tree.threshold[0] == got.threshold
+        assert tree_apply(tree, x).tolist() == y.tolist()
+
 
 class TestFitTree:
     def test_depth_zero_single_leaf(self):
@@ -791,6 +822,25 @@ class TestSerialization:
                          feature_names=["a"])
         with pytest.raises(CorruptNode):
             deserialize_model(serialize_model(model))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") | st.characters(),
+                            max_size=3), max_size=4))
+    @example(["a\rb", "z"])
+    @example(["a\x85b"])
+    @example(["a\u2028b"])
+    @example(["a\x0cb"])
+    @example(["a", "a"])
+    def test_feature_names_round_trip_or_refused(self, names):
+        """Feature names that serialize_model writes load back as written;
+        it refuses any others with ValueError."""
+        model = GbmModel(f0=0.0, trees=[], hyperparams=Hyperparams(n_trees=0), training_curve=[0.0],
+                         feature_names=names)
+        try:
+            text = serialize_model(model)
+        except ValueError:
+            return
+        assert deserialize_model(text).feature_names == names
 
 
 class TestPresortedFitter:

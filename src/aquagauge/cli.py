@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import os
 import sys
@@ -52,9 +53,9 @@ def _read_text(path: str, newline: str | None = None) -> str:
         raise AquagaugeError(f"{path} is not UTF-8: {exc}") from exc
 
 
-def _emit(out_path: str | None, header: list[str], rows) -> None:
-    """Write the header and rows as CSV to out_path, or to stdout when None."""
-    text = ingest.csv_text(header, rows)
+def _emit(out_path: str | None, header: list[str], columns: list[list[str]]) -> None:
+    """Write the header and columns as CSV to out_path, or to stdout when None."""
+    text = ingest.csv_text(header, columns)
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -105,10 +106,10 @@ def cmd_wqi(args: argparse.Namespace) -> int:
         args.out,
         ["station_code", "month_year", "nph", "ndo", "nbdo", "nec", "nna", "nco",
          "wph", "wdo", "wbdo", "wec", "wna", "wco", "wqi"],
-        ([station, f"{month}-{year}", *sub, *(f"{v:.2f}" for v in weighted), f"{v_wqi:.2f}"]
-         for station, month, year, sub, weighted, v_wqi in zip(
-             ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(),
-             scored.sub.tolist(), scored.weighted.tolist(), scored.wqi.tolist())),
+        [ds.station_code.tolist(),
+         [f"{month}-{year}" for month, year in zip(ds.month.tolist(), ds.year.tolist())],
+         *(list(map(str, column)) for column in scored.sub.T.tolist()),
+         *([f"{v:.2f}" for v in column] for column in (*scored.weighted.T.tolist(), scored.wqi.tolist()))],
     )
     return 0
 
@@ -127,11 +128,11 @@ def _task(args: argparse.Namespace, side: int) -> forecast.SupervisedTask:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    task = _task(args, 0)  # first, so a station split names a bad --seed
     try:
         hp = gbm.Hyperparams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(gbm.Hyperparams)})
     except ValueError as exc:
         raise AquagaugeError(str(exc)) from exc
-    task = _task(args, 0)
     if len(task) == 0:
         raise AquagaugeError("training task is empty: need >= 2 observations for some station")
     model = gbm.gbm_fit(task.features, task.targets, hp)
@@ -152,8 +153,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise forecast.FeatureMismatch(model.feature_names, fm.feature_names)
     predictions = gbm.predict_matrix(model, fm.values)
     _emit(args.out, ["station_code", "month", "year", "wqi", "predicted_wqi"],
-          ([station, month, year, f"{current:.6f}", f"{predicted:.6f}"]
-           for (station, month, year), current, predicted in zip(keys, wqis.tolist(), predictions.tolist())))
+          [ds.station_code.tolist(), list(map(str, ds.month.tolist())), list(map(str, ds.year.tolist())),
+           *([f"{v:.6f}" for v in column.tolist()] for column in (wqis, predictions))])
     return 0
 
 
@@ -179,12 +180,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     else:
         ruleset = rules.default_ruleset()
     outcomes = [(r.name, r.suggestion) for r in (*ruleset.rules, ruleset.default_rule)]
-    matched = rules.diagnose_columns(scored, ruleset)
+    matched = rules.diagnose_columns(scored, ruleset).tolist()
     _emit(args.out, ["station_code", "month", "year", "wqi", "disease", "suggestion"],
-          ([station, month, year, f"{v_wqi:.6f}", *outcomes[pos]]
-           for station, month, year, v_wqi, pos in zip(
-               ds.station_code.tolist(), ds.month.tolist(), ds.year.tolist(), scored.wqi.tolist(),
-               matched.tolist())))
+          [ds.station_code.tolist(), list(map(str, ds.month.tolist())), list(map(str, ds.year.tolist())),
+           [f"{v:.6f}" for v in scored.wqi.tolist()],
+           *(list(map(outcome.__getitem__, matched)) for outcome in zip(*outcomes))])
     return 0
 
 
@@ -200,12 +200,13 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
         reader = csv.DictReader(io.StringIO(_read_text(args.input, newline=""), newline=""))
         if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
             raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
-        rows = [(row["actual"], row["predicted"]) for row in reader]
+        header = ["actual", "predicted"]
+        rows = list(reader)
         for i, row in enumerate(rows, start=1):
-            for name, cell in zip(("actual", "predicted"), row):
-                if ingest.coerce_numeric(cell or "") is None:
-                    raise ingest.MalformedRow(i, f"{name} is not a finite number: {cell!r}")
-        _emit(args.out_scatter, ["actual", "predicted"], rows)
+            for name in header:
+                if ingest.coerce_numeric(row[name] or "") is None:
+                    raise ingest.MalformedRow(i, f"{name} is not a finite number: {row[name]!r}")
+        _emit(args.out_scatter, header, [[row[name] for row in rows] for name in header])
     return 0
 
 
@@ -273,16 +274,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _echo_config(args)
+    # A run leaves a few hundred objects of cyclic garbage, nearly all of them
+    # argparse's, while the cyclic collector would walk the input's cell lists
+    # again and again; so the run goes without it, and the caller gets it
+    # back as it had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (AquagaugeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - internal invariant violations
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        args = build_parser().parse_args(argv)
+        _echo_config(args)
+        try:
+            return args.func(args)
+        except (AquagaugeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # pragma: no cover - internal invariant violations
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -277,9 +277,12 @@ def report_csv(report: EvalReport, keys: list[tuple[str, int, int]]) -> str:
     where the actual is 0)."""
     if len(keys) != len(report.per_example):
         raise LengthMismatch(len(report.per_example), len(keys))
+    stations, months, years = zip(*keys) if keys else ((), (), ())
+    actual, predicted, errors = zip(*report.per_example) if keys else ((), (), ())
     return csv_text(["station_code", "month", "year", "actual", "predicted", "percentile_error"],
-                    ([station, month, year, f"{a:.6f}", f"{p:.6f}", "" if e is None else f"{e:.6f}"]
-                     for (station, month, year), (a, p, e) in zip(keys, report.per_example)))
+                    [list(stations), list(map(str, months)), list(map(str, years)),
+                     [f"{a:.6f}" for a in actual], [f"{p:.6f}" for p in predicted],
+                     ["" if e is None else f"{e:.6f}" for e in errors]])
 
 
 def summary_line(report: EvalReport) -> str:
@@ -288,4 +291,5 @@ def summary_line(report: EvalReport) -> str:
 
 def curve_csv(curve: list[float]) -> str:
     """Training curve as two-column CSV (iteration, loss)."""
-    return csv_text(["iteration", "loss"], ([i, format(loss, ".17g")] for i, loss in enumerate(curve)))
+    return csv_text(["iteration", "loss"],
+                    [list(map(str, range(len(curve)))), [format(loss, ".17g") for loss in curve]])

@@ -140,6 +140,8 @@ class Hyperparams:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -25,7 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import AquagaugeError
+from .errors import AquagaugeError, LengthMismatch
 
 # The six fields consumed by the water-quality index.
 WQI_INPUTS = (
@@ -434,14 +434,46 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
                    np.array(row_ids, dtype=np.int64)[kept], values[kept], prov)
 
 
-def csv_text(header: list[str], rows) -> str:
-    """The header and rows as CSV text, in the one dialect of every CSV the
-    package writes: the csv module's minimal quoting and LF line ends."""
+# The csv module's writer quotes a cell holding the delimiter, the quote or a
+# line end, and the writer of Python 3.10 refuses NUL; csv_text hands it
+# every cell that holds one of these.
+_CSV_SPECIAL = (",", '"', "\r", "\n", "\0")
+
+
+def _written_cell(cell: str) -> str:
+    """One cell as the csv module's writer writes it in a row of its own."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([cell])
+    return buf.getvalue()[:-1]
+
+
+def _needs_writer(text: str) -> bool:
+    return any(char in text for char in _CSV_SPECIAL)
+
+
+def _csv_column(column: list[str], alone: bool) -> list[str]:
+    """The cells of one column as the csv module's writer writes them, alone
+    when it is the table's only column. The writer leaves a cell holding none
+    of _CSV_SPECIAL as it is, except that it writes the empty cell of a
+    one-column table as '""'; each other distinct cell goes through it."""
+    if not (_needs_writer("".join(column)) or alone and "" in column):
+        return column
+    written = {cell: _written_cell(cell) for cell in set(column) if _needs_writer(cell) or alone and not cell}
+    return [written.get(cell, cell) for cell in column]
+
+
+def csv_text(header: list[str], columns: list[list[str]]) -> str:
+    """The header and columns as CSV text, in the one dialect of every CSV the
+    package writes: the csv module's minimal quoting and LF line ends.
+    Each column is a list of str cells, and all have one length."""
+    if len(header) != len(columns):
+        raise LengthMismatch(len(header), len(columns))
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise LengthMismatch(min(lengths), max(lengths))
+    alone = len(columns) == 1
+    table = [_csv_column([name, *column], alone) for name, column in zip(header, columns)]
+    return "\n".join(map(",".join, zip(*table))) + "\n"
 
 
 def serialize_dataset(ds: Dataset) -> str:
@@ -449,10 +481,9 @@ def serialize_dataset(ds: Dataset) -> str:
     return csv_text(
         ["station_code", "location", "state", "temp", "do", "ph", "conductivity", "bod",
          "nitrate", "fecal_coliform", "total_coliform", "month_year"],
-        ([code, location, state, *("" if math.isnan(v) else repr(v) for v in row), f"{month}-{year}"]
-         for code, location, state, row, month, year in zip(
-             ds.station_code.tolist(), ds.location.tolist(), ds.state.tolist(), ds.values.tolist(),
-             ds.month.tolist(), ds.year.tolist())),
+        [ds.station_code.tolist(), ds.location.tolist(), ds.state.tolist(),
+         *(["" if math.isnan(v) else repr(v) for v in column] for column in ds.values.T.tolist()),
+         [f"{month}-{year}" for month, year in zip(ds.month.tolist(), ds.year.tolist())]],
     )
 
 

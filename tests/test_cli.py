@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import os
 import stat
@@ -6,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from aquagauge import wqi
 from aquagauge.cli import main
 from aquagauge.gbm import deserialize_model
 from conftest import STATION_HEADER, FIXTURE_ROWS, rows_to_csv, synthetic_station_rows
@@ -386,6 +388,15 @@ def test_negative_seed_exits_2(request, capsys, synthetic_csv_path, tmp_path, co
     assert f"error: bad --seed {seed}: seed must be >= 0" in err.splitlines()
 
 
+def test_negative_seed_without_split_exits_2(capsys, synthetic_csv_path, tmp_path):
+    model = tmp_path / "m.txt"
+    code, _, err = run(capsys, "train", "--input", synthetic_csv_path, "--model", str(model),
+                       "--out", str(tmp_path / "c.csv"), "--split", "all", "--seed", "-5")
+    assert code == 2
+    assert "error: seed must be >= 0" in err.splitlines()
+    assert not model.exists()
+
+
 @pytest.fixture
 def umask_022():
     old = os.umask(0o022)
@@ -434,6 +445,43 @@ def test_golden_output_csv(capsys, fixture_csv_path, synthetic_csv_path, trained
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[data, command, mode]
 
 
+# sha256 of the train curve, the evaluate report and the two plot-data CSVs
+# on the synthetic fixture, computed with the row-at-a-time writer that the
+# column writer replaced.
+GOLDEN_TABLE_SHA256 = {
+    "curve": "e29353e0b58185691437aa3a8d2347cf551bccfc438df5cb055160474620def1",
+    "report": "713bb280c1ccbe0d0f35d6460a4db850654a459b1b594c4979b042c1c687092a",
+    "loss": "e29353e0b58185691437aa3a8d2347cf551bccfc438df5cb055160474620def1",
+    "scatter": "f98d7a30d95cb023aefc2c8ade58505050692290cc81796f3ae8c8718c965d44",
+}
+
+
+def test_golden_model_side_csvs(capsys, synthetic_csv_path, tmp_path):
+    out = {name: tmp_path / f"{name}.csv" for name in GOLDEN_TABLE_SHA256}
+    model = str(tmp_path / "model.txt")
+    for argv in (
+        ["train", "--input", synthetic_csv_path, "--model", model, "--out", str(out["curve"]), *TRAIN_ARGS],
+        ["evaluate", "--input", synthetic_csv_path, "--model", model, "--out", str(out["report"])],
+        ["plot-data", "--model", model, "--input", str(out["report"]),
+         "--out-curve", str(out["loss"]), "--out-scatter", str(out["scatter"])],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()} == GOLDEN_TABLE_SHA256
+
+
+# sha256 of every CSV of the quoted station code below, computed with the
+# row-at-a-time writer.
+QUOTED_CODE_SHA256 = {
+    "wqi": "860e16c49871490b8ad5a534335f1e0600ab8a95eb6dc8599091bc4df7dc9440",
+    "diagnose": "c194c903af358a396a80d93bb8cd2784770b9103a519c116007872bdb2444db4",
+    "predict": "a9d468640dbdd46c5562c9ece1e708071dac0b597e7463216162cb6eaa55926d",
+    "curve": "3fa32716f6083f7ec6bc6c30602e7b64df573f954761fdbe44d7cf812ce0fcca",
+    "report": "c2abb43658c19f97a672d4d19bf7787a4328e6dc4cb61edb7871ece73729f913",
+    "loss": "3fa32716f6083f7ec6bc6c30602e7b64df573f954761fdbe44d7cf812ce0fcca",
+    "scatter": "370fee6ac98450780d11f20e4551d8f836876f97a9491e319018d934bff3a35b",
+}
+
+
 def test_every_csv_shares_one_dialect(capsys, tmp_path):
     """A station code that needs quoting survives every CSV the commands
     write, and every file ends its lines with LF alone."""
@@ -441,8 +489,7 @@ def test_every_csv_shares_one_dialect(capsys, tmp_path):
     rows = [[row[0], code if row[1] == "2003" else row[1], *row[2:]] for row in synthetic_station_rows()]
     data, model = tmp_path / "odd.csv", tmp_path / "model.txt"
     data.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
-    out = {name: tmp_path / f"{name}.csv"
-           for name in ("wqi", "diagnose", "predict", "curve", "report", "loss", "scatter")}
+    out = {name: tmp_path / f"{name}.csv" for name in QUOTED_CODE_SHA256}
     commands = [
         ["wqi", "--input", str(data), "--out", str(out["wqi"])],
         ["diagnose", "--input", str(data), "--out", str(out["diagnose"])],
@@ -464,3 +511,56 @@ def test_every_csv_shares_one_dialect(capsys, tmp_path):
         assert len({len(record) for record in table}) == 1, name
         if name in ("wqi", "diagnose", "predict", "report"):
             assert code in [record[0] for record in table[1:]], name
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()} == QUOTED_CODE_SHA256
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run the test with the cyclic collector on or off, and put it back after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _internal_error(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "exit-3", "usage"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, fixture_csv_path, tmp_path,
+                                                   collector, outcome):
+    argv = ["wqi", "--input", fixture_csv_path if outcome != "exit-2" else str(tmp_path / "absent.csv")]
+    if outcome == "exit-3":
+        monkeypatch.setattr(wqi, "score_columns", _internal_error)
+    if outcome == "usage":
+        with pytest.raises(SystemExit):
+            main(["wqi", "--no-such-flag"])
+    else:
+        assert run(capsys, *argv)[0] == int(outcome[-1])
+    assert gc.isenabled() is collector
+
+
+def test_a_run_builds_no_cycles_per_row(capsys, tmp_path):
+    """A collector-free run leaves a fixed few hundred objects of cyclic
+    garbage, nearly all of them argparse's (394 on Python 3.11), whatever the
+    input's size; a cycle built per row of this 1200-row input would leave
+    more than the bound."""
+    data, model = tmp_path / "big.csv", str(tmp_path / "model.txt")
+    data.write_text(rows_to_csv(STATION_HEADER, synthetic_station_rows(n_stations=150, n_periods=8)),
+                    encoding="utf-8")
+    runs = [
+        ["train", "--input", str(data), "--model", model, "--out", str(tmp_path / "c.csv"), *TRAIN_ARGS],
+        ["diagnose", "--input", str(data), "--out", str(tmp_path / "d.csv")],
+        ["predict", "--input", str(data), "--model", model, "--out", str(tmp_path / "p.csv")],
+    ]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in runs:
+            gc.collect()
+            assert run(capsys, *argv)[0] == 0, argv
+            assert gc.collect() < 1000, argv[0]
+    finally:
+        if was:
+            gc.enable()

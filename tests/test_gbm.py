@@ -1113,6 +1113,10 @@ class TestLoaderRejects:
         with pytest.raises(CorruptHeader):
             deserialize_model(self._mutate("learning_rate=", lambda _: f"learning_rate={value}"))
 
+    def test_negative_seed(self):
+        with pytest.raises(CorruptHeader, match="seed must be >= 0"):
+            deserialize_model(self._mutate("seed=", lambda _: "seed=-5"))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_training_curve(self, value):
         text = self._mutate("training_curve=", lambda line: re.sub(r",[^,]+", f",{value}", line, 1))

@@ -1,4 +1,7 @@
 import ast
+import csv
+import hashlib
+import io
 import math
 import re
 import statistics
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from aquagauge.errors import LengthMismatch
 from aquagauge.ingest import (
     MISSING_TOKENS,
     AllMissingColumn,
@@ -16,6 +20,7 @@ from aquagauge.ingest import (
     MissingColumn,
     coerce_numeric,
     column_median,
+    csv_text,
     impute_missing,
     normalize_column,
     parse_dataset,
@@ -228,6 +233,15 @@ class TestRoundTrip:
         assert reparsed.samples == ds.samples
         assert reparsed.provenance.dropped == []
 
+    # computed with the row-at-a-time writer that the column writer replaced
+    @pytest.mark.parametrize("fixture,sha256", [
+        ("station_fixture_csv", "efecd07679e3c3510628d1c050f20cd6ebd2992459f28a1c020714589029c715"),
+        ("synthetic_station_csv", "4fe235a4b6c55af179543c1c5269c49c6e2612eb30868af36a9e516c70ecbd14"),
+    ])
+    def test_golden_serialized_text(self, request, fixture, sha256):
+        text = serialize_dataset(parse_dataset(request.getfixturevalue(fixture)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
     def test_round_trip_preserves_missing(self):
         row = list(FIXTURE_ROWS[0])
         row[4] = ""  # temp missing
@@ -345,3 +359,48 @@ class TestColumnMedian:
         big = [-1.7e308, 1e308, 1.7e308, 1.7e308]
         assert column_median(np.array(big)) == 1e308 / 2 + 1.7e308 / 2
         assert column_median(np.array([-1.7e308, -1.7e308])) == -1.7e308
+
+
+def _row_writer_text(header: list[str], columns: list[list[str]]) -> str:
+    """The reference: the csv module's writer, fed one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue()
+
+
+# Every character the csv module may quote or refuse, line boundaries it
+# does not quote, a lone surrogate and plain text.
+_CSV_CELL = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "\0", "\u2028", "\ud800", " ", "õ", "7", ""]),
+                     max_size=3).map("".join)
+
+
+@st.composite
+def _tables(draw) -> tuple[list[str], list[list[str]]]:
+    width, height = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    header = draw(st.lists(_CSV_CELL, min_size=width, max_size=width))
+    return header, [draw(st.lists(_CSV_CELL, min_size=height, max_size=height)) for _ in range(width)]
+
+
+class TestCsvText:
+    @given(_tables())
+    @example((["a"], [["", "x"]]))  # a one-cell row holding the empty string
+    @example((["a", "b"], [["", "1,5"], ["", ""]]))
+    def test_matches_the_row_writer(self, table):
+        try:
+            expected = _row_writer_text(*table)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                csv_text(*table)
+        else:
+            assert csv_text(*table) == expected
+
+    @pytest.mark.parametrize("header,columns", [
+        (["a", "b"], [["1", "2"], ["3"]]),
+        (["a", "b"], [["1"], ["2", "3"]]),
+        (["a", "b"], [["1"]]),
+    ])
+    def test_unequal_columns_raise(self, header, columns):
+        with pytest.raises(LengthMismatch):
+            csv_text(header, columns)

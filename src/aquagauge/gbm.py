@@ -170,7 +170,9 @@ class RegressionTree:
     """Binary CART tree as parallel node arrays; node 0 is the root. Node i
     is a leaf when feature[i] < 0, with output value[i] and training row count
     count[i]; otherwise rows with x[feature[i]] <= threshold[i] go to left[i]
-    and the rest to right[i]. Unused fields hold -1 or 0."""
+    and the rest to right[i]. Unused fields hold -1 or 0. fit_tree numbers
+    the nodes in preorder, left subtree first (left[i] == i + 1), and the
+    model loader accepts no other numbering."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -562,6 +564,9 @@ def _finite(text: str) -> float:
 # model header, with the parser of its header value.
 _HP_FIELDS = [(f.name, _finite if isinstance(f.default, float) else int) for f in fields(Hyperparams)]
 
+# The header keys in the order the writer writes them and the loader reads them.
+_HEADER_KEYS = ("loss", *(name for name, _ in _HP_FIELDS), "f0", "feature_names", "training_curve")
+
 
 def _valid_feature_names(names: list[str]) -> bool:
     """Whether names can be a model file's feature_names: unique, each
@@ -574,15 +579,15 @@ def serialize_model(model: GbmModel) -> str:
     if not _valid_feature_names(model.feature_names):
         raise ValueError(f"feature names not serializable: {model.feature_names!r}")
     hp = model.hyperparams
-    lines = [
-        MODEL_MAGIC,
-        f"version {MODEL_VERSION}",
-        f"loss={SQUARED_ERROR}",
-        *(f"{name}={(_fmt if parse is _finite else str)(getattr(hp, name))}" for name, parse in _HP_FIELDS),
-        f"f0={_fmt(model.f0)}",
-        "feature_names=" + ",".join(model.feature_names),
-        "training_curve=" + ",".join(_fmt(v) for v in model.training_curve),
-    ]
+    values = (
+        SQUARED_ERROR,
+        *((_fmt if parse is _finite else str)(getattr(hp, name)) for name, parse in _HP_FIELDS),
+        _fmt(model.f0),
+        ",".join(model.feature_names),
+        ",".join(_fmt(v) for v in model.training_curve),
+    )
+    lines = [MODEL_MAGIC, f"version {MODEL_VERSION}"]
+    lines += (f"{key}={value}" for key, value in zip(_HEADER_KEYS, values, strict=True))
     for t, tree in enumerate(model.trees):
         lines.append(f"tree {t} nodes {tree.feature.size}")
         columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
@@ -594,7 +599,7 @@ def serialize_model(model: GbmModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TREE_HEADER_RE = re.compile(r"^tree (\d+) nodes (\d+)$")
+_TREE_HEADER_RE = re.compile(r"^tree (\d+) nodes (\d+)$", re.ASCII)
 
 
 def _int_in(text: str, lo: int, hi: int) -> int:
@@ -603,25 +608,6 @@ def _int_in(text: str, lo: int, hi: int) -> int:
     if not lo <= value < hi:
         raise ValueError(f"{text!r} is outside [{lo}, {hi})")
     return value
-
-
-def _checked_tree(rows: list[tuple]) -> RegressionTree:
-    """The tree of parsed node rows, whose fields the parser has range-checked.
-    Rejects any node graph but one tree rooted at node 0."""
-    tree = RegressionTree.from_rows(rows)
-    k = tree.feature.size
-    inner = tree.feature >= 0
-    parents = np.bincount(np.concatenate((tree.left[inner], tree.right[inner])), minlength=k)
-    if parents[0] != 0:
-        raise CorruptNode(0, "root has a parent")
-    bad = np.flatnonzero(parents[1:] != 1) + 1
-    if bad.size:
-        raise CorruptNode(int(bad[0]), f"node has {parents[bad[0]]} parents, expected 1")
-    # One parent per non-root node still allows a cycle apart from the root
-    # (an unreachable self-loop, say), so the root must reach every node.
-    if sum(level.size for level in _levels(tree)) != k:
-        raise CorruptNode(0, "not every node is reachable from the root")
-    return tree
 
 
 def deserialize_model(text: str) -> GbmModel:
@@ -635,24 +621,16 @@ def deserialize_model(text: str) -> GbmModel:
     if version != str(MODEL_VERSION):
         raise UnsupportedVersion(version)
 
-    required = ("loss", *(name for name, _ in _HP_FIELDS), "f0", "feature_names")
     header: dict[str, str] = {}
-    pos = 2
-    while pos < len(lines) and not lines[pos].startswith("tree "):
-        line = lines[pos]
-        if "=" not in line:
-            raise CorruptHeader(f"expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        if key not in required and key != "training_curve":
-            raise CorruptHeader(f"unknown key {key!r}")
-        if key in header:
-            raise CorruptHeader(f"duplicate key {key!r}")
-        header[key] = value
-        pos += 1
+    for pos, key in enumerate(_HEADER_KEYS, 2):
+        line = lines[pos] if pos < len(lines) else None
+        if key == "training_curve" and (line is None or line.startswith("tree ")):
+            break  # the one key a file may leave out
+        if line is None or not line.startswith(key + "="):
+            raise CorruptHeader(f"expected {key}= on line {pos + 1}, got {line!r}")
+        header[key] = line[len(key) + 1 :]
+    pos = 2 + len(header)
 
-    for key in required:
-        if key not in header:
-            raise CorruptHeader(f"missing key {key!r}")
     if header["loss"] != SQUARED_ERROR:
         raise CorruptHeader(f"unknown loss {header['loss']!r}")
     try:
@@ -679,6 +657,7 @@ def deserialize_model(text: str) -> GbmModel:
             raise CorruptNode(0, "tree has no nodes")
         pos += 1
         nodes = []
+        pending = []  # right-child ids still to come, innermost last
         for j in range(k):
             if pos >= len(lines):
                 raise CorruptNode(j, "unexpected end of input inside tree block")
@@ -689,14 +668,21 @@ def deserialize_model(text: str) -> GbmModel:
                     feature = _int_in(parts[1], 0, len(feature_names))
                     left, right = _int_in(parts[3], 0, k), _int_in(parts[4], 0, k)
                     nodes.append((feature, _finite(parts[2]), left, right, 0.0, 0))
+                    pending.append(right)
+                    next_id = left
                 elif parts and parts[0] == "L" and len(parts) == 3:
                     # train_count >= 1, and < 2**63 to fit the count array
                     nodes.append((-1, 0.0, -1, -1, _finite(parts[1]), _int_in(parts[2], 1, 2**63)))
+                    next_id = pending.pop() if pending else k  # k: the block ends here
                 else:
                     raise CorruptNode(j, f"unrecognized node line: {' '.join(parts)!r}")
             except ValueError as exc:
                 raise CorruptNode(j, f"bad numeric field: {exc}") from exc
-        trees.append(_checked_tree(nodes))
+            # Trees are stored in preorder, left subtree first: the child
+            # range above keeps a right id from reading as the block's end.
+            if next_id != j + 1:
+                raise CorruptNode(j, f"preorder puts node {next_id} after it, not node {j + 1}")
+        trees.append(RegressionTree.from_rows(nodes))
 
     if len(trees) > hp.n_trees:
         raise CorruptHeader(f"file holds {len(trees)} trees but n_trees={hp.n_trees}")

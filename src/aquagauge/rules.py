@@ -95,10 +95,13 @@ DEFAULT_RULE = Rule(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleSet:
-    rules: list[Rule]  # sorted by descending priority
+    rules: tuple[Rule, ...]  # sorted by descending priority; a list is stored as a tuple
     default_rule: Rule = DEFAULT_RULE
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
 
 
 @dataclass

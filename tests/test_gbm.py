@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,26 +390,32 @@ def traversal_cases(draw):
     x = np.array(draw(st.lists(cell, min_size=n * n_features, max_size=n * n_features)),
                  dtype=np.float64).reshape(n, n_features)
     leaf_value = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e-3, 1e-3), st.floats(-1e9, 1e9))
+    thresholds = [st.sampled_from(x[:, f].tolist()) for f in range(n_features)]
+    trees = [tree_of(draw_preorder_nodes(draw, thresholds, leaf_value)) for _ in range(draw(st.integers(1, 4)))]
+    return x, draw(st.floats(-1e6, 1e6)), trees
 
-    def grow(nodes, depth):
+
+def draw_preorder_nodes(draw, thresholds: list, leaf_value) -> list[tuple]:
+    """The node_view of a random tree of depth at most 4, numbered in
+    preorder (left subtree first): an internal node splits feature f at a
+    draw of thresholds[f], and a leaf holds a draw of leaf_value."""
+    nodes = []
+
+    def grow(depth):
         node_id = len(nodes)
         nodes.append(None)
         if depth == 4 or draw(st.booleans()):
             nodes[node_id] = ("L", draw(leaf_value), draw(st.integers(1, 50)))
         else:
-            f = draw(st.integers(0, n_features - 1))
-            threshold = draw(st.sampled_from(x[:, f].tolist()))
-            left = grow(nodes, depth + 1)
-            right = grow(nodes, depth + 1)
+            f = draw(st.integers(0, len(thresholds) - 1))
+            threshold = draw(thresholds[f])
+            left = grow(depth + 1)
+            right = grow(depth + 1)
             nodes[node_id] = ("I", f, threshold, left, right)
         return node_id
 
-    trees = []
-    for _ in range(draw(st.integers(1, 4))):
-        nodes = []
-        grow(nodes, 0)
-        trees.append(tree_of(nodes))
-    return x, draw(st.floats(-1e6, 1e6)), trees
+    grow(0)
+    return nodes
 
 
 def traversal_layouts(x: np.ndarray) -> dict[str, np.ndarray]:
@@ -842,6 +849,14 @@ class TestSerialization:
             return
         assert deserialize_model(text).feature_names == names
 
+    def test_committed_v1_file_loads_and_writes_back(self):
+        """A model file written before the loader read the header in the
+        writer's order and each tree in preorder still loads, unchanged."""
+        data = (Path(__file__).parent / "data" / "golden_model_v1.txt").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_MODEL_SHA256
+        text = data.decode("utf-8")
+        assert serialize_model(deserialize_model(text)) == text
+
 
 class TestPresortedFitter:
     @settings(max_examples=300, deadline=None)
@@ -1165,12 +1180,59 @@ class TestLoaderRejects:
                      id="unreachable-self-loop"),
         pytest.param([("I", 0, 0.5, 1, 2), ("L", 1.0, 1), ("L", 2.0, 1), ("I", 0, 0.5, 4, 5),
                       ("I", 0, 0.5, 3, 6), ("L", 3.0, 1), ("L", 4.0, 1)], id="unreachable-cycle"),
+        pytest.param([("I", 0, 0.5, 2, 1), ("L", 1.0, 1), ("L", 2.0, 1)], id="right-child-first"),
+        pytest.param([("I", 0, 0.5, 1, 2), ("I", 0, 0.2, 3, 4), ("L", 1.0, 1), ("L", 2.0, 1),
+                      ("L", 3.0, 1)], id="breadth-first"),
     ])
     def test_not_one_tree(self, nodes):
         model = GbmModel(f0=0.0, trees=[tree_of(nodes)], hyperparams=Hyperparams(),
                          training_curve=[0.0, 0.0], feature_names=["a"])
         with pytest.raises(CorruptNode):
             deserialize_model(serialize_model(model))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_preorder_tree_loads_and_relabelled_tree_does_not(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        nodes = draw_preorder_nodes(data.draw, [finite] * 3, finite)
+        model = GbmModel(f0=0.0, trees=[tree_of(nodes)], hyperparams=Hyperparams(),
+                         training_curve=[0.0, 0.0], feature_names=["a", "b", "c"])
+        (got,) = deserialize_model(serialize_model(model)).trees
+        for name in TREE_FIELDS:
+            want = getattr(model.trees[0], name)
+            assert getattr(got, name).dtype == want.dtype
+            assert getattr(got, name).tobytes() == want.tobytes(), name
+
+        assume(len(nodes) >= 3)
+        perm = data.draw(st.permutations(range(1, len(nodes))))
+        assume(perm != list(range(1, len(nodes))))
+        new_id = [0, *perm]  # node 0 stays the root
+        relabelled = [None] * len(nodes)
+        for old, node in enumerate(nodes):
+            relabelled[new_id[old]] = node if node[0] == "L" else (*node[:3], new_id[node[3]], new_id[node[4]])
+        model.trees = [tree_of(relabelled)]
+        with pytest.raises(CorruptNode):
+            deserialize_model(serialize_model(model))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations(range(len(gbm._HEADER_KEYS))))
+    @example([0, 1, 2, 3, 4, 5, 6, 8, 7, 9])  # f0 and feature_names swapped
+    def test_header_lines_out_of_order(self, perm):
+        assume(perm != sorted(perm))
+        lines = _small_model_text().splitlines()
+        header = lines[2 : 2 + len(perm)]
+        lines[2 : 2 + len(perm)] = [header[i] for i in perm]
+        with pytest.raises(CorruptHeader):
+            deserialize_model("\n".join(lines) + "\n")
+
+    def test_non_ascii_digits_in_tree_block_header(self):
+        arabic_indic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+        with pytest.raises(CorruptNode):
+            deserialize_model(self._mutate("tree 0 ", lambda line: line.translate(arabic_indic)))
+
+    def test_key_after_training_curve_is_a_bad_tree_header(self):
+        with pytest.raises(CorruptNode, match="bad tree block header"):
+            deserialize_model(self._mutate("training_curve=", lambda line: line + "\nseed=0"))
 
     def test_duplicate_feature_names(self):
         with pytest.raises(CorruptHeader):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from importlib import resources
@@ -56,8 +57,15 @@ class TestLoadRules:
 
     def test_empty_text_gives_default_only(self):
         rs = load_rules("# nothing here\n\n")
-        assert rs.rules == []
+        assert rs.rules == ()
         assert rs.default_rule.name == "No Disease"
+
+    def test_ruleset_is_frozen(self):
+        rs = default_ruleset()
+        with pytest.raises(AttributeError):
+            rs.rules.append(rs.default_rule)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rs.default_rule = rs.rules[0]
 
     def test_unknown_field(self):
         with pytest.raises(UnknownField):

@@ -21,9 +21,7 @@ from .gbm import (
     deserialize_model,
     fit_tree,
     gbm_fit,
-    gbm_predict,
     init_constant,
-    line_search_leaf,
     negative_gradient,
     predict_matrix,
     serialize_model,
@@ -35,7 +33,6 @@ from .ingest import (
     impute_missing,
     parse_dataset,
     parse_month_year,
-    serialize_dataset,
 )
 from .rules import Diagnosis, Rule, RuleSet, default_ruleset, diagnose, load_rules
 from .wqi import (
@@ -45,9 +42,6 @@ from .wqi import (
     WeightedScores,
     WqiRecord,
     compute_wqi,
-    reachable_wqi_values,
-    sub_index,
-    weighted_scores,
 )
 
 __version__ = "0.1.0"

@@ -160,7 +160,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = gbm.deserialize_model(_read_text(args.model))
-    task = _task(args, 1)
+    seed = model.hyperparams.seed  # the --seed that train split with
+    if args.seed is None:
+        args.seed = seed
+        print(f"log: seed={seed} (from the model file)", file=sys.stderr)
+    task = _task(args, 1)  # first, so a negative --seed gets its own message
+    if args.seed != seed and _parse_split(args.split) is not None:
+        raise AquagaugeError(f"--seed {args.seed} differs from the model's split seed {seed}: "
+                             "the test side would hold stations the model was trained on")
     if len(task) == 0:
         raise AquagaugeError("evaluation task is empty")
     report = forecast.evaluate(model, task)
@@ -189,24 +196,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_data(args: argparse.Namespace) -> int:
-    if not (args.model or args.input):
-        raise AquagaugeError("nothing to plot: give --model and/or --input")
-    if args.model:
-        model = gbm.deserialize_model(_read_text(args.model))
-        if not model.training_curve:
-            raise AquagaugeError("model file carries no training curve")
-        _atomic_write(args.out_curve, forecast.curve_csv(model.training_curve))
-    if args.input:
-        reader = csv.DictReader(io.StringIO(_read_text(args.input, newline=""), newline=""))
-        if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
-            raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
-        header = ["actual", "predicted"]
-        rows = list(reader)
-        for i, row in enumerate(rows, start=1):
-            for name in header:
-                if ingest.coerce_numeric(row[name] or "") is None:
-                    raise ingest.MalformedRow(i, f"{name} is not a finite number: {row[name]!r}")
-        _emit(args.out_scatter, header, [[row[name] for row in rows] for name in header])
+    reader = csv.DictReader(io.StringIO(_read_text(args.input, newline=""), newline=""))
+    if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
+        raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
+    header = ["actual", "predicted"]
+    rows = list(reader)
+    for i, row in enumerate(rows, start=1):
+        for name in header:
+            if ingest.coerce_numeric(row[name] or "") is None:
+                raise ingest.MalformedRow(i, f"{name} is not a finite number: {row[name]!r}")
+    _emit(args.out_scatter, header, [[row[name] for row in rows] for name in header])
     return 0
 
 
@@ -254,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="eval_report.csv", help="per-example report CSV path")
     p.add_argument("--split", default="station:0.2",
                    help="'all' or 'station:<test fraction>'; evaluation uses the test side")
-    p.add_argument("--seed", type=int, default=gbm.Hyperparams.seed, help="seed of the station split")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the station split (default: the model's); another seed exits 2")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("diagnose", help="disease diagnosis per sample from the rule file")
@@ -263,10 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("plot-data", help="export plottable CSVs (loss curve, actual-vs-predicted)")
-    p.add_argument("--model", default=None, help="model file; exports its training curve")
-    p.add_argument("--input", default=None, help="evaluate's per-example CSV; exports the scatter")
-    p.add_argument("--out-curve", default="loss_curve.csv")
+    p = sub.add_parser("plot-data", help="export the actual-vs-predicted scatter CSV of an evaluate report")
+    p.add_argument("--input", required=True, help="evaluate's per-example CSV")
     p.add_argument("--out-scatter", default="actual_vs_predicted.csv")
     p.set_defaults(func=cmd_plot_data)
 

@@ -78,11 +78,6 @@ class EmptyTargets(GbmError):
         super().__init__("targets are empty")
 
 
-class EmptyLeaf(GbmError):
-    def __init__(self):
-        super().__init__("leaf has no members")
-
-
 class ArityMismatch(GbmError):
     def __init__(self, expected: int, got: int):
         super().__init__(f"row has {got} features, model expects {expected}")
@@ -218,14 +213,6 @@ def negative_gradient(targets, predictions) -> np.ndarray:
     if y.shape != f.shape:
         raise LengthMismatch(y.size, f.size)
     return y - f
-
-
-def line_search_leaf(residuals_in_leaf) -> float:
-    """Optimal per-leaf step for squared error: the mean residual."""
-    r = np.asarray(residuals_in_leaf, dtype=np.float64)
-    if r.size == 0:
-        raise EmptyLeaf()
-    return _stats(r)[0]
 
 
 def _stats(values: np.ndarray) -> tuple[float, float]:
@@ -526,11 +513,6 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     )
 
 
-def gbm_predict(model: GbmModel, row) -> float:
-    """Ensemble prediction for one feature row: predict_matrix of that row."""
-    return float(predict_matrix(model, np.asarray(row, dtype=np.float64).reshape(1, -1))[0])
-
-
 def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
     """Ensemble predictions for every row of x: f0 plus every tree's output.
 
@@ -552,9 +534,22 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _numeral(text: str) -> str:
+    """text, if it is ASCII and holds no '_' and no surrounding whitespace;
+    else ValueError. int() and float() take Unicode digits, '_' separators and
+    surrounding whitespace, none of which the writer writes."""
+    if not text.isascii() or "_" in text or text.strip() != text:
+        raise ValueError(f"not an ASCII numeral: {text!r}")
+    return text
+
+
+def _int(text: str) -> int:
+    return int(_numeral(text))
+
+
 def _finite(text: str) -> float:
-    """float(text), raising ValueError for NaN and infinities."""
-    value = float(text)
+    """float(text) of an ASCII numeral, raising ValueError for NaN and infinities."""
+    value = float(_numeral(text))
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value
@@ -562,7 +557,7 @@ def _finite(text: str) -> float:
 
 # Each Hyperparams field, in declaration order, which is its order in the
 # model header, with the parser of its header value.
-_HP_FIELDS = [(f.name, _finite if isinstance(f.default, float) else int) for f in fields(Hyperparams)]
+_HP_FIELDS = [(f.name, _finite if isinstance(f.default, float) else _int) for f in fields(Hyperparams)]
 
 # The header keys in the order the writer writes them and the loader reads them.
 _HEADER_KEYS = ("loss", *(name for name, _ in _HP_FIELDS), "f0", "feature_names", "training_curve")
@@ -603,8 +598,8 @@ _TREE_HEADER_RE = re.compile(r"^tree (\d+) nodes (\d+)$", re.ASCII)
 
 
 def _int_in(text: str, lo: int, hi: int) -> int:
-    """int(text), raising ValueError unless lo <= value < hi."""
-    value = int(text)
+    """int(text) of an ASCII numeral, raising ValueError unless lo <= value < hi."""
+    value = _int(text)
     if not lo <= value < hi:
         raise ValueError(f"{text!r} is outside [{lo}, {hi})")
     return value

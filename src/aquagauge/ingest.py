@@ -476,17 +476,6 @@ def csv_text(header: list[str], columns: list[list[str]]) -> str:
     return "\n".join(map(",".join, zip(*table))) + "\n"
 
 
-def serialize_dataset(ds: Dataset) -> str:
-    """Write a dataset back to CSV text that reparses to identical samples."""
-    return csv_text(
-        ["station_code", "location", "state", "temp", "do", "ph", "conductivity", "bod",
-         "nitrate", "fecal_coliform", "total_coliform", "month_year"],
-        [ds.station_code.tolist(), ds.location.tolist(), ds.state.tolist(),
-         *(["" if math.isnan(v) else repr(v) for v in column] for column in ds.values.T.tolist()),
-         [f"{month}-{year}" for month, year in zip(ds.month.tolist(), ds.year.tolist())]],
-    )
-
-
 def column_median(observed: np.ndarray) -> float:
     """The median of a non-empty, NaN-free float64 array.
 

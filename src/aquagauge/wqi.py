@@ -18,17 +18,13 @@ representable).
 
 :func:`score_columns` scores a whole dataset from its float64 input columns
 with numpy masks over the band tables; it is the only scoring code.
-:func:`sub_index`, :func:`weighted_scores` and :func:`compute_wqi` score one
-sample as one-row calls of it, and :func:`reachable_wqi_values` runs its
-weighted sum over every combination of sub-index scores.
+:func:`compute_wqi` scores one sample as a one-row call of it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -148,40 +144,21 @@ class WqiRecord:
     mode: str
 
 
-def _check(kind: str, value: float, mode: str) -> None:
-    if kind not in _BANDS:
-        raise ValueError(f"unknown sub-index kind: {kind!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
-    if not math.isfinite(value):
-        raise NonFinite(value, context=f"{kind} value")
-
-
-def sub_index(kind: str, value: float, mode: str = NORMATIVE) -> int:
-    """Score one parameter value into {0, 40, 60, 80, 100}."""
-    _check(kind, value, mode)
-    return int(_score_column(kind, np.array([value], dtype=np.float64), mode)[0])
-
-
-def weighted_scores(sub: SubIndices) -> WeightedScores:
-    """Scale each sub-index by its fixed weight."""
-    weighted, _ = _weigh(np.array([sub.as_tuple()]))
-    return WeightedScores(*weighted[0].tolist())
-
-
 def compute_wqi(sample: WaterSample, mode: str = NORMATIVE) -> WqiRecord:
     """Score a sample end to end: sub-indices, weighted scores, aggregate WQI.
 
     Requires all six inputs present (pH, DO, BOD, conductivity, nitrate and
     total coliform; total, not fecal, feeds the coliform sub-index). A NaN or
-    infinite input raises NonFinite, as :func:`sub_index` does.
+    infinite input raises NonFinite, and an unknown mode ValueError.
     """
     missing = sample.missing_wqi_inputs()
     if missing:
         raise MissingInput(missing)
     values = [getattr(sample, name) for name in WQI_INPUTS]
-    for kind, value in zip(SUB_INDEX_KINDS, values):
-        _check(kind, value, mode)
+    if mode in MODES:  # score_columns names a bad mode before any value
+        for kind, value in zip(SUB_INDEX_KINDS, values):
+            if not math.isfinite(value):  # NaN too: score_columns would call it missing
+                raise NonFinite(value, context=f"{kind} value")
     cols = score_columns(np.array([values], dtype=np.float64), mode)
     return WqiRecord(sample=sample, sub=SubIndices(*cols.sub[0].tolist()),
                      weighted=WeightedScores(*cols.weighted[0].tolist()), wqi=float(cols.wqi[0]), mode=mode)
@@ -243,14 +220,3 @@ def _weigh(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, len(SUB_INDEX_KINDS)):
         wqi += weighted[:, j]
     return weighted, wqi
-
-
-@lru_cache(maxsize=1)
-def reachable_wqi_values() -> frozenset[float]:
-    """Every WQI value producible by some combination of sub-index scores.
-
-    Uses the same weighted sum as :func:`score_columns`, so membership is
-    exact float equality.
-    """
-    combos = np.array(list(itertools.product(SUB_INDEX_SCORES, repeat=len(SUB_INDEX_KINDS))))
-    return frozenset(_weigh(combos)[1].tolist())

@@ -1,10 +1,11 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
-from aquagauge.ingest import Dataset, Provenance, WaterSample
+from aquagauge.ingest import Dataset, Provenance, WaterSample, csv_text
 
 # Header spelled the way real station exports print it, units and all.
 STATION_HEADER = [
@@ -43,6 +44,17 @@ def rows_to_csv(header, rows) -> str:
 @pytest.fixture
 def station_fixture_csv() -> str:
     return rows_to_csv(STATION_HEADER, FIXTURE_ROWS)
+
+
+def serialize_dataset(ds: Dataset) -> str:
+    """Write a dataset back to CSV text that reparses to identical samples."""
+    return csv_text(
+        ["station_code", "location", "state", "temp", "do", "ph", "conductivity", "bod",
+         "nitrate", "fecal_coliform", "total_coliform", "month_year"],
+        [ds.station_code.tolist(), ds.location.tolist(), ds.state.tolist(),
+         *(["" if math.isnan(v) else repr(v) for v in column] for column in ds.values.T.tolist()),
+         [f"{month}-{year}" for month, year in zip(ds.month.tolist(), ds.year.tolist())]],
+    )
 
 
 def mk_sample(

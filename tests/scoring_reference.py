@@ -1,12 +1,13 @@
 """Frozen one-sample scoring and rule matching: the oracle for the column path.
 
-``sub_index``, ``weighted_scores``, ``compute_wqi``, ``reachable_wqi_values``
-and ``diagnose`` in the package are one-row calls of ``score_columns`` and
-``diagnose_columns``. The functions here are the scalar implementations they
-replaced: a band loop, a weighted sum written out term by term, and a rule
-matcher that reads one field at a time. Tests compare the column code with
-them, never with itself. Only the band tables, the weights and the record
-types are shared with the package.
+``compute_wqi`` and ``diagnose`` in the package are one-row calls of
+``score_columns`` and ``diagnose_columns``. The functions here are the scalar
+implementations the column code replaced: a band loop per parameter
+(``loop_sub_index``), a weighted sum written out term by term
+(``loop_weighted_scores``, and ``loop_reachable_wqi_values`` over every
+combination of sub-index scores), and a rule matcher that reads one field at
+a time. Tests compare the column code with them, never with itself. Only the
+band tables, the weights and the record types are shared with the package.
 """
 
 import itertools

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aquagauge import wqi
 from aquagauge.cli import main
@@ -286,10 +289,12 @@ REPORT_HEADER = "station_code,month,year,actual,predicted,percentile_error"
 
 
 class TestPlotDataCommand:
-    def test_curve_export(self, capsys, trained_model_path, tmp_path):
+    def test_curve_export(self, capsys, synthetic_csv_path, tmp_path):
+        """The loss curve to plot is the CSV that train --out writes."""
         curve_path = tmp_path / "curve_data.csv"
-        code, _, _ = run(capsys, "plot-data", "--model", trained_model_path,
-                         "--out-curve", str(curve_path))
+        code, _, _ = run(capsys, "train", "--input", synthetic_csv_path,
+                         "--model", str(tmp_path / "model.txt"), "--out", str(curve_path),
+                         *TRAIN_ARGS)
         assert code == 0
         lines = curve_path.read_text().splitlines()
         assert lines[0] == "iteration,loss"
@@ -324,9 +329,10 @@ class TestPlotDataCommand:
         assert not scatter_path.exists()
 
     def test_no_inputs_exits_2(self, capsys):
-        code, _, err = run(capsys, "plot-data")
-        assert code == 2
-        assert "nothing to plot" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["plot-data"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --input" in capsys.readouterr().err
 
 
 LATIN1 = b"Dh\xe2ka"  # 'Dhâka' in Latin-1: \xe2 starts no valid UTF-8 sequence here
@@ -368,14 +374,33 @@ def test_seed_only_on_split_commands(capsys, synthetic_csv_path, tmp_path):
                        "--out", str(tmp_path / "c.csv"), "--seed", "1", *TRAIN_ARGS)
     assert code == 0 and "log: seed=1" in err.splitlines()
     assert deserialize_model(model.read_text(encoding="utf-8")).hyperparams.seed == 1
-    stations = {}
-    for seed in ("0", "1"):
-        report = tmp_path / f"report{seed}.csv"
+    for seed, status in (("1", 0), ("0", 2)):  # evaluate takes only the model's seed
         code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", str(model),
-                           "--out", str(report), "--seed", seed)
-        assert code == 0 and f"log: seed={seed}" in err.splitlines()
-        stations[seed] = {row["station_code"] for row in csv.DictReader(report.read_text().splitlines())}
-    assert stations["0"] != stations["1"]
+                           "--out", str(tmp_path / f"report{seed}.csv"), "--seed", seed)
+        assert code == status and f"log: seed={seed}" in err.splitlines()
+
+
+def test_evaluate_splits_with_the_models_seed(capsys, synthetic_csv_path, tmp_path):
+    """With no --seed, evaluate scores the stations that train held out with
+    the model's seed=; another --seed would score training stations, and
+    exits 2, except with --split all, which no seed changes."""
+    model = tmp_path / "model.txt"
+    assert run(capsys, "train", "--input", synthetic_csv_path, "--model", str(model),
+               "--out", str(tmp_path / "c.csv"), "--seed", "5", *TRAIN_ARGS)[0] == 0
+    evaluate = ["evaluate", "--input", synthetic_csv_path, "--model", str(model)]
+    runs = {}
+    for name, extra in (("default", []), ("seed-5", ["--seed", "5"])):
+        runs[name] = run(capsys, *evaluate, "--out", str(tmp_path / f"{name}.csv"), *extra)
+        assert runs[name][0] == 0, runs[name]
+    assert runs["default"][1] == runs["seed-5"][1]
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "seed-5.csv").read_bytes()
+    assert "log: seed=5 (from the model file)" in runs["default"][2].splitlines()
+
+    code, _, err = run(capsys, *evaluate, "--out", str(tmp_path / "seed-0.csv"), "--seed", "0")
+    assert code == 2
+    assert "error: --seed 0 differs from the model's split seed 5" in err
+    assert not (tmp_path / "seed-0.csv").exists()
+    assert run(capsys, *evaluate, "--out", str(tmp_path / "all.csv"), "--split", "all", "--seed", "0")[0] == 0
 
 
 @pytest.mark.parametrize("command,seed", [("train", "-5"), ("evaluate", "-1")])
@@ -445,13 +470,12 @@ def test_golden_output_csv(capsys, fixture_csv_path, synthetic_csv_path, trained
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[data, command, mode]
 
 
-# sha256 of the train curve, the evaluate report and the two plot-data CSVs
+# sha256 of the train curve, the evaluate report and the plot-data scatter
 # on the synthetic fixture, computed with the row-at-a-time writer that the
 # column writer replaced.
 GOLDEN_TABLE_SHA256 = {
     "curve": "e29353e0b58185691437aa3a8d2347cf551bccfc438df5cb055160474620def1",
     "report": "713bb280c1ccbe0d0f35d6460a4db850654a459b1b594c4979b042c1c687092a",
-    "loss": "e29353e0b58185691437aa3a8d2347cf551bccfc438df5cb055160474620def1",
     "scatter": "f98d7a30d95cb023aefc2c8ade58505050692290cc81796f3ae8c8718c965d44",
 }
 
@@ -462,8 +486,7 @@ def test_golden_model_side_csvs(capsys, synthetic_csv_path, tmp_path):
     for argv in (
         ["train", "--input", synthetic_csv_path, "--model", model, "--out", str(out["curve"]), *TRAIN_ARGS],
         ["evaluate", "--input", synthetic_csv_path, "--model", model, "--out", str(out["report"])],
-        ["plot-data", "--model", model, "--input", str(out["report"]),
-         "--out-curve", str(out["loss"]), "--out-scatter", str(out["scatter"])],
+        ["plot-data", "--input", str(out["report"]), "--out-scatter", str(out["scatter"])],
     ):
         assert run(capsys, *argv)[0] == 0, argv
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()} == GOLDEN_TABLE_SHA256
@@ -477,7 +500,6 @@ QUOTED_CODE_SHA256 = {
     "predict": "a9d468640dbdd46c5562c9ece1e708071dac0b597e7463216162cb6eaa55926d",
     "curve": "3fa32716f6083f7ec6bc6c30602e7b64df573f954761fdbe44d7cf812ce0fcca",
     "report": "c2abb43658c19f97a672d4d19bf7787a4328e6dc4cb61edb7871ece73729f913",
-    "loss": "3fa32716f6083f7ec6bc6c30602e7b64df573f954761fdbe44d7cf812ce0fcca",
     "scatter": "370fee6ac98450780d11f20e4551d8f836876f97a9491e319018d934bff3a35b",
 }
 
@@ -498,8 +520,7 @@ def test_every_csv_shares_one_dialect(capsys, tmp_path):
         ["predict", "--input", str(data), "--model", str(model), "--out", str(out["predict"])],
         ["evaluate", "--input", str(data), "--model", str(model), "--out", str(out["report"]),
          "--split", "all"],
-        ["plot-data", "--model", str(model), "--input", str(out["report"]),
-         "--out-curve", str(out["loss"]), "--out-scatter", str(out["scatter"])],
+        ["plot-data", "--input", str(out["report"]), "--out-scatter", str(out["scatter"])],
     ]
     for argv in commands:
         assert run(capsys, *argv)[0] == 0, argv
@@ -564,3 +585,77 @@ def test_a_run_builds_no_cycles_per_row(capsys, tmp_path):
     finally:
         if was:
             gc.enable()
+
+
+# Cells a station CSV or an evaluate report may hold where a number or a
+# date belongs; '"' is written bare, so it opens a quoted cell it never closes.
+HOSTILE_CELLS = ["", "n/a", "1e400", "-inf", "1e-320", "٣", "1_000", "0x10", '"', "13-2019", "2019-8", "0-2020"]
+
+
+def _raw_cell(cell: str) -> str:
+    if cell == '"' or not any(char in cell for char in ',"\r\n'):
+        return cell
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def mutated_csv(draw, header, rows):
+    """CSV text of the rows with some cells made hostile, then the rows
+    kept, shuffled, cut short or one of them repeated."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+        rows[i][j] = draw(st.sampled_from(HOSTILE_CELLS))
+    how = draw(st.sampled_from(["keep", "shuffle", "cut", "repeat"]))
+    if how == "shuffle":
+        rows = draw(st.permutations(rows))
+    elif how == "cut":
+        rows = rows[: draw(st.integers(0, len(rows)))]
+    elif how == "repeat":
+        rows.insert(0, rows[draw(st.integers(0, len(rows) - 1))])
+    return "".join(",".join(map(_raw_cell, row)) + "\n" for row in [header, *rows])
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """A small generated station CSV's rows, a model trained on them, and the
+    evaluate report of that model."""
+    work = tmp_path_factory.mktemp("totality")
+    rows = synthetic_station_rows(n_stations=8, n_periods=5)
+    data, model, report = work / "clean.csv", str(work / "model.txt"), work / "report.csv"
+    data.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["train", "--input", str(data), "--model", model, "--out", str(work / "c.csv"),
+                     "--split", "all", *TRAIN_ARGS]) == 0
+        assert main(["evaluate", "--input", str(data), "--model", model, "--out", str(report),
+                     "--split", "all"]) == 0
+    with open(report, encoding="utf-8", newline="") as fh:
+        report_header, *report_rows = csv.reader(fh)
+    return work, rows, model, report_header, report_rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_every_command_exits_0_or_2_on_hostile_input(clean_run, data):
+    """No station CSV or report makes a command fail with an internal error
+    (exit 3): each run succeeds or exits 2 with an error line."""
+    work, rows, model, report_header, report_rows = clean_run
+    stations, report, out = work / "stations.csv", work / "report.csv", str(work / "out.csv")
+    stations.write_text(data.draw(mutated_csv(STATION_HEADER, rows)), encoding="utf-8")
+    report.write_text(data.draw(mutated_csv(report_header, report_rows)), encoding="utf-8")
+    given_stations = ["--input", str(stations), "--out", out]
+    for argv in (
+        ["wqi", *given_stations],
+        ["wqi", *given_stations, "--strict"],
+        ["diagnose", *given_stations],
+        ["predict", *given_stations, "--model", model],
+        ["predict", *given_stations, "--model", model, "--impute", "median"],
+        ["evaluate", *given_stations, "--model", model],
+        ["train", *given_stations, "--model", str(work / "fitted.txt"), "--n-trees", "3",
+         "--min-samples-split", "8", "--min-samples-leaf", "3"],
+        ["plot-data", "--input", str(report), "--out-scatter", out],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2) and "internal error" not in err.getvalue(), (argv, err.getvalue())

@@ -17,7 +17,6 @@ from aquagauge.gbm import (
     BadMagic,
     CorruptHeader,
     CorruptNode,
-    EmptyLeaf,
     EmptyTargets,
     FeatureMatrix,
     GbmModel,
@@ -34,9 +33,7 @@ from aquagauge.gbm import (
     deserialize_model,
     fit_tree,
     gbm_fit,
-    gbm_predict,
     init_constant,
-    line_search_leaf,
     negative_gradient,
     node_train_count,
     predict_matrix,
@@ -274,7 +271,7 @@ def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> list[tuple]:
                 nodes[node_id] = ("I", cand.feature, cand.threshold, left, right)
                 return node_id
         node_id = len(nodes)
-        nodes.append(("L", line_search_leaf(sub), int(idx.size)))
+        nodes.append(("L", float(np.mean(sub)), int(idx.size)))
         return node_id
 
     build(np.arange(r.size), 0)
@@ -494,13 +491,14 @@ class TestPrimitives:
         assert np.allclose(negative_gradient(y, f), fd, atol=1e-6)
 
     def test_line_search_leaf(self):
-        assert line_search_leaf([2, 4]) == 3.0
-        assert line_search_leaf([0, 0, 0]) == 0.0
-        assert line_search_leaf([-6]) == -6.0
+        # a stump's one leaf takes the optimal step, the mean residual
+        for residuals, step in (([2, 4], 3.0), ([0, 0, 0], 0.0), ([-6], -6.0)):
+            stump = fit_tree(np.zeros((len(residuals), 1)), residuals, Hyperparams(max_depth=0))
+            assert node_view(stump) == [("L", step, len(residuals))]
 
     def test_line_search_empty(self):
-        with pytest.raises(EmptyLeaf):
-            line_search_leaf([])
+        with pytest.raises(EmptyTargets):
+            fit_tree(np.zeros((0, 1)), [], Hyperparams(max_depth=0))
 
     @settings(max_examples=500, deadline=None)
     @given(stats_arrays())
@@ -628,7 +626,7 @@ class TestGbmFit:
         x = np.random.default_rng(3).normal(size=(50, 2))
         model = gbm_fit(x, np.full(50, 7.0), Hyperparams(n_trees=5, min_samples_split=2, min_samples_leaf=1))
         assert all(loss == 0.0 for loss in model.training_curve)
-        assert gbm_predict(model, x[0]) == 7.0
+        assert predict_matrix(model, np.asarray(x[0], dtype=float)[None])[0] == 7.0
 
     def test_single_stump_is_mean_predictor(self):
         rng = np.random.default_rng(4)
@@ -636,7 +634,7 @@ class TestGbmFit:
         y = rng.normal(size=30)
         model = gbm_fit(x, y, Hyperparams(n_trees=1, max_depth=0, min_samples_split=2, min_samples_leaf=1))
         assert model.training_curve[1] == pytest.approx(np.mean((y - y.mean()) ** 2), abs=1e-12)
-        assert gbm_predict(model, x[0]) == pytest.approx(y.mean(), abs=1e-12)
+        assert predict_matrix(model, np.asarray(x[0], dtype=float)[None])[0] == pytest.approx(y.mean(), abs=1e-12)
 
     def test_curve_shape_and_monotonicity(self, synth_xy):
         x, y = synth_xy
@@ -672,7 +670,8 @@ class TestGbmFit:
         model = gbm_fit(x, y, hp)
         raw = fit_tree(x, y - y.mean(), hp)
         for row in x:
-            assert gbm_predict(model, row) == model.f0 + view_predict(node_view(raw), row)
+            want = model.f0 + view_predict(node_view(raw), row)
+            assert predict_matrix(model, np.asarray(row, dtype=float)[None])[0] == want
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(8)
@@ -701,11 +700,11 @@ class TestPredict:
 
     def test_zero_trees_returns_f0(self):
         model = self._toy_model()
-        assert gbm_predict(model, [0.0, 0.0]) == 1.5
+        assert predict_matrix(model, np.asarray([0.0, 0.0], dtype=float)[None])[0] == 1.5
 
     def test_single_leaf_additivity(self):
         model = self._toy_model([tree_of([("L", 2.0, 10)])])
-        assert gbm_predict(model, [9.9, -3.0]) == 3.5
+        assert predict_matrix(model, np.asarray([9.9, -3.0], dtype=float)[None])[0] == 3.5
 
     def test_equals_sum_of_per_tree_outputs(self, synth_xy):
         x, y = synth_xy
@@ -716,7 +715,7 @@ class TestPredict:
             acc = model.f0
             for tree in model.trees:
                 acc += view_predict(node_view(tree), row)
-            assert gbm_predict(model, row) == acc
+            assert predict_matrix(model, np.asarray(row, dtype=float)[None])[0] == acc
 
     @settings(max_examples=300, deadline=None)
     @given(traversal_cases())
@@ -744,16 +743,16 @@ class TestPredict:
         model = gbm_fit(x, y, Hyperparams(n_trees=10, max_depth=3,
                                           min_samples_split=20, min_samples_leaf=5))
         batch = predict_matrix(model, x[:10])
-        rows = [gbm_predict(model, row) for row in x[:10]]
+        rows = [predict_matrix(model, np.asarray(row, dtype=float)[None])[0] for row in x[:10]]
         assert np.array_equal(batch, np.array(rows))
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            gbm_predict(self._toy_model(), [1.0])
+            predict_matrix(self._toy_model(), np.asarray([1.0], dtype=float)[None])
 
     def test_non_finite_row(self):
         with pytest.raises(NonFinite):
-            gbm_predict(self._toy_model(), [np.nan, 0.0])
+            predict_matrix(self._toy_model(), np.asarray([np.nan, 0.0], dtype=float)[None])
 
 
 class TestSerialization:
@@ -1229,6 +1228,30 @@ class TestLoaderRejects:
         arabic_indic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
         with pytest.raises(CorruptNode):
             deserialize_model(self._mutate("tree 0 ", lambda line: line.translate(arabic_indic)))
+
+    # int() and float() read Unicode decimal digits, '_' separators and
+    # surrounding whitespace; the writer writes none of them, so a file
+    # holding one would load and write back other bytes.
+    def test_non_ascii_digits_in_internal_node(self):
+        arabic_indic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")  # such as `I ٠ ٠.٥ ١ ٢`
+        with pytest.raises(CorruptNode, match="not an ASCII numeral"):
+            deserialize_model(self._mutate("I ", lambda line: line.translate(arabic_indic)))
+
+    def test_non_ascii_digits_in_leaf(self):
+        fullwidth = str.maketrans("0123456789", "０１２３４５６７８９")  # such as `L -0.05 ２`
+        with pytest.raises(CorruptNode, match="not an ASCII numeral"):
+            deserialize_model(self._mutate("L ", lambda line: line.translate(fullwidth)))
+
+    @pytest.mark.parametrize("edit", [
+        lambda value: "0_" + value,  # such as `n_trees=0_2`
+        lambda value: " " + value,
+        lambda value: value.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    ], ids=["underscore", "space", "fullwidth"])
+    @pytest.mark.parametrize("key", [*(name for name, _ in gbm._HP_FIELDS), "f0", "training_curve"])
+    def test_header_numeral_that_is_not_ascii(self, key, edit):
+        text = self._mutate(key + "=", lambda line: f"{key}={edit(line.partition('=')[2])}")
+        with pytest.raises(CorruptHeader, match="not an ASCII numeral"):
+            deserialize_model(text)
 
     def test_key_after_training_curve_is_a_bad_tree_header(self):
         with pytest.raises(CorruptNode, match="bad tree block header"):

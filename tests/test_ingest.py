@@ -25,9 +25,16 @@ from aquagauge.ingest import (
     normalize_column,
     parse_dataset,
     parse_month_year,
-    serialize_dataset,
 )
-from conftest import FIXTURE_ROWS, STATION_HEADER, mk_dataset, mk_sample, rows_to_csv, synthetic_station_rows
+from conftest import (
+    FIXTURE_ROWS,
+    STATION_HEADER,
+    mk_dataset,
+    mk_sample,
+    rows_to_csv,
+    serialize_dataset,
+    synthetic_station_rows,
+)
 
 
 class TestParseDataset:

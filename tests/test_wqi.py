@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,11 +15,10 @@ from aquagauge.wqi import (
     SUB_INDEX_SCORES,
     MissingInput,
     SubIndices,
+    WeightedScores,
+    _weigh,
     compute_wqi,
-    reachable_wqi_values,
     score_columns,
-    sub_index,
-    weighted_scores,
 )
 from conftest import mk_sample
 from scoring_reference import (
@@ -30,6 +30,23 @@ from scoring_reference import (
 )
 
 APPROX = 0.005  # printed tables carry two decimals
+
+_REACHABLE = loop_reachable_wqi_values()
+
+
+def sub_index(kind, value, mode=NORMATIVE):
+    """The score of one value: its sub-index column of a one-row score_columns
+    call whose other five inputs are 0."""
+    j = SUB_INDEX_KINDS.index(kind)
+    row = np.zeros((1, len(SUB_INDEX_KINDS)))
+    row[0, j] = value
+    return int(score_columns(row, mode).sub[0, j])
+
+
+def weighted_scores(sub):
+    """One SubIndices weighted as score_columns weighs its rows."""
+    return WeightedScores(*_weigh(np.array([sub.as_tuple()]))[0][0].tolist())
+
 
 # (label, mode, do, ph, ec, bod, na, tc, expected wph..wco + wqi)
 GOLDEN_ROWS = [
@@ -97,14 +114,11 @@ class TestSubIndex:
         assert sub_index("ph", 6.95) == 100
 
     def test_non_finite(self):
+        # a NaN field of a sample is non-finite, not missing
         with pytest.raises(NonFinite):
-            sub_index("ph", math.nan)
+            compute_wqi(mk_sample(ph=math.nan))
         with pytest.raises(NonFinite):
-            sub_index("do", math.inf)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            sub_index("temp", 1.0)
+            compute_wqi(mk_sample(do=math.inf))
 
     @given(st.floats(0.0, 500.0), st.floats(0.0, 500.0))
     def test_bod_non_increasing(self, a, b):
@@ -195,7 +209,7 @@ class TestProperties:
     @given(_valid_sample_strategy(), st.sampled_from([NORMATIVE, LEGACY_NCO]))
     def test_quantized_to_reachable_set(self, sample, mode):
         rec = compute_wqi(sample, mode)
-        assert rec.wqi in reachable_wqi_values()
+        assert rec.wqi in _REACHABLE
         assert all(v in (0, 40, 60, 80, 100) for v in rec.sub.as_tuple())
 
     @given(_valid_sample_strategy())
@@ -283,10 +297,11 @@ _ANY_VALUE = st.one_of(_INPUT_VALUE, st.sampled_from([math.nan, math.inf, -math.
 
 
 class TestOneRowCallsMatchReference:
-    """The one-sample API, now one-row calls of the column code, against the
-    frozen scalar implementations: same result, or same exception and message."""
+    """One-row calls of the column code against the frozen scalar
+    implementations: same result, or same exception and message."""
 
-    @given(st.sampled_from([*SUB_INDEX_KINDS, "temp"]), _ANY_VALUE, _MODE)
+    # not NaN: score_columns reads NaN as a missing value
+    @given(st.sampled_from(SUB_INDEX_KINDS), st.one_of(_INPUT_VALUE, st.sampled_from([math.inf, -math.inf])), _MODE)
     def test_sub_index(self, kind, value, mode):
         assert outcome(sub_index, kind, value, mode) == outcome(loop_sub_index, kind, value, mode)
 
@@ -308,4 +323,5 @@ class TestOneRowCallsMatchReference:
         assert outcome(compute_wqi, sample, mode) == outcome(loop_compute_wqi, sample, mode)
 
     def test_reachable_wqi_values(self):
-        assert reachable_wqi_values() == loop_reachable_wqi_values()
+        combos = np.array(list(itertools.product(SUB_INDEX_SCORES, repeat=len(SUB_INDEX_KINDS))))
+        assert frozenset(_weigh(combos)[1].tolist()) == _REACHABLE

@@ -164,7 +164,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.seed is None:
         args.seed = seed
         print(f"log: seed={seed} (from the model file)", file=sys.stderr)
-    task = _task(args, 1)  # first, so a negative --seed gets its own message
+    if args.seed < 0:  # checked here, as --split all reads no seed
+        raise AquagaugeError(f"bad --seed {args.seed}: seed must be >= 0")
+    task = _task(args, 1)
     if args.seed != seed and _parse_split(args.split) is not None:
         raise AquagaugeError(f"--seed {args.seed} differs from the model's split seed {seed}: "
                              "the test side would hold stations the model was trained on")

@@ -9,12 +9,16 @@ training curve records the training MSE after every iteration and is
 non-increasing by construction.
 
 A tree is a RegressionTree of parallel node arrays, as in scikit-learn's Tree
-(Pedregosa et al., 2011). tree_apply is the one traversal, for prediction; the
-fit knows each training row's leaf as it grows the tree. gbm_fit multiplies
-each fitted tree's values by the learning rate. Prediction walks each tree
-over a column-major copy of x, made once per predict_matrix call, so every
-node gathers its rows from one contiguous feature column (the feature-major
-layout of Asadi et al., 2014).
+(Pedregosa et al., 2011). The fit knows each training row's leaf as it grows
+the tree, and gbm_fit multiplies each fitted tree's values by the learning
+rate. predict_matrix scores every tree of 2 to 64 leaves by QuickScorer
+(Lucchese et al., 2015): the leaves reachable from a row are the AND of one
+uint64 leaf mask per feature the tree tests, looked up by the row's bin among
+that feature's thresholds, and the exit leaf is the lowest set bit. The
+tables are built per call from the node arrays. tree_apply walks the other
+trees over a column-major copy of x, made once per call, so every node
+gathers its rows from one contiguous feature column (the feature-major layout
+of Asadi et al., 2014).
 
 Fitting is deterministic: the threshold between consecutive distinct sorted
 feature values a < b is 0.5 * (a + b), or a where that rounds up to b or
@@ -166,8 +170,8 @@ class RegressionTree:
     is a leaf when feature[i] < 0, with output value[i] and training row count
     count[i]; otherwise rows with x[feature[i]] <= threshold[i] go to left[i]
     and the rest to right[i]. Unused fields hold -1 or 0. fit_tree numbers
-    the nodes in preorder, left subtree first (left[i] == i + 1), and the
-    model loader accepts no other numbering."""
+    the nodes in preorder, left subtree first (left[i] == i + 1), the model
+    loader accepts no other numbering, and predict_matrix needs it."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -458,11 +462,13 @@ def node_train_count(tree: RegressionTree, node_id: int = 0) -> int:
 
 
 def tree_apply(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    """Vectorized leaf-value lookup for every row of x.
+    """Vectorized leaf-value lookup for every row of x, for a tree in any
+    node numbering.
 
     The walk reads x column-major: each internal node gathers its rows from
-    one contiguous feature column. predict_matrix makes that copy once per
-    call, so the asfortranarray here is free for it.
+    one contiguous feature column. predict_matrix walks the trees that its
+    bitmask scorer does not take (one leaf, or more than 64) over one
+    column-major copy made per call, so the asfortranarray here is free for it.
     """
     x = np.asfortranarray(x, dtype=np.float64)
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
@@ -513,10 +519,59 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     )
 
 
-def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
-    """Ensemble predictions for every row of x: f0 plus every tree's output.
+_MASK_LEAVES = 64  # the leaves one uint64 mask word numbers
+_EXPONENT_BIAS = 1023  # 2.0**k has the float64 exponent field k + 1023
 
-    x is copied column-major once, and every tree_apply walks that copy.
+
+def _bitmask_tables(trees: list[RegressionTree], xf: np.ndarray) -> dict[int, tuple]:
+    """QuickScorer's tables (see predict_matrix) for each tree of 2 to 64
+    leaves: {tree index: (leaf values by exponent field, [(table, bins)])},
+    bins being one feature's threshold bins of the rows of the column-major xf."""
+    small = [t for t, tree in enumerate(trees) if 1 < np.count_nonzero(tree.feature < 0) <= _MASK_LEAVES]
+    if not small:
+        return {}
+    sizes = [trees[t].feature.size for t in small]
+    starts = np.cumsum([0, *sizes[:-1]])
+    feature, threshold, right, value = (np.concatenate([getattr(trees[t], name) for t in small])
+                                        for name in ("feature", "threshold", "right", "value"))
+    leaf = feature < 0
+    before = np.cumsum(leaf) - leaf  # leaves before each node, in preorder over all small trees
+    inner = np.flatnonzero(~leaf)
+    inner = inner[np.lexsort((threshold[inner], feature[inner]))]  # by feature, then threshold
+    f, thr, tree_of = feature[inner], threshold[inner], np.repeat(np.arange(len(small)), sizes)[inner]
+    # A value above a node's threshold rules out its left subtree's leaves.
+    width = before[right[inner] + starts[tree_of]] - before[inner]
+    low = before[inner] - before[starts][tree_of]
+    keep = ~(((np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)) << low.astype(np.uint64))
+    new_cut = np.r_[True, (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])]  # -0.0 == 0.0: one cut
+    bounds = [*np.flatnonzero(np.r_[True, f[1:] != f[:-1]]).tolist(), f.size]
+    scorers: dict[int, list] = {t: [] for t in range(len(small))}
+    for lo, hi in zip(bounds, bounds[1:]):
+        cuts = thr[lo:hi][new_cut[lo:hi]]  # the feature's distinct thresholds, ascending
+        # x <= cuts[b] exactly when the count of cuts below x is at most b
+        bins = np.searchsorted(cuts, xf[:, f[lo]])
+        testing = np.zeros(len(small), dtype=bool)
+        testing[tree_of[lo:hi]] = True
+        table = np.full((np.count_nonzero(testing), cuts.size + 1), ~np.uint64(0))
+        cut_of = np.cumsum(new_cut[lo:hi])  # each node's cut index, plus 1
+        np.bitwise_and.at(table, ((np.cumsum(testing) - 1)[tree_of[lo:hi]], cut_of), keep[lo:hi])
+        np.bitwise_and.accumulate(table, axis=1, out=table)
+        for row, t in zip(table, np.flatnonzero(testing).tolist()):
+            scorers[t].append((row, bins))
+    leaf_values = np.concatenate((np.zeros(_EXPONENT_BIAS), value[leaf]))
+    return {small[t]: (leaf_values[before[start] :], scorers[t]) for t, start in enumerate(starts.tolist())}
+
+
+def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
+    """Ensemble predictions for every row of x: f0 plus every tree's output,
+    added in tree order, bit for bit f0 plus each tree_apply in turn.
+
+    A tree of 2 to 64 leaves is scored by QuickScorer (Lucchese et al.,
+    2015). Its leaves are numbered left to right, and a row's reachable set
+    is the AND of one uint64 table entry per feature the tree tests, indexed
+    by the row's bin among that feature's distinct thresholds; the exit leaf
+    is the lowest set bit. tree_apply walks the other trees over one
+    column-major copy of x.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(model.feature_names):
@@ -524,9 +579,18 @@ def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFinite(None, context="feature matrix")
     x = np.asfortranarray(x)
+    scorers = _bitmask_tables(model.trees, x)
     out = np.full(x.shape[0], model.f0, dtype=np.float64)
-    for tree in model.trees:
-        out += tree_apply(tree, x)
+    for t, tree in enumerate(model.trees):
+        if t not in scorers:
+            out += tree_apply(tree, x)
+            continue
+        leaf_values, ((table, bins), *rest) = scorers[t]
+        reachable = table.take(bins)
+        for table, bins in rest:
+            reachable &= table.take(bins)
+        reachable &= -reachable  # the lowest set bit, 2.0**exit_leaf as a float
+        out += leaf_values.take(reachable.astype(np.float64).view(np.int64) >> 52)
     return out
 
 
@@ -544,7 +608,12 @@ def _numeral(text: str) -> str:
 
 
 def _int(text: str) -> int:
-    return int(_numeral(text))
+    """int(text) of an ASCII numeral spelt as the writer spells it, str(int):
+    no sign but a leading '-', and no leading zeros."""
+    value = int(_numeral(text))
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not the writer's spelling {value}")
+    return value
 
 
 def _finite(text: str) -> float:
@@ -594,7 +663,7 @@ def serialize_model(model: GbmModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TREE_HEADER_RE = re.compile(r"^tree (\d+) nodes (\d+)$", re.ASCII)
+_TREE_HEADER_RE = re.compile(r"^tree (0|[1-9][0-9]*) nodes (0|[1-9][0-9]*)$")  # str(int) spellings
 
 
 def _int_in(text: str, lo: int, hi: int) -> int:

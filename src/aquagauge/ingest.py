@@ -483,11 +483,21 @@ def column_median(observed: np.ndarray) -> float:
     overflows are halved before they are added, so the median of finite
     values stays finite.
     """
-    ordered = np.sort(observed, kind="stable")
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    a, b = float(ordered[mid - 1]), float(ordered[mid])
+    mid = observed.size // 2
+    picks = (mid,) if observed.size % 2 else (mid - 1, mid)
+    part = np.partition(observed, picks)
+
+    def ordered(i: int) -> float:
+        """Entry i of the stable sort: where that is a zero, the stable sort
+        keeps both signs of zero in input order after the negatives."""
+        value = float(part[i])
+        if value == 0.0:
+            value = float(observed[observed == 0.0][i - np.count_nonzero(observed < 0.0)])
+        return value
+
+    if observed.size % 2:
+        return ordered(mid)
+    a, b = ordered(mid - 1), ordered(mid)
     mean = (a + b) / 2
     return a / 2 + b / 2 if math.isinf(mean) else mean
 
@@ -524,7 +534,8 @@ def impute_missing(ds: Dataset, policy: str = "drop_row") -> Dataset:
         if not observed.size and missing[:, c].any():
             raise AllMissingColumn(name)
         medians.append(column_median(observed) if observed.size else math.nan)
-    prov.notes.extend((refs[k], f"{WQI_INPUTS[c]} imputed with median {medians[c]!r}") for k, c in cells)
+    texts = [f"{name} imputed with median {median!r}" for name, median in zip(WQI_INPUTS, medians)]
+    prov.notes.extend((refs[k], texts[c]) for k, c in cells)
     values = ds.values.copy()
     values[:, _WQI_COLUMNS] = np.where(missing, medians, inputs)
     return Dataset(ds.station_code, ds.location, ds.state, ds.month, ds.year, ds.source_row, values, prov)

@@ -5,11 +5,15 @@ import hashlib
 import io
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aquagauge
 from aquagauge import wqi
 from aquagauge.cli import main
 from aquagauge.gbm import deserialize_model
@@ -420,6 +424,45 @@ def test_negative_seed_without_split_exits_2(capsys, synthetic_csv_path, tmp_pat
     assert code == 2
     assert "error: seed must be >= 0" in err.splitlines()
     assert not model.exists()
+
+
+def test_evaluate_negative_seed_without_split_exits_2(capsys, synthetic_csv_path, trained_model_path, tmp_path):
+    out = tmp_path / "report.csv"
+    code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", trained_model_path,
+                       "--out", str(out), "--split", "all", "--seed", "-5")
+    assert code == 2
+    assert "error: bad --seed -5: seed must be >= 0" in err.splitlines()
+    assert not out.exists()
+
+
+# Every command, in one fresh interpreter, through cli.main; then the names of
+# the numpy.ma modules it imported.
+_EVERY_COMMAND = """
+import sys
+from aquagauge.cli import main
+
+csv_path, work = sys.argv[1:]
+for argv in (["train", "--input", csv_path, "--model", f"{work}/m.txt", "--out", f"{work}/curve.csv",
+              "--n-trees", "5", "--min-samples-split", "8", "--min-samples-leaf", "3"],
+             ["predict", "--input", csv_path, "--impute", "median", "--model", f"{work}/m.txt",
+              "--out", f"{work}/predict.csv"],
+             ["evaluate", "--input", csv_path, "--model", f"{work}/m.txt", "--out", f"{work}/report.csv"],
+             ["plot-data", "--input", f"{work}/report.csv", "--out-scatter", f"{work}/scatter.csv"],
+             ["wqi", "--input", csv_path, "--out", f"{work}/wqi.csv"],
+             ["diagnose", "--input", csv_path, "--out", f"{work}/diagnose.csv"]):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")))
+"""
+
+
+def test_no_command_imports_numpy_ma(synthetic_csv_path, tmp_path):
+    """Importing numpy.ma takes about 15 ms, which np.unique's first call
+    would add to a command; no command needs it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(aquagauge.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, synthetic_csv_path, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 import re
 from pathlib import Path
 
@@ -415,6 +416,49 @@ def draw_preorder_nodes(draw, thresholds: list, leaf_value) -> list[tuple]:
     return nodes
 
 
+_EDGE_CELLS = [-0.0, 0.0, 5e-324, -5e-324, -1.0, 1.0, 0.5, 1e12]
+
+
+def random_preorder_tree(rnd: random.Random, n_leaves: int, thresholds: list) -> RegressionTree:
+    """A tree of exactly n_leaves leaves, numbered in preorder, whose internal
+    nodes split at random on a feature f at a pick of thresholds[f]."""
+    nodes: list[tuple] = []
+
+    def grow(k: int) -> int:
+        node_id = len(nodes)
+        nodes.append(())
+        if k == 1:
+            nodes[node_id] = (-1, 0.0, -1, -1, rnd.choice([-0.0, 0.0, rnd.gauss(0.0, 1.0)]), 1)
+            return node_id
+        f = rnd.randrange(len(thresholds))
+        left_leaves = rnd.randrange(1, k)
+        grow(left_leaves)
+        right = grow(k - left_leaves)
+        nodes[node_id] = (f, rnd.choice(thresholds[f]), node_id + 1, right, 0.0, 0)
+        return node_id
+
+    grow(n_leaves)
+    return RegressionTree.from_rows(nodes)
+
+
+@st.composite
+def mixed_size_ensembles(draw):
+    """A matrix and f0 plus over 100 preorder trees of 1, 63, 64, 65 and
+    100+ leaves (either side of the 64-leaf mask word) and of 2 to 70,
+    sharing a few thresholds per feature. Cells are the edge cells above, the
+    thresholds themselves and uniform draws; some matrices have zero rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng, rnd = np.random.default_rng(seed), random.Random(seed)
+    n, n_features = draw(st.sampled_from([0, 1, 40])), draw(st.integers(1, 5))
+    thresholds = [rng.choice([*_EDGE_CELLS, *rng.uniform(-2, 2, 4)], size=6).tolist() for _ in range(n_features)]
+    pool = [*_EDGE_CELLS, *(t for column in thresholds for t in column)]
+    x = np.where(rng.random((n, n_features)) < 0.7, rng.choice(pool, size=(n, n_features)),
+                 rng.uniform(-3, 3, (n, n_features)))
+    sizes = [1, 63, 64, 65, int(rng.integers(100, 130)), *rng.integers(2, 71, size=100).tolist()]
+    trees = [random_preorder_tree(rnd, int(k), thresholds) for k in rng.permutation(sizes)]
+    return x, float(rng.normal()), trees
+
+
 def traversal_layouts(x: np.ndarray) -> dict[str, np.ndarray]:
     """x as C-order, F-order, strided and column-subset views, int64 and zero rows."""
     wide = np.hstack([x, np.full((x.shape[0], 1), 7.0)])
@@ -737,6 +781,17 @@ class TestPredict:
                     acc += view_predict(nodes, row)
                 want.append(acc)
             assert np.array_equal(as_bits(predict_matrix(model, xl)), as_bits(want)), layout
+
+    @settings(max_examples=20, deadline=None)
+    @given(mixed_size_ensembles())
+    def test_bitmask_and_walk_match_tree_apply_in_tree_order(self, case):
+        x, f0, trees = case
+        names = [f"f{j}" for j in range(x.shape[1])]
+        want = np.full(x.shape[0], f0)
+        for tree in trees:
+            want += tree_apply(tree, x)
+        model = GbmModel(f0=f0, trees=trees, hyperparams=Hyperparams(), feature_names=names)
+        assert np.array_equal(as_bits(predict_matrix(model, x)), as_bits(want))
 
     def test_predict_matrix_agrees_with_row_predict(self, synth_xy):
         x, y = synth_xy
@@ -1252,6 +1307,36 @@ class TestLoaderRejects:
         text = self._mutate(key + "=", lambda line: f"{key}={edit(line.partition('=')[2])}")
         with pytest.raises(CorruptHeader, match="not an ASCII numeral"):
             deserialize_model(text)
+
+    # The writer spells every integer str(int): a '+' or a leading zero would
+    # load and write back other bytes.
+    _NOT_STR_INT = pytest.mark.parametrize("edit", [lambda value: "+" + value, lambda value: "0" + value],
+                                           ids=["plus", "leading-zero"])
+
+    @_NOT_STR_INT
+    @pytest.mark.parametrize("key", [name for name, parse in gbm._HP_FIELDS if parse is gbm._int])
+    def test_header_integer_not_spelt_as_written(self, key, edit):
+        text = self._mutate(key + "=", lambda line: f"{key}={edit(line.partition('=')[2])}")
+        with pytest.raises(CorruptHeader, match="not the writer's spelling"):
+            deserialize_model(text)
+
+    @_NOT_STR_INT
+    @pytest.mark.parametrize("prefix,field", [("I ", 1), ("I ", 3), ("I ", 4), ("L ", 2)],
+                             ids=["feature", "left", "right", "count"])
+    def test_node_integer_not_spelt_as_written(self, prefix, field, edit):
+        def change(line):
+            parts = line.split(" ")
+            parts[field] = edit(parts[field])
+            return " ".join(parts)
+
+        with pytest.raises(CorruptNode, match="not the writer's spelling"):
+            deserialize_model(self._mutate(prefix, change))
+
+    @pytest.mark.parametrize("old,new", [("tree 0 ", "tree 00 "), (" nodes ", " nodes 0")],
+                             ids=["tree", "nodes"])
+    def test_tree_header_integer_with_leading_zero(self, old, new):
+        with pytest.raises(CorruptNode, match="bad tree block header"):
+            deserialize_model(self._mutate("tree 0 ", lambda line: line.replace(old, new)))
 
     def test_key_after_training_curve_is_a_bad_tree_header(self):
         with pytest.raises(CorruptNode, match="bad tree block header"):

@@ -359,6 +359,10 @@ class TestStationCsvFuzz:
 class TestColumnMedian:
     @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30))
     @example([5e-324, 5e-324])  # halving first would round each half to 0
+    # a zero in the middle: the stable sort's zero, not the one np.partition leaves there
+    @example([0.0, -1.0, 2.5, -0.0, -3.0])
+    @example([-0.0, 0.0, -1.0, -1.0, 2.5])
+    @example([-0.0, 0.0, -0.0, -1.0, 1.0, 0.5])
     def test_bits_of_statistics_median(self, values):
         assert column_median(np.array(values)).hex() == float(statistics.median(values)).hex()
 

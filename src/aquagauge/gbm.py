@@ -57,7 +57,6 @@ min_samples_split rows) gets no packed lists.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -226,11 +225,6 @@ def _stats(values: np.ndarray) -> tuple[float, float]:
     mean = np.add.reduce(values) / values.size
     dev = values - mean
     return float(mean), float(np.add.reduce(np.square(dev, out=dev)))
-
-
-def _sse(values: np.ndarray) -> float:
-    """Sum of squared deviations from the mean, two-pass."""
-    return _stats(values)[1] if values.size >= 2 else 0.0
 
 
 _ROW_MASK = 0xFFFFFFFF
@@ -598,35 +592,9 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _numeral(text: str) -> str:
-    """text, if it is ASCII and holds no '_' and no surrounding whitespace;
-    else ValueError. int() and float() take Unicode digits, '_' separators and
-    surrounding whitespace, none of which the writer writes."""
-    if not text.isascii() or "_" in text or text.strip() != text:
-        raise ValueError(f"not an ASCII numeral: {text!r}")
-    return text
-
-
-def _int(text: str) -> int:
-    """int(text) of an ASCII numeral spelt as the writer spells it, str(int):
-    no sign but a leading '-', and no leading zeros."""
-    value = int(_numeral(text))
-    if str(value) != text:
-        raise ValueError(f"{text!r} is not the writer's spelling {value}")
-    return value
-
-
-def _finite(text: str) -> float:
-    """float(text) of an ASCII numeral, raising ValueError for NaN and infinities."""
-    value = float(_numeral(text))
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
 # Each Hyperparams field, in declaration order, which is its order in the
-# model header, with the parser of its header value.
-_HP_FIELDS = [(f.name, _finite if isinstance(f.default, float) else _int) for f in fields(Hyperparams)]
+# model header, with its type, which also parses its header value.
+_HP_FIELDS = [(f.name, type(f.default)) for f in fields(Hyperparams)]
 
 # The header keys in the order the writer writes them and the loader reads them.
 _HEADER_KEYS = ("loss", *(name for name, _ in _HP_FIELDS), "f0", "feature_names", "training_curve")
@@ -638,58 +606,50 @@ def _valid_feature_names(names: list[str]) -> bool:
     return len(set(names)) == len(names) and all("," not in n and n.splitlines() == [n] for n in names)
 
 
+def _header_lines(model: GbmModel) -> list[str]:
+    """The magic, version and header lines of a model file."""
+    hp = model.hyperparams
+    hp_values = ((_fmt if kind is float else str)(getattr(hp, name)) for name, kind in _HP_FIELDS)
+    values = (SQUARED_ERROR, *hp_values, _fmt(model.f0), ",".join(model.feature_names),
+              ",".join(map(_fmt, model.training_curve)))
+    return [MODEL_MAGIC, f"version {MODEL_VERSION}",
+            *(f"{key}={value}" for key, value in zip(_HEADER_KEYS, values, strict=True))]
+
+
+def _node_line(feature: int, threshold: float, left: int, right: int, value: float, count: int) -> str:
+    """One node's line of a model file: a leaf (feature < 0) or an internal node."""
+    return f"L {_fmt(value)} {count}" if feature < 0 else f"I {feature} {_fmt(threshold)} {left} {right}"
+
+
 def serialize_model(model: GbmModel) -> str:
     """Write a model to the text format (exact round trip); ValueError for names the loader rejects."""
     if not _valid_feature_names(model.feature_names):
         raise ValueError(f"feature names not serializable: {model.feature_names!r}")
-    hp = model.hyperparams
-    values = (
-        SQUARED_ERROR,
-        *((_fmt if parse is _finite else str)(getattr(hp, name)) for name, parse in _HP_FIELDS),
-        _fmt(model.f0),
-        ",".join(model.feature_names),
-        ",".join(_fmt(v) for v in model.training_curve),
-    )
-    lines = [MODEL_MAGIC, f"version {MODEL_VERSION}"]
-    lines += (f"{key}={value}" for key, value in zip(_HEADER_KEYS, values, strict=True))
+    lines = _header_lines(model)
     for t, tree in enumerate(model.trees):
         lines.append(f"tree {t} nodes {tree.feature.size}")
         columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.count)
-        for f, thr, left, right, value, count in zip(*(c.tolist() for c in columns)):
-            if f < 0:
-                lines.append(f"L {_fmt(value)} {count}")
-            else:
-                lines.append(f"I {f} {_fmt(thr)} {left} {right}")
+        lines += map(_node_line, *(c.tolist() for c in columns))
     return "\n".join(lines) + "\n"
 
 
-_TREE_HEADER_RE = re.compile(r"^tree (0|[1-9][0-9]*) nodes (0|[1-9][0-9]*)$")  # str(int) spellings
-
-
-def _int_in(text: str, lo: int, hi: int) -> int:
-    """int(text) of an ASCII numeral, raising ValueError unless lo <= value < hi."""
-    value = _int(text)
-    if not lo <= value < hi:
-        raise ValueError(f"{text!r} is outside [{lo}, {hi})")
-    return value
-
-
 def deserialize_model(text: str) -> GbmModel:
-    """Parse the text format back into a model; rejects anything malformed."""
-    lines = text.splitlines()
+    """Parse the text format back into a model; rejects anything malformed.
+
+    Each line is parsed with int and float and must equal the writer's line
+    for the parsed values, so a file that loads writes back byte for byte.
+    The loader also checks what spelling cannot: the header key order, finite
+    floats, Hyperparams, feature names, node field ranges, preorder trees and
+    the tree and training_curve counts."""
+    *lines, rest = text.split("\n")  # rest: what follows the last line end, "" as written
     if not lines or lines[0] != MODEL_MAGIC:
         raise BadMagic()
-    if len(lines) < 2 or not lines[1].startswith("version "):
-        raise UnsupportedVersion(lines[1] if len(lines) > 1 else "<missing>")
-    version = lines[1][len("version ") :]
-    if version != str(MODEL_VERSION):
-        raise UnsupportedVersion(version)
+    if len(lines) < 2 or lines[1] != f"version {MODEL_VERSION}":
+        raise UnsupportedVersion(lines[1].removeprefix("version ") if len(lines) > 1 else "<missing>")
 
     header: dict[str, str] = {}
     for pos, key in enumerate(_HEADER_KEYS, 2):
         line = lines[pos] if pos < len(lines) else None
-        if key == "training_curve" and (line is None or line.startswith("tree ")):
-            break  # the one key a file may leave out
         if line is None or not line.startswith(key + "="):
             raise CorruptHeader(f"expected {key}= on line {pos + 1}, got {line!r}")
         header[key] = line[len(key) + 1 :]
@@ -698,68 +658,79 @@ def deserialize_model(text: str) -> GbmModel:
     if header["loss"] != SQUARED_ERROR:
         raise CorruptHeader(f"unknown loss {header['loss']!r}")
     try:
-        hp = Hyperparams(**{name: parse(header[name]) for name, parse in _HP_FIELDS})
-        f0 = _finite(header["f0"])
+        hp_values = {name: kind(header[name]) for name, kind in _HP_FIELDS}
+        f0 = float(header["f0"])
+        curve = [float(tok) for tok in header["training_curve"].split(",")] if header["training_curve"] else []
+    except ValueError as exc:
+        raise CorruptHeader(f"not the writer's spelling: {exc}") from exc
+    try:
+        hp = Hyperparams(**hp_values)
     except ValueError as exc:
         raise CorruptHeader(str(exc)) from exc
+    if not all(map(math.isfinite, (f0, *curve))):
+        raise CorruptHeader("f0 and training_curve must be finite")
     feature_names = header["feature_names"].split(",") if header["feature_names"] else []
     if not _valid_feature_names(feature_names):
         raise CorruptHeader(f"bad feature names: {header['feature_names']!r}")
-    curve_text = header.get("training_curve", "")
-    try:
-        curve = [_finite(tok) for tok in curve_text.split(",")] if curve_text else []
-    except ValueError as exc:
-        raise CorruptHeader(f"bad training_curve: {exc}") from exc
+    model = GbmModel(f0=f0, trees=[], hyperparams=hp, training_curve=curve, feature_names=feature_names)
+    for line, written in zip(lines[2:pos], _header_lines(model)[2:]):
+        if line != written:
+            raise CorruptHeader(f"{line!r} is not the writer's spelling {written!r}")
 
-    trees: list[RegressionTree] = []
     while pos < len(lines):
-        m = _TREE_HEADER_RE.match(lines[pos])
-        if not m or int(m.group(1)) != len(trees):
-            raise CorruptNode(0, f"bad tree block header: {lines[pos]!r}")
-        k = int(m.group(2))
-        if k < 1:
-            raise CorruptNode(0, "tree has no nodes")
+        line = lines[pos]
+        try:
+            k = int(line[line.rfind(" ") + 1 :])
+        except ValueError:
+            k = None
+        if k is None or k < 1 or line != f"tree {len(model.trees)} nodes {k}":
+            raise CorruptNode(0, f"bad tree block header: {line!r}")
         pos += 1
         nodes = []
         pending = []  # right-child ids still to come, innermost last
         for j in range(k):
             if pos >= len(lines):
                 raise CorruptNode(j, "unexpected end of input inside tree block")
-            parts = lines[pos].split()
+            line = lines[pos]
             pos += 1
+            parts = line.split(" ")
             try:
-                if parts and parts[0] == "I" and len(parts) == 5:
-                    feature = _int_in(parts[1], 0, len(feature_names))
-                    left, right = _int_in(parts[3], 0, k), _int_in(parts[4], 0, k)
-                    nodes.append((feature, _finite(parts[2]), left, right, 0.0, 0))
+                if parts[0] == "I" and len(parts) == 5:
+                    node = (int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4]), 0.0, 0)
+                    feature, threshold, left, right = node[:4]
+                    valid = (0 <= feature < len(feature_names) and 0 <= left < k and 0 <= right < k
+                             and math.isfinite(threshold))
                     pending.append(right)
                     next_id = left
-                elif parts and parts[0] == "L" and len(parts) == 3:
-                    # train_count >= 1, and < 2**63 to fit the count array
-                    nodes.append((-1, 0.0, -1, -1, _finite(parts[1]), _int_in(parts[2], 1, 2**63)))
+                elif parts[0] == "L" and len(parts) == 3:
+                    value, count = float(parts[1]), int(parts[2])
+                    node = (-1, 0.0, -1, -1, value, count)
+                    # at least one row, and a count that fits the count array
+                    valid = 1 <= count < 2**63 and math.isfinite(value)
                     next_id = pending.pop() if pending else k  # k: the block ends here
                 else:
-                    raise CorruptNode(j, f"unrecognized node line: {' '.join(parts)!r}")
+                    raise CorruptNode(j, f"unrecognized node line: {line!r}")
             except ValueError as exc:
-                raise CorruptNode(j, f"bad numeric field: {exc}") from exc
+                raise CorruptNode(j, f"not the writer's spelling: {exc}") from exc
+            if not valid:
+                raise CorruptNode(j, f"field out of range or not finite: {line!r}")
+            if line != _node_line(*node):
+                raise CorruptNode(j, f"{line!r} is not the writer's spelling {_node_line(*node)!r}")
             # Trees are stored in preorder, left subtree first: the child
             # range above keeps a right id from reading as the block's end.
             if next_id != j + 1:
                 raise CorruptNode(j, f"preorder puts node {next_id} after it, not node {j + 1}")
-        trees.append(RegressionTree.from_rows(nodes))
+            nodes.append(node)
+        model.trees.append(RegressionTree.from_rows(nodes))
+    if rest:
+        raise CorruptNode(0, f"last line has no line end: {rest!r}")
 
-    if len(trees) > hp.n_trees:
-        raise CorruptHeader(f"file holds {len(trees)} trees but n_trees={hp.n_trees}")
+    if len(model.trees) > hp.n_trees:
+        raise CorruptHeader(f"file holds {len(model.trees)} trees but n_trees={hp.n_trees}")
     # A curve written at fit time pins the tree count, so a file truncated at
     # a tree-block boundary cannot pass for a smaller model.
-    if curve and len(curve) != len(trees) + 1:
+    if curve and len(curve) != len(model.trees) + 1:
         raise CorruptHeader(
-            f"training_curve has {len(curve)} entries but file holds {len(trees)} trees"
+            f"training_curve has {len(curve)} entries but file holds {len(model.trees)} trees"
         )
-    return GbmModel(
-        f0=f0,
-        trees=trees,
-        hyperparams=hp,
-        training_curve=curve,
-        feature_names=feature_names,
-    )
+    return model

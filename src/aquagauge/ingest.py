@@ -251,45 +251,41 @@ def parse_month_year(token: str) -> tuple[int, int]:
     return month, year
 
 
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
 def coerce_numeric(cell: str) -> float | None:
     """Best-effort numeric coercion; never raises.
 
     Returns None for empty cells, the recognized missing tokens, and anything
     that does not parse to a finite number.
     """
-    kind, value = _classify_cell(cell)
-    return value if kind == "value" else None
-
-
-def _classify_cell(cell: str) -> tuple[str, float | None]:
-    """Classify a raw cell as ('value', x), ('missing', None) or ('junk', None)."""
-    token = cell.strip()
-    if not token or token.lower() in MISSING_TOKENS:
-        return "missing", None
-    try:
-        value = float(token)
-    except ValueError:
-        return "junk", None
-    if not math.isfinite(value):
-        return "junk", None
-    return "value", value
+    value = _float_or_nan(cell)
+    return value if math.isfinite(value) else None
 
 
 def _irregular_cell(name: str, cell: str) -> tuple[float | None, str | None, str | None]:
     """(value, note, defect) of a cell that is not a plain in-range numeral:
     its value, None for a missing, junk or out-of-range cell; the note that
     logs a coerced non-empty cell; and why strict mode rejects a junk or
-    out-of-range cell. A note or defect that does not apply is None."""
-    kind, value = _classify_cell(cell)
+    out-of-range cell. A note or defect that does not apply is None. A cell
+    is missing when it is empty or one of MISSING_TOKENS, and junk when it is
+    neither missing nor a finite number."""
     token = cell.strip()
-    if kind == "value":
-        lo, hi = _RANGES[name]
-        if lo <= value <= hi:
-            return value, None, None
-        bad = f"ph {value} outside [0, 14]" if name == "ph" else f"{name} {value} is negative"
-        return None, f"{bad}; coerced to missing", bad
-    note = f"{name} cell {token!r} coerced to missing" if token else None
-    return None, note, f"{name} cell {token!r} is not numeric" if kind == "junk" else None
+    if not token or token.lower() in MISSING_TOKENS:
+        return None, f"{name} cell {token!r} coerced to missing" if token else None, None
+    value = coerce_numeric(token)
+    if value is None:
+        return None, f"{name} cell {token!r} coerced to missing", f"{name} cell {token!r} is not numeric"
+    lo, hi = _RANGES[name]
+    if lo <= value <= hi:
+        return value, None, None
+    bad = f"ph {value} outside [0, 14]" if name == "ph" else f"{name} {value} is negative"
+    return None, f"{bad}; coerced to missing", bad
 
 
 def _csv_records(text: str) -> list[list[str] | csv.Error]:
@@ -305,13 +301,6 @@ def _csv_records(text: str) -> list[list[str] | csv.Error]:
             return [r for r in records if r]
         except csv.Error as exc:
             records.append(exc)
-
-
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
 
 
 def _fresh_copies(cells: list[str]) -> np.ndarray:
@@ -399,7 +388,7 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
         values[:, f] = np.fromiter(map(_float_or_nan, cells[name]), dtype=np.float64, count=len(rows))
     lo, hi = np.array([_RANGES[name] for name in NUMERIC_FIELDS]).T
     # Most cells are plain in-range numerals, which float() reads as
-    # _classify_cell would. Every other cell of a usable row takes the slow
+    # coerce_numeric does. Every other cell of a usable row takes the slow
     # path, in (row, field) order, so notes come out in row order and a row's
     # first defective cell names it.
     irregular = ~((lo <= values) & (values <= hi)) & usable[:, None]

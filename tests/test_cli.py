@@ -203,7 +203,7 @@ class TestPredictCommand:
         bad = tmp_path / "bad_model.txt"
         bad.write_text(
             "AQUAGAUGE-GBM\nversion 1\nloss=squared_error\nn_trees=0\n"
-            "learning_rate=0.1\nmax_depth=8\nmin_samples_split=200\n"
+            "learning_rate=0.10000000000000001\nmax_depth=8\nmin_samples_split=200\n"
             "min_samples_leaf=30\nseed=0\nf0=1\nfeature_names=a,b\ntraining_curve=0\n",
             encoding="utf-8",
         )

@@ -28,7 +28,6 @@ from aquagauge.gbm import (
     UnsupportedVersion,
     _child_lists,
     _presort,
-    _sse,
     _stats,
     best_split,
     deserialize_model,
@@ -51,6 +50,11 @@ from aquagauge.gbm import (
 
 def ref_sse(v: np.ndarray) -> float:
     return float(np.sum((v - v.mean()) ** 2))
+
+
+def _sse(values: np.ndarray) -> float:
+    """Sum of squared deviations from the mean, two-pass."""
+    return _stats(values)[1] if values.size >= 2 else 0.0
 
 
 def ref_threshold(a: float, b: float) -> float:
@@ -1141,20 +1145,28 @@ def _small_model_text() -> str:
 
 _FUZZ_TOKENS = ["nan", "-nan", "NaN", "inf", "-inf", "1e999", "0", "-0", "-1", "2", "7",
                 "1e308", "-1e308", "5e-324", "1.5", "", "x", "ph", "ph,ph", "tree", "I", "L",
-                "99999999999999999999999"]
+                "99999999999999999999999", "0.10", "1E5", "+1", ".5"]
 
 
 @st.composite
 def one_line_mutations(draw):
-    """A serialized model with one line changed: a token swapped, the whole
-    line replaced, or the line deleted or doubled."""
+    """A serialized model with one line changed: a token swapped, a separator
+    respaced, a trailing space added, the whole line replaced, or the line
+    deleted or doubled."""
     lines = _small_model_text().splitlines()
     i = draw(st.integers(0, len(lines) - 1))
-    how = draw(st.sampled_from(["token", "token", "replace", "delete", "double"]))
+    how = draw(st.sampled_from(["token", "token", "space", "replace", "delete", "double"]))
+    parts = re.split(r"([ =,])", lines[i])  # odd entries are the separators
     if how == "token":
-        parts = re.split(r"([ =,])", lines[i])  # odd entries are the separators
         j = 2 * draw(st.integers(0, len(parts) // 2))
         parts[j] = draw(st.sampled_from(_FUZZ_TOKENS))
+        lines[i] = "".join(parts)
+    elif how == "space":
+        spaces = [j for j in range(1, len(parts), 2) if parts[j] == " "]
+        if spaces and draw(st.booleans()):
+            parts[draw(st.sampled_from(spaces))] = draw(st.sampled_from(["  ", "\t"]))
+        else:
+            parts.append(" ")
         lines[i] = "".join(parts)
     elif how == "replace":
         lines[i] = draw(st.text(max_size=30))
@@ -1163,6 +1175,27 @@ def one_line_mutations(draw):
     else:
         lines.insert(i, lines[i])
     return "\n".join(lines) + "\n"
+
+
+# A hand-written one-tree file in the writer's spelling.
+_TINY_MODEL_TEXT = """\
+AQUAGAUGE-GBM
+version 1
+loss=squared_error
+n_trees=1
+learning_rate=0.10000000000000001
+max_depth=8
+min_samples_split=200
+min_samples_leaf=30
+seed=0
+f0=0
+feature_names=a
+training_curve=1,0.5
+tree 0 nodes 3
+I 0 1.5 1 2
+L -0.5 2
+L 0.25 3
+"""
 
 
 class TestLoaderRejects:
@@ -1289,12 +1322,12 @@ class TestLoaderRejects:
     # holding one would load and write back other bytes.
     def test_non_ascii_digits_in_internal_node(self):
         arabic_indic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")  # such as `I ٠ ٠.٥ ١ ٢`
-        with pytest.raises(CorruptNode, match="not an ASCII numeral"):
+        with pytest.raises(CorruptNode, match="not the writer's spelling"):
             deserialize_model(self._mutate("I ", lambda line: line.translate(arabic_indic)))
 
     def test_non_ascii_digits_in_leaf(self):
         fullwidth = str.maketrans("0123456789", "０１２３４５６７８９")  # such as `L -0.05 ２`
-        with pytest.raises(CorruptNode, match="not an ASCII numeral"):
+        with pytest.raises(CorruptNode, match="not the writer's spelling"):
             deserialize_model(self._mutate("L ", lambda line: line.translate(fullwidth)))
 
     @pytest.mark.parametrize("edit", [
@@ -1305,7 +1338,7 @@ class TestLoaderRejects:
     @pytest.mark.parametrize("key", [*(name for name, _ in gbm._HP_FIELDS), "f0", "training_curve"])
     def test_header_numeral_that_is_not_ascii(self, key, edit):
         text = self._mutate(key + "=", lambda line: f"{key}={edit(line.partition('=')[2])}")
-        with pytest.raises(CorruptHeader, match="not an ASCII numeral"):
+        with pytest.raises(CorruptHeader, match="not the writer's spelling"):
             deserialize_model(text)
 
     # The writer spells every integer str(int): a '+' or a leading zero would
@@ -1314,7 +1347,7 @@ class TestLoaderRejects:
                                            ids=["plus", "leading-zero"])
 
     @_NOT_STR_INT
-    @pytest.mark.parametrize("key", [name for name, parse in gbm._HP_FIELDS if parse is gbm._int])
+    @pytest.mark.parametrize("key", [name for name, kind in gbm._HP_FIELDS if kind is int])
     def test_header_integer_not_spelt_as_written(self, key, edit):
         text = self._mutate(key + "=", lambda line: f"{key}={edit(line.partition('=')[2])}")
         with pytest.raises(CorruptHeader, match="not the writer's spelling"):
@@ -1366,9 +1399,17 @@ class TestLoaderRejects:
         with pytest.raises(CorruptHeader):
             deserialize_model(self._mutate("training_curve=", edit))
 
-    def test_absent_training_curve_loads(self):
+    def test_absent_training_curve_rejected(self):
         lines = [line for line in _small_model_text().splitlines() if not line.startswith("training_curve=")]
-        assert deserialize_model("\n".join(lines) + "\n").training_curve == []
+        with pytest.raises(CorruptHeader, match="expected training_curve="):
+            deserialize_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit", [lambda text: text.replace("\n", "\r\n"), lambda text: text[:-1],
+                                      lambda text: text + "tree 2 nodes 1"],
+                             ids=["crlf", "last-line-end-missing", "unterminated-extra-line"])
+    def test_line_ends_not_the_writers(self, edit):
+        with pytest.raises(ModelFormatError):
+            deserialize_model(edit(_small_model_text()))
 
     def test_empty_feature_names_value_loads(self):
         model = GbmModel(f0=1.5, trees=[], hyperparams=Hyperparams(n_trees=0), training_curve=[0.25])
@@ -1378,13 +1419,21 @@ class TestLoaderRejects:
 
     def test_unmutated_text_loads(self):
         assert deserialize_model(_small_model_text()).feature_names == ["ph", "do", "bod"]
+        assert serialize_model(deserialize_model(_TINY_MODEL_TEXT)) == _TINY_MODEL_TEXT
 
     @settings(max_examples=400, deadline=None)
     @given(one_line_mutations())
+    @example(_TINY_MODEL_TEXT.replace("\nI 0 1.5 1 2\n", "\nI  0 1.5 1 2\n"))
+    @example(_TINY_MODEL_TEXT.replace("\nI 0 1.5 1 2\n", "\nI\t0 1.5 1 2\n"))
+    @example(_TINY_MODEL_TEXT.replace("\nL -0.5 2\n", "\nL  -0.5 2\n"))
+    @example(_TINY_MODEL_TEXT.replace("\nL -0.5 2\n", "\nL -0.5 2 \n"))
     def test_one_line_mutation_loads_finite_or_raises(self, text):
+        """A mutated file either is refused or is exactly what the writer
+        writes for the model it loads, and that model predicts finite values."""
         try:
             model = deserialize_model(text)
         except ModelFormatError:
             return
+        assert serialize_model(model) == text
         rows = np.random.default_rng(13).uniform(-1e3, 1e3, size=(50, len(model.feature_names)))
         assert np.all(np.isfinite(predict_matrix(model, rows)))

@@ -13,11 +13,14 @@ from hypothesis import example, given, strategies as st
 from aquagauge.errors import LengthMismatch
 from aquagauge.ingest import (
     MISSING_TOKENS,
+    NUMERIC_FIELDS,
     AllMissingColumn,
     BadDateToken,
     EmptyInput,
     MalformedRow,
     MissingColumn,
+    _RANGES,
+    _irregular_cell,
     coerce_numeric,
     column_median,
     csv_text,
@@ -213,6 +216,43 @@ class TestCoerceNumeric:
     def test_never_raises_and_finite(self, cell):
         value = coerce_numeric(cell)
         assert value is None or value == value  # finite float or missing
+
+    @given(st.one_of(st.text(alphabet="0123456789_.eE+-٣０ \t\nnaifty/", max_size=12),
+                     st.sampled_from(["nan", "NaN", " N/A ", "-", "inf", "-Infinity", "1_000", "٣", "０.5",
+                                      "1e400", "1e-320", "", "  ", "n/a", "na"]),
+                     st.floats().map(repr), st.text(max_size=12)),
+           st.sampled_from(NUMERIC_FIELDS))
+    def test_cell_rule_matches_frozen_classify(self, cell, name):
+        """coerce_numeric and _irregular_cell read a cell as the frozen rule does."""
+        kind, value = frozen_classify_cell(cell)
+        got = coerce_numeric(cell)
+        assert (got is None, repr(got)) == (value is None, repr(value))
+        got_value, note, defect = _irregular_cell(name, cell)
+        if kind == "value":
+            lo, hi = _RANGES[name]
+            in_range = lo <= value <= hi
+            assert got_value == (value if in_range else None)
+            assert (defect is None) == in_range
+        else:
+            assert got_value is None
+            assert (note is None) == (cell.strip() == "")
+            assert (defect is None) == (kind == "missing")
+
+
+def frozen_classify_cell(cell: str) -> tuple[str, float | None]:
+    """The cell rule of the lenient parser as it stood before coerce_numeric
+    read cells through _float_or_nan, frozen as the oracle: ('value', x),
+    ('missing', None) or ('junk', None)."""
+    token = cell.strip()
+    if not token or token.lower() in MISSING_TOKENS:
+        return "missing", None
+    try:
+        value = float(token)
+    except ValueError:
+        return "junk", None
+    if not math.isfinite(value):
+        return "junk", None
+    return "value", value
 
 
 _sample_strategy = st.builds(

@@ -9,10 +9,8 @@ Exit codes: 0 success, 2 usage or data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import gc
-import io
 import os
 import sys
 import tempfile
@@ -44,10 +42,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _read_text(path: str, newline: str | None = None) -> str:
-    """The text of a UTF-8 file; a file that is not UTF-8 is a data error."""
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file as written, line ends untranslated, so that
+    each input's one reader sees the bytes the library would be given; a
+    file that is not UTF-8 is a data error."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise AquagaugeError(f"{path} is not UTF-8: {exc}") from exc
@@ -198,16 +198,26 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_data(args: argparse.Namespace) -> int:
-    reader = csv.DictReader(io.StringIO(_read_text(args.input, newline=""), newline=""))
-    if reader.fieldnames is None or not {"actual", "predicted"} <= set(reader.fieldnames):
+    """Copy the actual and predicted cells of an evaluate report, read by
+    ingest.csv_records. The first column of each name counts and extra
+    cells are ignored; the first record that is unreadable, short, or holds
+    a cell that is not a finite number raises MalformedRow naming it."""
+    header, *rows = ingest.csv_records(_read_text(args.input)) or [[]]
+    if not isinstance(header, list):
+        raise ingest.MalformedRow(0, f"header is not readable CSV: {header}")
+    names = ["actual", "predicted"]
+    if not set(names) <= set(header):
         raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
-    header = ["actual", "predicted"]
-    rows = list(reader)
+    cols, columns = list(map(header.index, names)), [[], []]
     for i, row in enumerate(rows, start=1):
-        for name in header:
-            if ingest.coerce_numeric(row[name] or "") is None:
-                raise ingest.MalformedRow(i, f"{name} is not a finite number: {row[name]!r}")
-    _emit(args.out_scatter, header, [[row[name] for row in rows] for name in header])
+        if not isinstance(row, list):
+            raise ingest.MalformedRow(i, f"not readable CSV: {row}")
+        for name, col, column in zip(names, cols, columns):
+            cell = row[col] if col < len(row) else None
+            if ingest.coerce_numeric(cell or "") is None:
+                raise ingest.MalformedRow(i, f"{name} is not a finite number: {cell!r}")
+            column.append(cell)
+    _emit(args.out_scatter, names, columns)
     return 0
 
 

@@ -93,8 +93,8 @@ class ModelFormatError(GbmError):
 
 
 class BadMagic(ModelFormatError):
-    def __init__(self):
-        super().__init__(f"model text does not start with {MODEL_MAGIC!r}")
+    def __init__(self, first_line: str):
+        super().__init__(f"model text does not start with {MODEL_MAGIC!r}: first line {first_line[:80]!r}")
 
 
 class UnsupportedVersion(ModelFormatError):
@@ -643,7 +643,7 @@ def deserialize_model(text: str) -> GbmModel:
     the tree and training_curve counts."""
     *lines, rest = text.split("\n")  # rest: what follows the last line end, "" as written
     if not lines or lines[0] != MODEL_MAGIC:
-        raise BadMagic()
+        raise BadMagic(text.partition("\n")[0])
     if len(lines) < 2 or lines[1] != f"version {MODEL_VERSION}":
         raise UnsupportedVersion(lines[1].removeprefix("version ") if len(lines) > 1 else "<missing>")
 

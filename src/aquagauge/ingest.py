@@ -288,21 +288,6 @@ def _irregular_cell(name: str, cell: str) -> tuple[float | None, str | None, str
     return None, f"{bad}; coerced to missing", bad
 
 
-def _csv_records(text: str) -> list[list[str] | csv.Error]:
-    """The non-empty records of a CSV text. A record the csv module cannot
-    read (a bare carriage return, or a NUL before Python 3.11) stands as its
-    csv.Error, and reading goes on with the next line."""
-    reader = csv.reader(io.StringIO(text))
-    records: list[list[str] | csv.Error] = []
-    while True:
-        try:
-            records.append(next(reader))
-        except StopIteration:
-            return [r for r in records if r]
-        except csv.Error as exc:
-            records.append(exc)
-
-
 def _fresh_copies(cells: list[str]) -> np.ndarray:
     """The cells as an object array of fresh strings, one per distinct value.
 
@@ -334,7 +319,7 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
         raise ValueError(f"strictness must be 'strict' or 'lenient', got {strictness!r}")
     strict = strictness == "strict"
 
-    records = _csv_records(csv_text)
+    records = csv_records(csv_text)
     if not records:
         raise EmptyInput()
     header, data_rows = records[0], records[1:]
@@ -463,6 +448,23 @@ def csv_text(header: list[str], columns: list[list[str]]) -> str:
     alone = len(columns) == 1
     table = [_csv_column([name, *column], alone) for name, column in zip(header, columns)]
     return "\n".join(map(",".join, zip(*table))) + "\n"
+
+
+def csv_records(text: str) -> list[list[str] | csv.Error]:
+    """The non-empty records of a CSV text, the one reader of every CSV the
+    package reads. A record ends at LF, CRLF or CR alike, and a line break
+    inside a quoted cell is kept as written. A record the csv module cannot
+    read (a cell over csv.field_size_limit(), or a NUL before Python 3.11)
+    stands as its csv.Error, and reading goes on with the next line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records: list[list[str] | csv.Error] = []
+    while True:
+        try:
+            records.append(next(reader))
+        except StopIteration:
+            return [r for r in records if r]
+        except csv.Error as exc:
+            records.append(exc)
 
 
 def column_median(observed: np.ndarray) -> float:

@@ -34,11 +34,16 @@ FIXTURE_ROWS = [
 
 
 def rows_to_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV text of the rows, one record each, ending in LF. The writer's line
+    terminator holds a CR, so that it quotes a cell holding a lone CR, which
+    would end a record; the csv module does that by itself only from
+    Python 3.13 on."""
+    records = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        records.append(buf.getvalue()[:-2] + "\n")
+    return "".join(records)
 
 
 @pytest.fixture

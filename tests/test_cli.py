@@ -17,6 +17,7 @@ import aquagauge
 from aquagauge import wqi
 from aquagauge.cli import main
 from aquagauge.gbm import deserialize_model
+from aquagauge.ingest import parse_dataset
 from conftest import STATION_HEADER, FIXTURE_ROWS, rows_to_csv, synthetic_station_rows
 from test_gbm import node_view
 
@@ -288,6 +289,13 @@ class TestDiagnoseCommand:
         path.write_text(rows_to_csv(STATION_HEADER, []), encoding="utf-8")
         assert run(capsys, "diagnose", "--input", str(path))[0] == 2
 
+    def test_nul_in_rules_file_exits_2(self, capsys, fixture_csv_path, tmp_path):
+        rules_path = tmp_path / "nul.rules"
+        rules_path.write_text('rule 1 "Every\0thing" reason "r" suggest "s" when wqi >= 0\n', encoding="utf-8")
+        code, _, err = run(capsys, "diagnose", "--input", fixture_csv_path, "--rules", str(rules_path))
+        assert code == 2
+        assert "line 1: line holds a NUL character" in err
+
 
 REPORT_HEADER = "station_code,month,year,actual,predicted,percentile_error"
 
@@ -322,7 +330,10 @@ class TestPlotDataCommand:
         (f"{REPORT_HEADER}\nS,1,2019,nan,51.0,\n", 1, "actual is not a finite number: 'nan'"),
         (f"{REPORT_HEADER}\nS,1,2019,50.0,-inf,\n", 1, "predicted is not a finite number: '-inf'"),
         (f"{REPORT_HEADER}\nS,1,2019,50.0,,\n", 1, "predicted is not a finite number: ''"),
-    ], ids=["no-predicted-cell", "non-numeric", "nan", "infinite", "empty"])
+        (f"{REPORT_HEADER}\nS,1,2019,50.0,51.0,\nS,1,2019,{'5' * (csv.field_size_limit() + 1)},51.0,\n", 2,
+         "not readable CSV: field larger than field limit"),
+        (f"{'a' * (csv.field_size_limit() + 1)},actual,predicted\n1,2,3\n", 0, "header is not readable CSV"),
+    ], ids=["no-predicted-cell", "non-numeric", "nan", "infinite", "empty", "oversized-cell", "oversized-header"])
     def test_malformed_report_row_exits_2(self, capsys, tmp_path, text, row, detail):
         report_path = tmp_path / "report.csv"
         report_path.write_text(text, encoding="utf-8")
@@ -332,11 +343,70 @@ class TestPlotDataCommand:
         assert f"row {row}: {detail}" in err
         assert not scatter_path.exists()
 
+    @pytest.mark.parametrize("text,scatter", [
+        ("actual,predicted,actual\r1.0,2.0,3.0\r", "actual,predicted\n1.0,2.0\n"),
+        ("predicted,actual\r\n2.0,1.0,9,9\r\n", "actual,predicted\n1.0,2.0\n"),
+    ], ids=["first-of-a-repeated-name", "extra-cells"])
+    def test_report_read_as_station_csvs_are(self, capsys, tmp_path, text, scatter):
+        """The first column of a repeated name counts, as in parse_dataset;
+        extra cells are ignored, and any line end ends a record."""
+        report_path, scatter_path = tmp_path / "report.csv", tmp_path / "scatter.csv"
+        report_path.write_bytes(text.encode("utf-8"))
+        assert run(capsys, "plot-data", "--input", str(report_path), "--out-scatter", str(scatter_path))[0] == 0
+        assert scatter_path.read_bytes() == scatter.encode("utf-8")
+
     def test_no_inputs_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plot-data"])
         assert exc.value.code == 2
         assert "the following arguments are required: --input" in capsys.readouterr().err
+
+
+def _fixture_text(end: str) -> str:
+    """The fixture station CSV with each record ending in `end`; one row's
+    station code and location hold a quoted CRLF."""
+    rows = [list(row) for row in FIXTURE_ROWS]
+    rows[1][1:3] = ["12\r\n07", "Dhanmondi 27 Area,\r\nDhaka"]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=end).writerows([STATION_HEADER, *rows])
+    return buf.getvalue()
+
+
+def test_one_line_end_rule_through_library_and_cli(capsys, tmp_path):
+    """LF, CRLF and CR-only copies of one station CSV parse alike through
+    parse_dataset and give the same bytes through the CLI; a line break in a
+    quoted cell is kept as written by both."""
+    parsed, written = [], []
+    for name, end in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+        text = _fixture_text(end)
+        ds = parse_dataset(text)
+        parsed.append((ds.samples, ds.provenance))
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for command in ("wqi", "diagnose"):
+            out = tmp_path / f"{name}-{command}.csv"
+            assert run(capsys, command, "--input", str(path), "--out", str(out))[0] == 0
+            written.append(out.read_bytes())
+    assert parsed[1:] == parsed[:1] * 2
+    assert written[2:] == written[:2] * 2
+    samples = parsed[0][0]
+    assert len(samples) == 5 and not parsed[0][1].dropped
+    assert "Dhanmondi 27 Area,\r\nDhaka" in [s.location for s in samples]
+    assert "12\r\n07" in [s.station_code for s in samples]
+    for out in written[:2]:  # wqi and diagnose write no location
+        assert b'\n"12\r\n07",8' in out
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_crlf_model_exits_2(capsys, synthetic_csv_path, trained_model_path, tmp_path, command):
+    """The CLI hands deserialize_model the file as written, so a model with
+    CRLF line ends is refused as the library refuses it."""
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(Path(trained_model_path).read_bytes().replace(b"\n", b"\r\n"))
+    code, _, err = run(capsys, command, "--input", synthetic_csv_path, "--model", str(crlf),
+                       "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert "first line 'AQUAGAUGE-GBM\\r'" in err
 
 
 LATIN1 = b"Dh\xe2ka"  # 'Dhâka' in Latin-1: \xe2 starts no valid UTF-8 sequence here
@@ -631,8 +701,10 @@ def test_a_run_builds_no_cycles_per_row(capsys, tmp_path):
 
 
 # Cells a station CSV or an evaluate report may hold where a number or a
-# date belongs; '"' is written bare, so it opens a quoted cell it never closes.
-HOSTILE_CELLS = ["", "n/a", "1e400", "-inf", "1e-320", "٣", "1_000", "0x10", '"', "13-2019", "2019-8", "0-2020"]
+# date belongs; '"' is written bare, so it opens a quoted cell it never closes,
+# and the last is one character over the csv module's field size limit.
+HOSTILE_CELLS = ["", "n/a", "1e400", "-inf", "1e-320", "٣", "1_000", "0x10", '"', "13-2019", "2019-8", "0-2020",
+                 "7" * (csv.field_size_limit() + 1)]
 
 
 def _raw_cell(cell: str) -> str:
@@ -644,7 +716,8 @@ def _raw_cell(cell: str) -> str:
 @st.composite
 def mutated_csv(draw, header, rows):
     """CSV text of the rows with some cells made hostile, then the rows
-    kept, shuffled, cut short or one of them repeated."""
+    kept, shuffled, cut short or one of them repeated, each line ending in
+    LF, CRLF or CR."""
     rows = [list(row) for row in rows]
     for _ in range(draw(st.integers(0, 6))):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
@@ -656,7 +729,8 @@ def mutated_csv(draw, header, rows):
         rows = rows[: draw(st.integers(0, len(rows)))]
     elif how == "repeat":
         rows.insert(0, rows[draw(st.integers(0, len(rows) - 1))])
-    return "".join(",".join(map(_raw_cell, row)) + "\n" for row in [header, *rows])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(",".join(map(_raw_cell, row)) + end for row in [header, *rows])
 
 
 @pytest.fixture(scope="module")
@@ -684,8 +758,8 @@ def test_every_command_exits_0_or_2_on_hostile_input(clean_run, data):
     (exit 3): each run succeeds or exits 2 with an error line."""
     work, rows, model, report_header, report_rows = clean_run
     stations, report, out = work / "stations.csv", work / "report.csv", str(work / "out.csv")
-    stations.write_text(data.draw(mutated_csv(STATION_HEADER, rows)), encoding="utf-8")
-    report.write_text(data.draw(mutated_csv(report_header, report_rows)), encoding="utf-8")
+    stations.write_text(data.draw(mutated_csv(STATION_HEADER, rows)), encoding="utf-8", newline="")
+    report.write_text(data.draw(mutated_csv(report_header, report_rows)), encoding="utf-8", newline="")
     given_stations = ["--input", str(stations), "--out", out]
     for argv in (
         ["wqi", *given_stations],

@@ -35,9 +35,9 @@ from aquagauge.ingest import (
     MissingColumn,
     Provenance,
     WaterSample,
-    _csv_records,
     _irregular_cell,
     _RANGES,
+    csv_records,
     impute_missing,
     normalize_column,
     parse_dataset,
@@ -51,7 +51,7 @@ from test_forecast import loop_feature_rows
 def loop_parse_dataset(csv_text, strictness="lenient", source="<memory>"):
     """One row at a time, one WaterSample per kept row: (samples, provenance)."""
     strict = strictness == "strict"
-    rows = _csv_records(csv_text)
+    rows = csv_records(csv_text)
     if not rows:
         raise EmptyInput()
     header, data_rows = rows[0], rows[1:]
@@ -203,12 +203,15 @@ _row = st.tuples(
 )
 
 
+_OVERSIZED_CELL = "x" * (csv.field_size_limit() + 1)
+
+
 def _station_csv(rows) -> str:
     """A station CSV as text: defective rows of every kind among good ones."""
     lines = [",".join(STATION_HEADER)]
     for serial, (kind, station, location, numbers, date) in enumerate(rows):
-        if kind == "unreadable":  # a bare carriage return outside quotes
-            lines.append(f"{serial},A,loc\rstate,1,2")
+        if kind == "unreadable":  # a cell over the csv module's field size limit
+            lines.append(f"{serial},A,{_OVERSIZED_CELL},1,2")
             continue
         if kind == "blank":  # no usable value: a missing, junk or out-of-range cell in each column
             numbers = [cell if cell in _ODD_CELLS else "" for cell in numbers]

@@ -76,7 +76,7 @@ class TestParseDataset:
 
     def test_unreadable_record_dropped(self):
         rows = [list(r) for r in FIXTURE_ROWS[:3]]
-        rows[1][6] = "7.2\r"  # a bare carriage return inside an unquoted cell
+        rows[1][6] = "7" * (csv.field_size_limit() + 1)  # a cell over the csv module's limit
         text = rows_to_csv(STATION_HEADER, rows)
         ds = parse_dataset(text)
         assert len(ds.samples) == 2

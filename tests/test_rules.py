@@ -84,6 +84,18 @@ class TestLoadRules:
             load_rules('# fine\nrule "missing priority" reason "r" suggest "s" when wqi < 1')
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("line", [
+        'rule 1 "X\0" reason "r" suggest "s" when wqi < 1',
+        'rule 1 "X" reason "r" suggest "s\0" when wqi < 1',
+        '# a comment\0',
+    ], ids=["name", "suggestion", "comment"])
+    def test_nul_rejected(self, line):
+        """The csv writer of Python 3.10 cannot write a NUL into a diagnose
+        cell, so no rule line holds one."""
+        with pytest.raises(RuleSyntaxError) as err:
+            load_rules(f'# x\n{line}')
+        assert err.value.line == 2
+
     def test_between_inclusive(self):
         rs = load_rules('rule 1 "X" reason "r" suggest "s" when wqi between 10 20')
         cond = rs.rules[0].conditions[0]

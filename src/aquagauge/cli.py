@@ -114,25 +114,21 @@ def cmd_wqi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _task(args: argparse.Namespace, side: int) -> forecast.SupervisedTask:
-    """The supervised task of --input, or with a station --split its
-    training (side 0) or test (side 1) side."""
+def _task(args: argparse.Namespace, side: int, seed: int) -> forecast.SupervisedTask:
+    """The supervised task of --input, or its side (0 train, 1 test) of a station --split by seed."""
     task = forecast.build_supervised(_load_dataset(args), _MODE_FLAG[args.mode])
     fraction = _parse_split(args.split)
     if fraction is not None:
-        try:
-            task = forecast.split_by_station(task, fraction, args.seed)[side]
-        except ValueError as exc:  # _parse_split checked the fraction
-            raise AquagaugeError(f"bad --seed {args.seed}: {exc}") from exc
+        task = forecast.split_by_station(task, fraction, seed)[side]
     return task
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    task = _task(args, 0)  # first, so a station split names a bad --seed
     try:
         hp = gbm.Hyperparams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(gbm.Hyperparams)})
     except ValueError as exc:
         raise AquagaugeError(str(exc)) from exc
+    task = _task(args, 0, hp.seed)
     if len(task) == 0:
         raise AquagaugeError("training task is empty: need >= 2 observations for some station")
     model = gbm.gbm_fit(task.features, task.targets, hp)
@@ -160,16 +156,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = gbm.deserialize_model(_read_text(args.model))
-    seed = model.hyperparams.seed  # the --seed that train split with
-    if args.seed is None:
-        args.seed = seed
-        print(f"log: seed={seed} (from the model file)", file=sys.stderr)
-    if args.seed < 0:  # checked here, as --split all reads no seed
-        raise AquagaugeError(f"bad --seed {args.seed}: seed must be >= 0")
-    task = _task(args, 1)
-    if args.seed != seed and _parse_split(args.split) is not None:
-        raise AquagaugeError(f"--seed {args.seed} differs from the model's split seed {seed}: "
-                             "the test side would hold stations the model was trained on")
+    print(f"log: seed={model.hyperparams.seed} (from the model file)", file=sys.stderr)
+    task = _task(args, 1, model.hyperparams.seed)  # the seed train split with: its held-out side
     if len(task) == 0:
         raise AquagaugeError("evaluation task is empty")
     report = forecast.evaluate(model, task)
@@ -264,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="model.txt", help="model file to load")
     p.add_argument("--out", default="eval_report.csv", help="per-example report CSV path")
     p.add_argument("--split", default="station:0.2",
-                   help="'all' or 'station:<test fraction>'; evaluation uses the test side")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the station split (default: the model's); another seed exits 2")
+                   help="'all' or 'station:<test fraction>'; evaluation uses the test side of the model's seed=")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("diagnose", help="disease diagnosis per sample from the rule file")

@@ -409,16 +409,19 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
 
 
 # The csv module's writer quotes a cell holding the delimiter, the quote or a
-# line end, and the writer of Python 3.10 refuses NUL; csv_text hands it
-# every cell that holds one of these.
+# character of its line terminator, and the writer of Python 3.10 refuses NUL;
+# csv_text hands it every cell that holds one of these.
 _CSV_SPECIAL = (",", '"', "\r", "\n", "\0")
 
 
 def _written_cell(cell: str) -> str:
-    """One cell as the csv module's writer writes it in a row of its own."""
+    """One cell as the csv module's writer writes it in a row of its own. The
+    row ends in CRLF, so that a lone CR is quoted on every Python, as the
+    writer does by itself only from Python 3.13 on: unquoted, it would end
+    a record for csv_records."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([cell])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow([cell])
+    return buf.getvalue()[:-2]
 
 
 def _needs_writer(text: str) -> bool:

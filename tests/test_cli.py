@@ -436,9 +436,9 @@ def test_file_that_is_not_utf8_exits_2(capsys, fixture_csv_path, trained_model_p
 
 
 def test_seed_only_on_split_commands(capsys, synthetic_csv_path, tmp_path):
-    """--seed exists only where a station split reads it: train writes it to
-    the model file and evaluate draws its test side from it."""
-    for command in ("wqi", "predict", "diagnose"):
+    """--seed exists only where a station split is drawn: train writes it to
+    the model file, and evaluate reads it from there."""
+    for command in ("wqi", "predict", "evaluate", "diagnose"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--input", synthetic_csv_path, "--seed", "1"])
         assert exc.value.code == 2
@@ -448,43 +448,50 @@ def test_seed_only_on_split_commands(capsys, synthetic_csv_path, tmp_path):
                        "--out", str(tmp_path / "c.csv"), "--seed", "1", *TRAIN_ARGS)
     assert code == 0 and "log: seed=1" in err.splitlines()
     assert deserialize_model(model.read_text(encoding="utf-8")).hyperparams.seed == 1
-    for seed, status in (("1", 0), ("0", 2)):  # evaluate takes only the model's seed
-        code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", str(model),
-                           "--out", str(tmp_path / f"report{seed}.csv"), "--seed", seed)
-        assert code == status and f"log: seed={seed}" in err.splitlines()
 
 
 def test_evaluate_splits_with_the_models_seed(capsys, synthetic_csv_path, tmp_path):
-    """With no --seed, evaluate scores the stations that train held out with
-    the model's seed=; another --seed would score training stations, and
-    exits 2, except with --split all, which no seed changes."""
+    """evaluate scores exactly the stations that train held out with the
+    model's seed=, and takes no --seed that could choose others."""
+    from aquagauge.forecast import build_supervised, split_by_station
+    from aquagauge.ingest import impute_missing
+
     model = tmp_path / "model.txt"
     assert run(capsys, "train", "--input", synthetic_csv_path, "--model", str(model),
                "--out", str(tmp_path / "c.csv"), "--seed", "5", *TRAIN_ARGS)[0] == 0
     evaluate = ["evaluate", "--input", synthetic_csv_path, "--model", str(model)]
-    runs = {}
-    for name, extra in (("default", []), ("seed-5", ["--seed", "5"])):
-        runs[name] = run(capsys, *evaluate, "--out", str(tmp_path / f"{name}.csv"), *extra)
-        assert runs[name][0] == 0, runs[name]
-    assert runs["default"][1] == runs["seed-5"][1]
-    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "seed-5.csv").read_bytes()
-    assert "log: seed=5 (from the model file)" in runs["default"][2].splitlines()
+    code, _, err = run(capsys, *evaluate, "--out", str(tmp_path / "default.csv"))
+    assert code == 0
+    assert "log: seed=5 (from the model file)" in err.splitlines()
+    text = Path(synthetic_csv_path).read_text(encoding="utf-8")
+    held_out = split_by_station(build_supervised(impute_missing(parse_dataset(text), "drop_row")), 0.2, 5)[1]
+    with open(tmp_path / "default.csv", encoding="utf-8", newline="") as fh:
+        report = [(r["station_code"], int(r["month"]), int(r["year"])) for r in csv.DictReader(fh)]
+    assert report == held_out.keys
 
-    code, _, err = run(capsys, *evaluate, "--out", str(tmp_path / "seed-0.csv"), "--seed", "0")
-    assert code == 2
-    assert "error: --seed 0 differs from the model's split seed 5" in err
+    with pytest.raises(SystemExit) as exc:
+        main([*evaluate, "--out", str(tmp_path / "seed-0.csv"), "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
     assert not (tmp_path / "seed-0.csv").exists()
-    assert run(capsys, *evaluate, "--out", str(tmp_path / "all.csv"), "--split", "all", "--seed", "0")[0] == 0
+    assert run(capsys, *evaluate, "--out", str(tmp_path / "all.csv"), "--split", "all")[0] == 0
 
 
 @pytest.mark.parametrize("command,seed", [("train", "-5"), ("evaluate", "-1")])
 def test_negative_seed_exits_2(request, capsys, synthetic_csv_path, tmp_path, command, seed):
-    # evaluate reads a model before it splits; train writes one
+    # train refuses the seed; evaluate has no --seed, so argparse refuses the flag
     model = request.getfixturevalue("trained_model_path") if command == "evaluate" else str(tmp_path / "m.txt")
-    code, _, err = run(capsys, command, "--input", synthetic_csv_path, "--model", model,
-                       "--out", str(tmp_path / "out.csv"), "--seed", seed)
+    argv = [command, "--input", synthetic_csv_path, "--model", model,
+            "--out", str(tmp_path / "out.csv"), "--seed", seed]
+    if command == "evaluate":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        return
+    code, _, err = run(capsys, *argv)
     assert code == 2
-    assert f"error: bad --seed {seed}: seed must be >= 0" in err.splitlines()
+    assert "error: seed must be >= 0" in err.splitlines()
 
 
 def test_negative_seed_without_split_exits_2(capsys, synthetic_csv_path, tmp_path):
@@ -497,11 +504,13 @@ def test_negative_seed_without_split_exits_2(capsys, synthetic_csv_path, tmp_pat
 
 
 def test_evaluate_negative_seed_without_split_exits_2(capsys, synthetic_csv_path, trained_model_path, tmp_path):
+    """evaluate takes no --seed, with or without a station split."""
     out = tmp_path / "report.csv"
-    code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", trained_model_path,
-                       "--out", str(out), "--split", "all", "--seed", "-5")
-    assert code == 2
-    assert "error: bad --seed -5: seed must be >= 0" in err.splitlines()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--input", synthetic_csv_path, "--model", trained_model_path,
+              "--out", str(out), "--split", "all", "--seed", "-5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed -5" in capsys.readouterr().err
     assert not out.exists()
 
 

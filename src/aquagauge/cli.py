@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: wqi, train, predict, evaluate, diagnose, plot-data. Every run
-echoes its fully resolved configuration to stderr, writes output files
-atomically (temp file + rename), and is deterministic for a fixed seed.
+Subcommands: wqi, train, predict, evaluate and diagnose. Every run echoes
+its fully resolved configuration to stderr, writes output files atomically
+(temp file + rename), and is deterministic for a fixed seed.
 Exit codes: 0 success, 2 usage or data error, 3 internal error.
 """
 
@@ -162,6 +162,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise AquagaugeError("evaluation task is empty")
     report = forecast.evaluate(model, task)
     print(f"log: zero_actual_rows={report.zero_actuals}", file=sys.stderr)
+    # persistence, "WQI in four months equals WQI now", is the feature row's wqi;
+    # skill = 1 - mse_model / mse_persistence (Murphy, 1988)
+    naive = task.features.values[:, forecast.FEATURE_NAMES.index("wqi")]
+    naive_mse = forecast.mse(task.targets, naive)
+    skill = "undefined" if naive_mse == 0.0 else repr(1.0 - report.mse / naive_mse)
+    print(f"log: persistence_mse={naive_mse!r} persistence_r2={forecast.r_squared(task.targets, naive)!r} "
+          f"skill={skill}", file=sys.stderr)
     _atomic_write(args.out, forecast.report_csv(report, task.keys))
     print(forecast.summary_line(report))
     return 0
@@ -182,30 +189,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
           [ds.station_code.tolist(), list(map(str, ds.month.tolist())), list(map(str, ds.year.tolist())),
            [f"{v:.6f}" for v in scored.wqi.tolist()],
            *(list(map(outcome.__getitem__, matched)) for outcome in zip(*outcomes))])
-    return 0
-
-
-def cmd_plot_data(args: argparse.Namespace) -> int:
-    """Copy the actual and predicted cells of an evaluate report, read by
-    ingest.csv_records. The first column of each name counts and extra
-    cells are ignored; the first record that is unreadable, short, or holds
-    a cell that is not a finite number raises MalformedRow naming it."""
-    header, *rows = ingest.csv_records(_read_text(args.input)) or [[]]
-    if not isinstance(header, list):
-        raise ingest.MalformedRow(0, f"header is not readable CSV: {header}")
-    names = ["actual", "predicted"]
-    if not set(names) <= set(header):
-        raise AquagaugeError("evaluation CSV must carry 'actual' and 'predicted' columns")
-    cols, columns = list(map(header.index, names)), [[], []]
-    for i, row in enumerate(rows, start=1):
-        if not isinstance(row, list):
-            raise ingest.MalformedRow(i, f"not readable CSV: {row}")
-        for name, col, column in zip(names, cols, columns):
-            cell = row[col] if col < len(row) else None
-            if ingest.coerce_numeric(cell or "") is None:
-                raise ingest.MalformedRow(i, f"{name} is not a finite number: {cell!r}")
-            column.append(cell)
-    _emit(args.out_scatter, names, columns)
     return 0
 
 
@@ -260,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default=None, help="rules file (default: shipped ruleset)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("plot-data", help="export the actual-vs-predicted scatter CSV of an evaluate report")
-    p.add_argument("--input", required=True, help="evaluate's per-example CSV")
-    p.add_argument("--out-scatter", default="actual_vs_predicted.csv")
-    p.set_defaults(func=cmd_plot_data)
 
     return parser
 

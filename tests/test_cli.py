@@ -4,9 +4,11 @@ import gc
 import hashlib
 import io
 import os
+import re
 import stat
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 import aquagauge
 from aquagauge import wqi
 from aquagauge.cli import main
+from aquagauge.forecast import FEATURE_NAMES, build_supervised, mse, r_squared, split_by_station
 from aquagauge.gbm import deserialize_model
-from aquagauge.ingest import parse_dataset
+from aquagauge.ingest import impute_missing, parse_dataset
+from aquagauge.rules import DEFAULT_RULES_RESOURCE
 from conftest import STATION_HEADER, FIXTURE_ROWS, rows_to_csv, synthetic_station_rows
 from test_gbm import node_view
 
@@ -150,11 +154,6 @@ class TestTrainCommand:
         assert len(model.trees) == 1
         assert [node[0] for node in node_view(model.trees[0])] == ["L"]
 
-        from pathlib import Path
-
-        from aquagauge.forecast import build_supervised
-        from aquagauge.ingest import impute_missing, parse_dataset
-
         text = Path(synthetic_csv_path).read_text(encoding="utf-8")
         task = build_supervised(impute_missing(parse_dataset(text), "drop_row"))
         assert model.f0 == pytest.approx(float(np.mean(task.targets)), abs=1e-12)
@@ -179,6 +178,17 @@ class TestTrainCommand:
             assert run(capsys, "train", "--input", synthetic_csv_path, "--model", str(p),
                        "--out", str(tmp_path / (p.stem + ".csv")), *TRAIN_ARGS)[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_curve_export(self, capsys, synthetic_csv_path, tmp_path):
+        """The loss curve to plot is the CSV that train --out writes."""
+        curve_path = tmp_path / "curve_data.csv"
+        code, _, _ = run(capsys, "train", "--input", synthetic_csv_path,
+                         "--model", str(tmp_path / "model.txt"), "--out", str(curve_path),
+                         *TRAIN_ARGS)
+        assert code == 0
+        lines = curve_path.read_text().splitlines()
+        assert lines[0] == "iteration,loss"
+        assert len(lines) == 1 + 31
 
 
 @pytest.fixture
@@ -259,6 +269,33 @@ class TestEvaluateCommand:
         mean = np.mean([float(r["percentile_error"]) for r in report if r["percentile_error"]])
         assert float(out.split("mean_pct_err=")[1]) == pytest.approx(mean, abs=1e-5)
 
+    def test_logs_persistence_baseline(self, capsys, synthetic_csv_path, trained_model_path, tmp_path):
+        """The logged baseline is the forecast "WQI in four months equals WQI
+        now", the task's wqi feature column, scored by the library's metrics."""
+        code, out, err = run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", trained_model_path,
+                             "--out", str(tmp_path / "report.csv"), "--split", "all")
+        assert code == 0
+        text = Path(synthetic_csv_path).read_text(encoding="utf-8")
+        task = build_supervised(impute_missing(parse_dataset(text), "drop_row"))
+        naive = task.features.values[:, FEATURE_NAMES.index("wqi")]
+        naive_mse = mse(task.targets, naive)
+        model_mse = float(out.split("mse=")[1].split()[0])
+        assert (f"log: persistence_mse={naive_mse!r} persistence_r2={r_squared(task.targets, naive)!r} "
+                f"skill={1.0 - model_mse / naive_mse!r}") in err.splitlines()
+
+    def test_perfect_persistence_has_undefined_skill(self, capsys, trained_model_path, tmp_path):
+        """Stations that each keep one WQI make persistence exact while the
+        actuals still differ from station to station."""
+        rows, first = synthetic_station_rows(), {}
+        for row in rows:
+            row[4:12] = first.setdefault(row[1], row[4:12])
+        data = tmp_path / "steady.csv"
+        data.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--input", str(data), "--model", trained_model_path,
+                           "--out", str(tmp_path / "report.csv"), "--split", "all")
+        assert code == 0
+        assert "log: persistence_mse=0.0 persistence_r2=1.0 skill=undefined" in err.splitlines()
+
     def test_bad_split_spec_exits_2(self, capsys, synthetic_csv_path, trained_model_path):
         code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path,
                            "--model", trained_model_path, "--split", "bogus")
@@ -295,71 +332,6 @@ class TestDiagnoseCommand:
         code, _, err = run(capsys, "diagnose", "--input", fixture_csv_path, "--rules", str(rules_path))
         assert code == 2
         assert "line 1: line holds a NUL character" in err
-
-
-REPORT_HEADER = "station_code,month,year,actual,predicted,percentile_error"
-
-
-class TestPlotDataCommand:
-    def test_curve_export(self, capsys, synthetic_csv_path, tmp_path):
-        """The loss curve to plot is the CSV that train --out writes."""
-        curve_path = tmp_path / "curve_data.csv"
-        code, _, _ = run(capsys, "train", "--input", synthetic_csv_path,
-                         "--model", str(tmp_path / "model.txt"), "--out", str(curve_path),
-                         *TRAIN_ARGS)
-        assert code == 0
-        lines = curve_path.read_text().splitlines()
-        assert lines[0] == "iteration,loss"
-        assert len(lines) == 1 + 31
-
-    def test_scatter_export(self, capsys, synthetic_csv_path, trained_model_path, tmp_path):
-        report_path = tmp_path / "report.csv"
-        run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", trained_model_path,
-            "--out", str(report_path))
-        scatter_path = tmp_path / "scatter.csv"
-        code, _, _ = run(capsys, "plot-data", "--input", str(report_path),
-                         "--out-scatter", str(scatter_path))
-        assert code == 0
-        lines = scatter_path.read_text().splitlines()
-        assert lines[0] == "actual,predicted"
-        assert len(lines) > 1
-
-    @pytest.mark.parametrize("text,row,detail", [
-        (f"{REPORT_HEADER}\nS,1,2019,50.0,51.0,2.0\nS,1,2019,50.0\n", 2, "predicted is not a finite number: None"),
-        ("actual,predicted\nabc,xyz\n", 1, "actual is not a finite number: 'abc'"),
-        (f"{REPORT_HEADER}\nS,1,2019,nan,51.0,\n", 1, "actual is not a finite number: 'nan'"),
-        (f"{REPORT_HEADER}\nS,1,2019,50.0,-inf,\n", 1, "predicted is not a finite number: '-inf'"),
-        (f"{REPORT_HEADER}\nS,1,2019,50.0,,\n", 1, "predicted is not a finite number: ''"),
-        (f"{REPORT_HEADER}\nS,1,2019,50.0,51.0,\nS,1,2019,{'5' * (csv.field_size_limit() + 1)},51.0,\n", 2,
-         "not readable CSV: field larger than field limit"),
-        (f"{'a' * (csv.field_size_limit() + 1)},actual,predicted\n1,2,3\n", 0, "header is not readable CSV"),
-    ], ids=["no-predicted-cell", "non-numeric", "nan", "infinite", "empty", "oversized-cell", "oversized-header"])
-    def test_malformed_report_row_exits_2(self, capsys, tmp_path, text, row, detail):
-        report_path = tmp_path / "report.csv"
-        report_path.write_text(text, encoding="utf-8")
-        scatter_path = tmp_path / "scatter.csv"
-        code, _, err = run(capsys, "plot-data", "--input", str(report_path), "--out-scatter", str(scatter_path))
-        assert code == 2
-        assert f"row {row}: {detail}" in err
-        assert not scatter_path.exists()
-
-    @pytest.mark.parametrize("text,scatter", [
-        ("actual,predicted,actual\r1.0,2.0,3.0\r", "actual,predicted\n1.0,2.0\n"),
-        ("predicted,actual\r\n2.0,1.0,9,9\r\n", "actual,predicted\n1.0,2.0\n"),
-    ], ids=["first-of-a-repeated-name", "extra-cells"])
-    def test_report_read_as_station_csvs_are(self, capsys, tmp_path, text, scatter):
-        """The first column of a repeated name counts, as in parse_dataset;
-        extra cells are ignored, and any line end ends a record."""
-        report_path, scatter_path = tmp_path / "report.csv", tmp_path / "scatter.csv"
-        report_path.write_bytes(text.encode("utf-8"))
-        assert run(capsys, "plot-data", "--input", str(report_path), "--out-scatter", str(scatter_path))[0] == 0
-        assert scatter_path.read_bytes() == scatter.encode("utf-8")
-
-    def test_no_inputs_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["plot-data"])
-        assert exc.value.code == 2
-        assert "the following arguments are required: --input" in capsys.readouterr().err
 
 
 def _fixture_text(end: str) -> str:
@@ -412,7 +384,7 @@ def test_crlf_model_exits_2(capsys, synthetic_csv_path, trained_model_path, tmp_
 LATIN1 = b"Dh\xe2ka"  # 'Dhâka' in Latin-1: \xe2 starts no valid UTF-8 sequence here
 
 
-@pytest.mark.parametrize("kind", ["station-csv", "rules", "model", "report"])
+@pytest.mark.parametrize("kind", ["station-csv", "rules", "model"])
 def test_file_that_is_not_utf8_exits_2(capsys, fixture_csv_path, trained_model_path, tmp_path, kind):
     bad = tmp_path / f"bad-{kind}"
     if kind == "station-csv":
@@ -422,13 +394,10 @@ def test_file_that_is_not_utf8_exits_2(capsys, fixture_csv_path, trained_model_p
     elif kind == "rules":
         bad.write_bytes(b"# " + LATIN1 + b"\n")
         argv = ["diagnose", "--input", fixture_csv_path, "--rules", str(bad)]
-    elif kind == "model":
+    else:
         with open(trained_model_path, "rb") as fh:
             bad.write_bytes(fh.read().replace(b"feature_names=", b"feature_names=" + LATIN1 + b"_", 1))
         argv = ["predict", "--input", fixture_csv_path, "--model", str(bad)]
-    else:
-        bad.write_bytes(f"{REPORT_HEADER}\n".encode() + LATIN1 + b",1,2019,50.0,51.0,2.0\n")
-        argv = ["plot-data", "--input", str(bad), "--out-scatter", str(tmp_path / "scatter.csv")]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert f"error: {bad} is not UTF-8" in err
@@ -453,9 +422,6 @@ def test_seed_only_on_split_commands(capsys, synthetic_csv_path, tmp_path):
 def test_evaluate_splits_with_the_models_seed(capsys, synthetic_csv_path, tmp_path):
     """evaluate scores exactly the stations that train held out with the
     model's seed=, and takes no --seed that could choose others."""
-    from aquagauge.forecast import build_supervised, split_by_station
-    from aquagauge.ingest import impute_missing
-
     model = tmp_path / "model.txt"
     assert run(capsys, "train", "--input", synthetic_csv_path, "--model", str(model),
                "--out", str(tmp_path / "c.csv"), "--seed", "5", *TRAIN_ARGS)[0] == 0
@@ -526,7 +492,6 @@ for argv in (["train", "--input", csv_path, "--model", f"{work}/m.txt", "--out",
              ["predict", "--input", csv_path, "--impute", "median", "--model", f"{work}/m.txt",
               "--out", f"{work}/predict.csv"],
              ["evaluate", "--input", csv_path, "--model", f"{work}/m.txt", "--out", f"{work}/report.csv"],
-             ["plot-data", "--input", f"{work}/report.csv", "--out-scatter", f"{work}/scatter.csv"],
              ["wqi", "--input", csv_path, "--out", f"{work}/wqi.csv"],
              ["diagnose", "--input", csv_path, "--out", f"{work}/diagnose.csv"]):
     assert main(argv) == 0, argv
@@ -592,13 +557,11 @@ def test_golden_output_csv(capsys, fixture_csv_path, synthetic_csv_path, trained
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[data, command, mode]
 
 
-# sha256 of the train curve, the evaluate report and the plot-data scatter
-# on the synthetic fixture, computed with the row-at-a-time writer that the
-# column writer replaced.
+# sha256 of the train curve and the evaluate report on the synthetic fixture,
+# computed with the row-at-a-time writer that the column writer replaced.
 GOLDEN_TABLE_SHA256 = {
     "curve": "e29353e0b58185691437aa3a8d2347cf551bccfc438df5cb055160474620def1",
     "report": "713bb280c1ccbe0d0f35d6460a4db850654a459b1b594c4979b042c1c687092a",
-    "scatter": "f98d7a30d95cb023aefc2c8ade58505050692290cc81796f3ae8c8718c965d44",
 }
 
 
@@ -608,7 +571,6 @@ def test_golden_model_side_csvs(capsys, synthetic_csv_path, tmp_path):
     for argv in (
         ["train", "--input", synthetic_csv_path, "--model", model, "--out", str(out["curve"]), *TRAIN_ARGS],
         ["evaluate", "--input", synthetic_csv_path, "--model", model, "--out", str(out["report"])],
-        ["plot-data", "--input", str(out["report"]), "--out-scatter", str(out["scatter"])],
     ):
         assert run(capsys, *argv)[0] == 0, argv
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()} == GOLDEN_TABLE_SHA256
@@ -622,7 +584,6 @@ QUOTED_CODE_SHA256 = {
     "predict": "a9d468640dbdd46c5562c9ece1e708071dac0b597e7463216162cb6eaa55926d",
     "curve": "3fa32716f6083f7ec6bc6c30602e7b64df573f954761fdbe44d7cf812ce0fcca",
     "report": "c2abb43658c19f97a672d4d19bf7787a4328e6dc4cb61edb7871ece73729f913",
-    "scatter": "370fee6ac98450780d11f20e4551d8f836876f97a9491e319018d934bff3a35b",
 }
 
 
@@ -642,7 +603,6 @@ def test_every_csv_shares_one_dialect(capsys, tmp_path):
         ["predict", "--input", str(data), "--model", str(model), "--out", str(out["predict"])],
         ["evaluate", "--input", str(data), "--model", str(model), "--out", str(out["report"]),
          "--split", "all"],
-        ["plot-data", "--input", str(out["report"]), "--out-scatter", str(out["scatter"])],
     ]
     for argv in commands:
         assert run(capsys, *argv)[0] == 0, argv
@@ -709,8 +669,7 @@ def test_a_run_builds_no_cycles_per_row(capsys, tmp_path):
             gc.enable()
 
 
-# Cells a station CSV or an evaluate report may hold where a number or a
-# date belongs; '"' is written bare, so it opens a quoted cell it never closes,
+# Cells a station CSV may hold where a number or a date belongs; '"' is written bare, so it opens a quoted cell it never closes,
 # and the last is one character over the csv module's field size limit.
 HOSTILE_CELLS = ["", "n/a", "1e400", "-inf", "1e-320", "٣", "1_000", "0x10", '"', "13-2019", "2019-8", "0-2020",
                  "7" * (csv.field_size_limit() + 1)]
@@ -742,33 +701,51 @@ def mutated_csv(draw, header, rows):
     return "".join(",".join(map(_raw_cell, row)) + end for row in [header, *rows])
 
 
+# Words a rules file or a model file may hold where a number, a name or a
+# keyword belongs: a lone '"' opens a quotation it never closes, "\f" ends a
+# line for str.splitlines, and the last is a 400-digit number.
+PROBE_TOKENS = ["nan", "1e400", "٣", '"', "\0", "\f", "between 5 1", "9" * 400]
+
+
+@st.composite
+def mutated_text(draw, text):
+    """The text with some of its words replaced by a probe token, led by
+    one, or deleted; a word is what lies between spaces, '=', ',' and line
+    ends."""
+    parts = re.split(r"([ =,\n])", text)  # words at even indices, separators between
+    for _ in range(draw(st.integers(1, 6))):
+        i = 2 * draw(st.integers(0, len(parts) // 2))
+        token = draw(st.sampled_from(PROBE_TOKENS))
+        parts[i] = draw(st.sampled_from([token, f"{token} {parts[i]}", ""]))
+    return "".join(parts)
+
+
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
-    """A small generated station CSV's rows, a model trained on them, and the
-    evaluate report of that model."""
+    """A small generated station CSV's rows and the file of them, a model
+    trained on them with its text, and the shipped rules text."""
     work = tmp_path_factory.mktemp("totality")
     rows = synthetic_station_rows(n_stations=8, n_periods=5)
-    data, model, report = work / "clean.csv", str(work / "model.txt"), work / "report.csv"
+    data, model = work / "clean.csv", str(work / "model.txt")
     data.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["train", "--input", str(data), "--model", model, "--out", str(work / "c.csv"),
                      "--split", "all", *TRAIN_ARGS]) == 0
-        assert main(["evaluate", "--input", str(data), "--model", model, "--out", str(report),
-                     "--split", "all"]) == 0
-    with open(report, encoding="utf-8", newline="") as fh:
-        report_header, *report_rows = csv.reader(fh)
-    return work, rows, model, report_header, report_rows
+    rules_text = resources.files("aquagauge.data").joinpath(DEFAULT_RULES_RESOURCE).read_text("utf-8")
+    return work, rows, str(data), model, Path(model).read_text(encoding="utf-8"), rules_text
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_every_command_exits_0_or_2_on_hostile_input(clean_run, data):
-    """No station CSV or report makes a command fail with an internal error
-    (exit 3): each run succeeds or exits 2 with an error line."""
-    work, rows, model, report_header, report_rows = clean_run
-    stations, report, out = work / "stations.csv", work / "report.csv", str(work / "out.csv")
+    """No station CSV, rules file or model file makes a command fail with an
+    internal error (exit 3): each run succeeds or exits 2 with an error line."""
+    work, rows, clean, model, model_text, rules_text = clean_run
+    stations, rules, mutated_model = work / "stations.csv", work / "rules.txt", work / "mutated_model.txt"
+    out = str(work / "out.csv")
     stations.write_text(data.draw(mutated_csv(STATION_HEADER, rows)), encoding="utf-8", newline="")
-    report.write_text(data.draw(mutated_csv(report_header, report_rows)), encoding="utf-8", newline="")
+    rules.write_text(data.draw(mutated_text(rules_text)), encoding="utf-8", newline="")
+    mutated_model.write_text(data.draw(mutated_text(model_text)), encoding="utf-8", newline="")
     given_stations = ["--input", str(stations), "--out", out]
     for argv in (
         ["wqi", *given_stations],
@@ -779,7 +756,8 @@ def test_every_command_exits_0_or_2_on_hostile_input(clean_run, data):
         ["evaluate", *given_stations, "--model", model],
         ["train", *given_stations, "--model", str(work / "fitted.txt"), "--n-trees", "3",
          "--min-samples-split", "8", "--min-samples-leaf", "3"],
-        ["plot-data", "--input", str(report), "--out-scatter", out],
+        ["diagnose", "--input", clean, "--out", out, "--rules", str(rules)],
+        ["predict", "--input", clean, "--out", out, "--model", str(mutated_model)],
     ):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

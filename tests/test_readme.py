@@ -1,11 +1,13 @@
-"""README's "Quickstart" commands and "Library use" example run as written."""
+"""README's "Quickstart" commands and "Library use" example run as written,
+and the Quickstart shows every subcommand the CLI has."""
 
+import argparse
 import re
 import runpy
 import shlex
 from pathlib import Path
 
-from aquagauge.cli import main
+from aquagauge.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -34,6 +36,13 @@ def test_quickstart_commands_run(tmp_path, monkeypatch, capsys):
     assert [argv[0] for argv in rest] == ["aquagauge"] * len(rest) and rest
     for argv in rest:
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def test_quickstart_shows_every_subcommand():
+    """A subcommand added or deleted without its Quickstart line fails here."""
+    subparsers, = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert {argv[1] for argv in quickstart_commands()[1:]} == set(subparsers.choices)
 
 
 def test_library_use_example_runs(tmp_path, monkeypatch, synthetic_station_csv, capsys):

@@ -249,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # A run leaves a few hundred objects of cyclic garbage, nearly all of them
-    # argparse's, while the cyclic collector would walk the input's cell lists
-    # again and again; so the run goes without it, and the caller gets it
-    # back as it had it.
+    # argparse's, while the cyclic collector would walk each chunk's cell lists
+    # as the parse makes them; so the run goes without it, and the caller gets
+    # it back as it had it.
     collecting = gc.isenabled()
     gc.disable()
     try:

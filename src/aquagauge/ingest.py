@@ -10,6 +10,10 @@ numeric columns as free text ("n/a", "-", trailing-dot numerals), so the
 default mode is lenient: bad cells become missing values and only rows that
 are unusable outright are dropped, with every drop logged.
 :class:`WaterSample` is the one-sample view of the same data.
+
+:func:`csv_records` streams the records of a CSV text, and
+:func:`parse_dataset` converts them a fixed-size chunk at a time, keeping only
+what the dataset keeps, so the whole CSV is never held as cell lists.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ import io
 import math
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -54,6 +60,17 @@ NUMERIC_FIELDS = (
 
 #: Columns that must be present (by canonical name) in every input header.
 REQUIRED_COLUMNS = ("station_code", "location", "state", *NUMERIC_FIELDS, "month_year")
+
+# The text columns a Dataset keeps, stripped.
+_TEXT_COLUMNS = ("station_code", "location", "state")
+
+# Records parsed at a time: the parse holds one chunk's cell lists, never the
+# whole CSV's.
+_CHUNK_RECORDS = 2048
+
+# Characters of CSV text that csv_records reads through one io.StringIO.
+_BLOCK_CHARS = 1 << 16
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 # Columns of the six WQI inputs in ``Dataset.values``, in WQI_INPUTS order.
 _WQI_COLUMNS = [NUMERIC_FIELDS.index(name) for name in WQI_INPUTS]
@@ -262,9 +279,10 @@ def coerce_numeric(cell: str) -> float | None:
     """Best-effort numeric coercion; never raises.
 
     Returns None for empty cells, the recognized missing tokens, and anything
-    that does not parse to a finite number.
+    that does not parse to a finite number. The cell is stripped first, as the
+    parser strips it: str.strip() also removes characters that float() refuses.
     """
-    value = _float_or_nan(cell)
+    value = _float_or_nan(cell.strip())
     return value if math.isfinite(value) else None
 
 
@@ -288,20 +306,6 @@ def _irregular_cell(name: str, cell: str) -> tuple[float | None, str | None, str
     return None, f"{bad}; coerced to missing", bad
 
 
-def _fresh_copies(cells: list[str]) -> np.ndarray:
-    """The cells as an object array of fresh strings, one per distinct value.
-
-    A dataset so holds none of the parsed CSV's own cell strings, whose memory
-    is then all free for reuse once parsing ends, and it stores a station
-    code, location or state repeated over many rows once.
-    """
-    copies: dict[str, str] = {}
-    for cell in cells:
-        if cell not in copies:
-            copies[cell] = cell.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
-    return np.array([copies[cell] for cell in cells], dtype=object)
-
-
 def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<memory>") -> Dataset:
     """Parse a station CSV (single header row, comma separated) into a Dataset.
 
@@ -320,9 +324,9 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
     strict = strictness == "strict"
 
     records = csv_records(csv_text)
-    if not records:
+    header = next(records, None)
+    if header is None:
         raise EmptyInput()
-    header, data_rows = records[0], records[1:]
     if isinstance(header, csv.Error):
         raise MalformedRow(0, f"header is not readable CSV: {header}")
 
@@ -337,75 +341,100 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
 
     prov = Provenance(source=source)
     dropped: dict[int, str] = {}  # data row -> why it was dropped; one reason per row
-    rows: list[list[str]] = []
-    row_ids: list[int] = []  # data row of each entry of `rows`
-    for i, row in enumerate(data_rows, start=1):
-        if isinstance(row, csv.Error):
-            dropped[i] = f"not readable CSV: {row}"
-        elif len(row) != len(header):
-            dropped[i] = f"expected {len(header)} cells, got {len(row)}"
-        else:
-            rows.append(row)
-            row_ids.append(i)
-    # The cells of each used column, as lists (zip(*rows) would allocate one
-    # iterator per row, and the cyclic collector then walks them all).
-    cells = {name: [row[col] for row in rows] for name, col in col_of.items()}
-
-    stations = [cell.strip() for cell in cells["station_code"]]
-    tokens = cells["month_year"]
     dates: dict[str, int | str] = {}  # token -> year * 12 + month - 1, or why it is bad
-    for token in set(tokens):
-        try:
-            month, year = parse_month_year(token)
-        except BadDateToken as exc:
-            dates[token] = str(exc)
-        else:
-            dates[token] = year * 12 + month - 1
-    usable = np.ones(len(rows), dtype=bool)
-    for k, (station, token) in enumerate(zip(stations, tokens)):
-        date = dates[token] if station else "empty station code"
-        if isinstance(date, str):
-            usable[k] = False
-            dropped[row_ids[k]] = date
-
-    values = np.empty((len(rows), len(NUMERIC_FIELDS)))
-    for f, name in enumerate(NUMERIC_FIELDS):
-        values[:, f] = np.fromiter(map(_float_or_nan, cells[name]), dtype=np.float64, count=len(rows))
     lo, hi = np.array([_RANGES[name] for name in NUMERIC_FIELDS]).T
-    # Most cells are plain in-range numerals, which float() reads as
-    # coerce_numeric does. Every other cell of a usable row takes the slow
-    # path, in (row, field) order, so notes come out in row order and a row's
-    # first defective cell names it.
-    irregular = ~((lo <= values) & (values <= hi)) & usable[:, None]
-    for k, f in zip(*(axis.tolist() for axis in np.nonzero(irregular))):
-        name = NUMERIC_FIELDS[f]
-        value, note, defect = _irregular_cell(name, cells[name][k])
-        values[k, f] = math.nan if value is None else value
-        if note is not None:
-            prov.notes.append((row_ids[k], note))
-        if strict and defect is not None:
-            dropped.setdefault(row_ids[k], defect)
-    all_missing = usable & np.isnan(values[:, _WQI_COLUMNS]).all(axis=1)
-    for k in np.flatnonzero(all_missing).tolist():
-        dropped.setdefault(row_ids[k], "all six wqi inputs missing")
+    # What the dataset keeps of each chunk: the kept rows' source rows, month
+    # indexes and values, a block per chunk after an empty one (so that a CSV
+    # without data rows concatenates too), and their stripped text. Each text
+    # column makes its copies through one dict, so a dataset holds none of the
+    # parsed CSV's own cell strings, whose memory is then free for reuse, and
+    # it stores a code, location or state repeated over many rows once.
+    kept_rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    kept_months: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    kept_values: list[np.ndarray] = [np.empty((0, len(NUMERIC_FIELDS)))]
+    text: dict[str, list[str]] = {name: [] for name in _TEXT_COLUMNS}
+    copies: dict[str, dict[str, str]] = {name: {} for name in _TEXT_COLUMNS}
+    first = 1  # data row of the chunk's first record
+    while chunk := list(islice(records, _CHUNK_RECORDS)):
+        rows: list[list[str]] = []
+        row_ids: list[int] = []  # data row of each entry of `rows`
+        for i, row in enumerate(chunk, start=first):
+            if isinstance(row, csv.Error):
+                dropped[i] = f"not readable CSV: {row}"
+            elif len(row) != len(header):
+                dropped[i] = f"expected {len(header)} cells, got {len(row)}"
+            else:
+                rows.append(row)
+                row_ids.append(i)
+        first += len(chunk)
+        # The cells of each used column, as lists (zip(*rows) would allocate
+        # one iterator per row).
+        cells = {name: [row[col] for row in rows] for name, col in col_of.items()}
+
+        tokens = cells["month_year"]
+        for token in set(tokens).difference(dates):
+            try:
+                month, year = parse_month_year(token)
+            except BadDateToken as exc:
+                dates[token] = str(exc)
+            else:
+                dates[token] = year * 12 + month - 1
+        usable = np.ones(len(rows), dtype=bool)
+        for k, (station, token) in enumerate(zip(cells["station_code"], tokens)):
+            date = dates[token] if station.strip() else "empty station code"
+            if isinstance(date, str):
+                usable[k] = False
+                dropped[row_ids[k]] = date
+
+        values = np.empty((len(rows), len(NUMERIC_FIELDS)))
+        for f, name in enumerate(NUMERIC_FIELDS):
+            values[:, f] = np.fromiter(map(_float_or_nan, cells[name]), dtype=np.float64, count=len(rows))
+        # Most cells are plain in-range numerals, which float() reads as
+        # coerce_numeric does. Every other cell of a usable row takes the slow
+        # path, in (row, field) order, so notes come out in row order and a
+        # row's first defective cell names it.
+        irregular = ~((lo <= values) & (values <= hi)) & usable[:, None]
+        for k, f in zip(*(axis.tolist() for axis in np.nonzero(irregular))):
+            name = NUMERIC_FIELDS[f]
+            value, note, defect = _irregular_cell(name, cells[name][k])
+            values[k, f] = math.nan if value is None else value
+            if note is not None:
+                prov.notes.append((row_ids[k], note))
+            if strict and defect is not None:
+                dropped.setdefault(row_ids[k], defect)
+        all_missing = usable & np.isnan(values[:, _WQI_COLUMNS]).all(axis=1)
+        for k in np.flatnonzero(all_missing).tolist():
+            dropped.setdefault(row_ids[k], "all six wqi inputs missing")
+
+        kept = np.flatnonzero(usable & ~all_missing)
+        month_idx = np.fromiter((dates[tokens[k]] for k in kept.tolist()), dtype=np.int64, count=len(kept))
+        kept_rows.append(np.array(row_ids, dtype=np.int64)[kept])
+        kept_months.append(month_idx)
+        kept_values.append(values[kept])
+        for name in _TEXT_COLUMNS:
+            column, made = cells[name], copies[name]
+            for k in kept.tolist():
+                cell = column[k].strip()
+                copy = made.get(cell)
+                if copy is None:
+                    copy = cell.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+                    made[copy] = copy
+                text[name].append(copy)
 
     if strict and dropped:
         raise MalformedRow(*min(dropped.items()))  # the first defective row
     prov.dropped = sorted(dropped.items())
 
-    kept = np.flatnonzero(usable & ~all_missing)
-    station = _fresh_copies([stations[k] for k in kept.tolist()])
-    month_idx = np.fromiter((dates[tokens[k]] for k in kept.tolist()), dtype=np.int64, count=len(kept))
+    source_row, month_idx, values = map(np.concatenate, (kept_rows, kept_months, kept_values))
+    station, location, state = (np.array(text[name], dtype=object) for name in _TEXT_COLUMNS)
     # Rank station codes in Python's string order: numpy's fixed-width
     # strings would drop trailing NULs and so tie distinct codes.
-    rank_of = {code: r for r, code in enumerate(sorted(set(station.tolist())))}
-    rank = np.fromiter(map(rank_of.__getitem__, station.tolist()), dtype=np.int64, count=len(kept))
+    rank_of = {code: r for r, code in enumerate(sorted(copies["station_code"]))}
+    rank = np.fromiter(map(rank_of.__getitem__, text["station_code"]), dtype=np.int64, count=len(station))
     order = np.lexsort((month_idx, rank))  # stable, so equal keys keep input order
-    kept, month_idx = kept[order], month_idx[order]
-    location, state = (_fresh_copies([cells[name][k].strip() for k in kept.tolist()])
-                       for name in ("location", "state"))
-    return Dataset(station[order], location, state, month_idx % 12 + 1, month_idx // 12,
-                   np.array(row_ids, dtype=np.int64)[kept], values[kept], prov)
+    month_idx = month_idx[order]
+    return Dataset(station[order], location[order], state[order], month_idx % 12 + 1, month_idx // 12,
+                   source_row[order], values[order], prov)
 
 
 # The csv module's writer quotes a cell holding the delimiter, the quote or a
@@ -453,21 +482,37 @@ def csv_text(header: list[str], columns: list[list[str]]) -> str:
     return "\n".join(map(",".join, zip(*table))) + "\n"
 
 
-def csv_records(text: str) -> list[list[str] | csv.Error]:
-    """The non-empty records of a CSV text, the one reader of every CSV the
-    package reads. A record ends at LF, CRLF or CR alike, and a line break
-    inside a quoted cell is kept as written. A record the csv module cannot
-    read (a cell over csv.field_size_limit(), or a NUL before Python 3.11)
-    stands as its csv.Error, and reading goes on with the next line."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    records: list[list[str] | csv.Error] = []
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of a text, line ends kept, as io.StringIO(text, newline="")
+    gives them: a line ends at LF, CRLF or CR. A StringIO holds four bytes a
+    character, so each block of about _BLOCK_CHARS characters, cut after a
+    line end, goes through a StringIO of its own."""
+    start = 0
+    while start < len(text):
+        end = _LINE_END_RE.search(text, start + _BLOCK_CHARS)
+        stop = end.end() if end else len(text)
+        yield from io.StringIO(text[start:stop], newline="")
+        start = stop
+
+
+def csv_records(text: str) -> Iterator[list[str] | csv.Error]:
+    """The non-empty records of a CSV text, one at a time: the one reader of
+    every CSV the package reads. A record ends at LF, CRLF or CR alike, and a
+    line break inside a quoted cell is kept as written. A record the csv
+    module cannot read (a cell over csv.field_size_limit(), or a NUL before
+    Python 3.11) stands as its csv.Error, and reading goes on with the next
+    line."""
+    reader = csv.reader(_text_lines(text))
     while True:
         try:
-            records.append(next(reader))
+            record = next(reader)
         except StopIteration:
-            return [r for r in records if r]
+            return
         except csv.Error as exc:
-            records.append(exc)
+            yield exc
+        else:
+            if record:
+                yield record
 
 
 def column_median(observed: np.ndarray) -> float:

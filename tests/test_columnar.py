@@ -13,11 +13,13 @@ import math
 import statistics
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from aquagauge import ingest
 from aquagauge.forecast import (
     FEATURE_NAMES,
     WINDOW_MONTHS,
@@ -51,7 +53,7 @@ from test_forecast import loop_feature_rows
 def loop_parse_dataset(csv_text, strictness="lenient", source="<memory>"):
     """One row at a time, one WaterSample per kept row: (samples, provenance)."""
     strict = strictness == "strict"
-    rows = csv_records(csv_text)
+    rows = list(csv_records(csv_text))
     if not rows:
         raise EmptyInput()
     header, data_rows = rows[0], rows[1:]
@@ -238,6 +240,18 @@ def _with_rows(samples):
     return [(s, s.source_row) for s in samples]
 
 
+def _assert_parses_alike(text, strictness):
+    """parse_dataset gives the row loop's samples and provenance, or its error."""
+    got = _parse_or_error(parse_dataset, text, strictness)
+    want = _parse_or_error(loop_parse_dataset, text, strictness)
+    if isinstance(want, MalformedRow):
+        assert isinstance(got, MalformedRow)
+        assert (got.index, got.reason) == (want.index, want.reason)
+    else:
+        assert _with_rows(got.samples) == _with_rows(want[0])
+        assert got.provenance == want[1]
+
+
 class TestAgainstRowLoop:
     @settings(max_examples=200)
     @given(_csv_text)
@@ -248,14 +262,16 @@ class TestAgainstRowLoop:
     # a bad cell in the row after a dropped row: the dropped row is the error
     @example(_station_csv([("short", "A", "", ["7.5"] * 8, "1-2019"), ("row", "A", "", ["7.5", "-3"] + ["7.5"] * 6, "5-2019")]))
     def test_strict_mode_same_error(self, text):
-        got = _parse_or_error(parse_dataset, text, "strict")
-        want = _parse_or_error(loop_parse_dataset, text, "strict")
-        if isinstance(want, MalformedRow):
-            assert isinstance(got, MalformedRow)
-            assert (got.index, got.reason) == (want.index, want.reason)
-        else:
-            assert _with_rows(got.samples) == _with_rows(want[0])
-            assert got.provenance == want[1]
+        _assert_parses_alike(text, "strict")
+
+    @settings(max_examples=200)
+    @given(_csv_text, st.integers(1, 32))
+    def test_chunk_boundaries(self, text, chunk):
+        """Any chunk size, down to one record, parses as the row loop does,
+        so a chunk may end next to every kind of irregular row."""
+        with mock.patch.object(ingest, "_CHUNK_RECORDS", chunk):
+            _assert_parses_alike(text, "lenient")
+            _assert_parses_alike(text, "strict")
 
     @settings(max_examples=200)
     @given(_csv_text, st.sampled_from([NORMATIVE, LEGACY_NCO]))

@@ -1,14 +1,18 @@
 import ast
 import csv
 import hashlib
+import io
 import math
 import re
 import statistics
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from aquagauge import ingest
 from aquagauge.errors import LengthMismatch
 from aquagauge.ingest import (
     MISSING_TOKENS,
@@ -153,6 +157,27 @@ class TestParseDataset:
         ds = parse_dataset(text)
         assert ds.provenance.drop_log().startswith("row 1: ")
 
+    def test_parse_holds_no_more_than_a_chunk_of_records(self, monkeypatch):
+        """The parse reads the CSV a chunk of records at a time, so its traced
+        peak stays well under the whole CSV as cell lists: a parse of the
+        whole list peaked at 1.45 times that list, the chunked one at 0.42."""
+        text = rows_to_csv(STATION_HEADER, synthetic_station_rows(n_stations=400, n_periods=9))
+        monkeypatch.setattr(ingest, "_CHUNK_RECORDS", 256)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = list(csv_records(text))
+            footprint = tracemalloc.get_traced_memory()[0] - before
+            del records
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ds = parse_dataset(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 3600
+        assert peak < 0.75 * footprint, peak / footprint
+
 
 class TestColumnNormalization:
     @pytest.mark.parametrize(
@@ -222,6 +247,7 @@ class TestCoerceNumeric:
                                       "1e400", "1e-320", "", "  ", "n/a", "na"]),
                      st.floats().map(repr), st.text(max_size=12)),
            st.sampled_from(NUMERIC_FIELDS))
+    @example("0\x1f", "temp")  # str.strip() removes the unit separator, float() refuses it
     def test_cell_rule_matches_frozen_classify(self, cell, name):
         """coerce_numeric and _irregular_cell read a cell as the frozen rule does."""
         kind, value = frozen_classify_cell(cell)
@@ -449,7 +475,14 @@ class TestCsvText:
             text = csv_text(header, columns)
         except csv.Error:  # a NUL, which the writer of Python 3.10 refuses
             return
-        assert csv_records(text) == [header, *map(list, zip(*columns))]
+        assert list(csv_records(text)) == [header, *map(list, zip(*columns))]
+
+    @given(st.lists(st.sampled_from(["a", ",", '"', "\r", "\n", "\r\n", "\0"]), max_size=40).map("".join),
+           st.integers(0, 8))
+    @example("a\r\nb", 2)  # the block would end between CR and LF
+    def test_lines_in_blocks_split_as_one_stringio(self, text, block):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            assert list(ingest._text_lines(text)) == list(io.StringIO(text, newline=""))
 
     @pytest.mark.parametrize("header,columns", [
         (["a", "b"], [["1", "2"], ["3"]]),

@@ -71,7 +71,7 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
     text = _read_text(args.input)
-    strictness = "strict" if getattr(args, "strict", False) else "lenient"
+    strictness = "strict" if args.strict else "lenient"
     parsed = ingest.parse_dataset(text, strictness=strictness, source=args.input)
     ds = ingest.impute_missing(parsed, _IMPUTE_FLAG[args.impute])
     rows_read = len(parsed) + len(parsed.provenance.dropped)
@@ -133,8 +133,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise AquagaugeError("training task is empty: need >= 2 observations for some station")
     model = gbm.gbm_fit(task.features, task.targets, hp)
     _atomic_write(args.model, gbm.serialize_model(model))
-    _atomic_write(args.out, forecast.curve_csv(model.training_curve))
-    print(f"final_training_loss={model.training_curve[-1]!r}")
+    curve = model.training_curve
+    _emit(args.out, ["iteration", "loss"],
+          [list(map(str, range(len(curve)))), [format(v, ".17g") for v in curve]])
+    print(f"final_training_loss={curve[-1]!r}")
     return 0
 
 
@@ -169,8 +171,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     skill = "undefined" if naive_mse == 0.0 else repr(1.0 - report.mse / naive_mse)
     print(f"log: persistence_mse={naive_mse!r} persistence_r2={forecast.r_squared(task.targets, naive)!r} "
           f"skill={skill}", file=sys.stderr)
-    _atomic_write(args.out, forecast.report_csv(report, task.keys))
-    print(forecast.summary_line(report))
+    stations, months, years = zip(*task.keys)
+    actual, predicted, errors = zip(*report.per_example)
+    _emit(args.out, ["station_code", "month", "year", "actual", "predicted", "percentile_error"],
+          [list(stations), list(map(str, months)), list(map(str, years)),
+           [f"{a:.6f}" for a in actual], [f"{p:.6f}" for p in predicted],
+           ["" if e is None else f"{e:.6f}" for e in errors]])
+    print(f"mse={report.mse!r} r2={report.r_squared!r} mean_pct_err={report.mean_percentile_error!r}")
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AquagaugeError, LengthMismatch
 from .gbm import FeatureMatrix, GbmModel, predict_matrix
-from .ingest import WQI_INPUTS, Dataset, column_median, csv_text
+from .ingest import WQI_INPUTS, Dataset, column_median
 from .wqi import NORMATIVE, score_columns
 
 FEATURE_NAMES = [
@@ -270,26 +270,3 @@ def split_by_station(
         )
 
     return take(~test), take(test)
-
-
-def report_csv(report: EvalReport, keys: list[tuple[str, int, int]]) -> str:
-    """Per-example CSV: keys, actual, predicted, percentile error (empty
-    where the actual is 0)."""
-    if len(keys) != len(report.per_example):
-        raise LengthMismatch(len(report.per_example), len(keys))
-    stations, months, years = zip(*keys) if keys else ((), (), ())
-    actual, predicted, errors = zip(*report.per_example) if keys else ((), (), ())
-    return csv_text(["station_code", "month", "year", "actual", "predicted", "percentile_error"],
-                    [list(stations), list(map(str, months)), list(map(str, years)),
-                     [f"{a:.6f}" for a in actual], [f"{p:.6f}" for p in predicted],
-                     ["" if e is None else f"{e:.6f}" for e in errors]])
-
-
-def summary_line(report: EvalReport) -> str:
-    return f"mse={report.mse!r} r2={report.r_squared!r} mean_pct_err={report.mean_percentile_error!r}"
-
-
-def curve_csv(curve: list[float]) -> str:
-    """Training curve as two-column CSV (iteration, loss)."""
-    return csv_text(["iteration", "loss"],
-                    [list(map(str, range(len(curve)))), [format(loss, ".17g") for loss in curve]])

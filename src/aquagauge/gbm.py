@@ -284,7 +284,7 @@ def _split_node(
     the order that sorting the node would give them.
     """
     n = rows.size
-    if n < 2 or n < 2 * msl:
+    if n < 2 * msl:
         return None
     # Candidates: sorted positions k - 1 that end a left side of k rows,
     # msl <= k <= n - msl, between two distinct values (ranks) of the feature.

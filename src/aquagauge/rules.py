@@ -171,10 +171,11 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
 
 def load_rules(text: str) -> RuleSet:
     """Parse rules text into a validated RuleSet (priorities must be unique;
-    a line holding a NUL character is a syntax error)."""
+    a line holding a NUL character is a syntax error). One leading byte-order
+    mark is ignored."""
     rules: list[Rule] = []
     seen: set[int] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if "\0" in raw:  # the csv writer of Python 3.10 refuses it in a diagnose cell
             raise RuleSyntaxError(line_no, "line holds a NUL character")
         line = raw.strip()

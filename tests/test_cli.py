@@ -234,12 +234,11 @@ class TestEvaluateCommand:
         code, out, _ = run(capsys, "evaluate", "--input", synthetic_csv_path,
                            "--model", trained_model_path, "--out", str(report_path))
         assert code == 0
-        summary = out.strip().splitlines()[-1]
-        assert summary.startswith("mse=") and " r2=" in summary and " mean_pct_err=" in summary
-        rows = list(csv.DictReader(report_path.read_text().splitlines()))
-        assert rows
-        assert set(rows[0]) == {"station_code", "month", "year", "actual", "predicted",
-                                 "percentile_error"}
+        summary = re.fullmatch(r"mse=(\S+) r2=(\S+) mean_pct_err=(\S+)", out.strip().splitlines()[-1])
+        assert summary and all(repr(float(v)) == v for v in summary.groups())
+        rows = list(csv.reader(report_path.read_text().splitlines()))
+        assert rows[0] == ["station_code", "month", "year", "actual", "predicted", "percentile_error"]
+        assert rows[1:] and all(len(row) == 6 for row in rows[1:])
 
     def test_split_all_covers_every_pair(self, capsys, synthetic_csv_path, trained_model_path, tmp_path):
         report_path = tmp_path / "full.csv"

@@ -12,7 +12,6 @@ from aquagauge.forecast import (
     FEATURE_NAMES,
     DegenerateActuals,
     Empty,
-    EvalReport,
     FeatureMismatch,
     UnsortedSamples,
     ZeroActual,
@@ -22,9 +21,7 @@ from aquagauge.forecast import (
     mse,
     percentile_error,
     r_squared,
-    report_csv,
     split_by_station,
-    summary_line,
 )
 from aquagauge.gbm import FeatureMatrix, Hyperparams, gbm_fit, predict_matrix
 from aquagauge.ingest import Dataset, impute_missing, parse_dataset
@@ -320,9 +317,6 @@ class TestEvaluate:
         kept = [percentile_error(a, p) for a, p, _ in report.per_example if a != 0.0]
         assert len(kept) == len(task) - 2
         assert report.mean_percentile_error == float(np.mean(kept))
-        rows = report_csv(report, task.keys).splitlines()
-        assert rows[1 + 3].endswith(",") and rows[1 + 17].endswith(",")
-        assert not rows[1].endswith(",")
 
     def test_all_zero_actuals_raise(self):
         task = _toy_task()
@@ -370,21 +364,6 @@ class TestSplitByStation:
         train, test = split_by_station(task, 0.0, seed=0)
         assert len(test) == 0
         assert len(train) == len(task)
-
-
-class TestReports:
-    def test_summary_line_format(self):
-        report = EvalReport(mse=1.5, r_squared=0.75, mean_percentile_error=4.25,
-                            per_example=[(1.0, 2.0, 100.0)])
-        assert summary_line(report) == "mse=1.5 r2=0.75 mean_pct_err=4.25"
-
-    def test_report_csv_layout(self):
-        report = EvalReport(mse=0.0, r_squared=1.0, mean_percentile_error=0.0,
-                            per_example=[(63.25, 69.96, 10.6)])
-        text = report_csv(report, [("1207", 8, 2019)])
-        lines = text.splitlines()
-        assert lines[0] == "station_code,month,year,actual,predicted,percentile_error"
-        assert lines[1].startswith("1207,8,2019,63.25")
 
 
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"

@@ -60,6 +60,14 @@ class TestLoadRules:
         assert rs.rules == ()
         assert rs.default_rule.name == "No Disease"
 
+    def test_leading_byte_order_mark_ignored(self):
+        """A UTF-8 editor may save the rule file with a byte-order mark; only
+        the first one is dropped."""
+        text = resources.files("aquagauge.data").joinpath(DEFAULT_RULES_RESOURCE).read_text("utf-8")
+        assert load_rules("\ufeff" + text) == default_ruleset()
+        with pytest.raises(RuleSyntaxError, match="line 1"):
+            load_rules("\ufeff\ufeff" + text)
+
     def test_ruleset_is_frozen(self):
         rs = default_ruleset()
         with pytest.raises(AttributeError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import math
 import os
 import sys
 import tempfile
@@ -82,21 +83,6 @@ def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
     return ds
 
 
-def _parse_split(spec: str) -> float | None:
-    """The test fraction of a --split value, or None for 'all'."""
-    if spec == "all":
-        return None
-    kind, _, frac = spec.partition(":")
-    if kind == "station" and frac:
-        try:
-            fraction = float(frac)
-        except ValueError:
-            fraction = -1.0
-        if 0.0 < fraction < 1.0:
-            return fraction
-    raise AquagaugeError(f"bad --split value {spec!r}; expected 'all' or 'station:<fraction>'")
-
-
 def cmd_wqi(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
     if not len(ds):
@@ -115,11 +101,10 @@ def cmd_wqi(args: argparse.Namespace) -> int:
 
 
 def _task(args: argparse.Namespace, side: int, seed: int) -> forecast.SupervisedTask:
-    """The supervised task of --input, or its side (0 train, 1 test) of a station --split by seed."""
-    task = forecast.build_supervised(_load_dataset(args), _MODE_FLAG[args.mode])
-    fraction = _parse_split(args.split)
-    if fraction is not None:
-        task = forecast.split_by_station(task, fraction, seed)[side]
+    """The supervised task of --input, or its side (0 train, 1 test) of the station split by seed."""
+    task = forecast.build_supervised(_load_dataset(args))
+    if args.split != "all":
+        task = forecast.split_by_station(task, forecast.HELD_OUT_FRACTION, seed)[side]
     return task
 
 
@@ -145,8 +130,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
     if not len(ds):
         raise AquagaugeError("no samples")
-    mode = _MODE_FLAG[args.mode]
-    fm, keys, wqis = forecast.build_feature_rows(ds, mode)
+    fm, keys, wqis = forecast.build_feature_rows(ds)
     if model.feature_names != fm.feature_names:
         raise forecast.FeatureMismatch(model.feature_names, fm.feature_names)
     predictions = gbm.predict_matrix(model, fm.values)
@@ -172,11 +156,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"log: persistence_mse={naive_mse!r} persistence_r2={forecast.r_squared(task.targets, naive)!r} "
           f"skill={skill}", file=sys.stderr)
     stations, months, years = zip(*task.keys)
-    actual, predicted, errors = zip(*report.per_example)
     _emit(args.out, ["station_code", "month", "year", "actual", "predicted", "percentile_error"],
           [list(stations), list(map(str, months)), list(map(str, years)),
-           [f"{a:.6f}" for a in actual], [f"{p:.6f}" for p in predicted],
-           ["" if e is None else f"{e:.6f}" for e in errors]])
+           *([f"{v:.6f}" for v in column.tolist()] for column in (report.actual, report.predicted)),
+           ["" if math.isnan(e) else f"{e:.6f}" for e in report.percentile_error.tolist()]])
     print(f"mse={report.mse!r} r2={report.r_squared!r} mean_pct_err={report.mean_percentile_error!r}")
     return 0
 
@@ -199,54 +182,60 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_shared(p: argparse.ArgumentParser, *, mode: bool = False) -> None:
     p.add_argument("--input", required=True, help="input CSV path")
-    p.add_argument("--mode", choices=sorted(_MODE_FLAG), default="normative",
-                   help="coliform scoring mode (default: normative)")
+    if mode:  # forecasting always scores in the normative mode
+        p.add_argument("--mode", choices=sorted(_MODE_FLAG), default="normative",
+                       help="coliform scoring mode (default: normative)")
     p.add_argument("--impute", choices=sorted(_IMPUTE_FLAG), default="drop",
                    help="missing-value policy for the six wqi inputs (default: drop)")
     p.add_argument("--strict", action="store_true", help="error on any malformed cell")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated flags: argparse would otherwise read a flag a command
+    # lacks, such as --mode on predict, as the start of one it has (--model).
     parser = argparse.ArgumentParser(
         prog="aquagauge",
         description="Water-quality scoring, WQI forecasting and disease diagnosis over station CSVs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    split = f"station:{forecast.HELD_OUT_FRACTION}"
 
-    p = sub.add_parser("wqi", help="score every sample (sub-indices, weighted scores, wqi)")
-    _add_shared(p)
+    p = sub.add_parser("wqi", allow_abbrev=False, help="score every sample (sub-indices, weighted scores, wqi)")
+    _add_shared(p, mode=True)
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_wqi)
 
-    p = sub.add_parser("train", help="fit the forecasting model")
+    p = sub.add_parser("train", allow_abbrev=False, help="fit the forecasting model")
     _add_shared(p)
     p.add_argument("--model", default="model.txt", help="where to write the model file")
     p.add_argument("--out", default="training_curve.csv", help="where to write the loss curve CSV")
-    p.add_argument("--split", default="station:0.2",
-                   help="'all' or 'station:<test fraction>'; training uses the non-test side")
+    p.add_argument("--split", choices=[split, "all"], default=split,
+                   help=f"'{split}' or 'all'; training uses the side the station split keeps")
     for f in dataclasses.fields(gbm.Hyperparams):  # cmd_train reads them back by field name
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
                        help="seed of the station split" if f.name == "seed" else None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="current wqi plus the 4-month-ahead prediction per sample")
+    p = sub.add_parser("predict", allow_abbrev=False,
+                       help="current wqi plus the 4-month-ahead prediction per sample")
     _add_shared(p)
     p.add_argument("--model", default="model.txt", help="model file to load")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="metrics against observed 4-month-ahead outcomes")
+    p = sub.add_parser("evaluate", allow_abbrev=False, help="metrics against observed 4-month-ahead outcomes")
     _add_shared(p)
     p.add_argument("--model", default="model.txt", help="model file to load")
     p.add_argument("--out", default="eval_report.csv", help="per-example report CSV path")
-    p.add_argument("--split", default="station:0.2",
-                   help="'all' or 'station:<test fraction>'; evaluation uses the test side of the model's seed=")
+    p.add_argument("--split", choices=[split, "all"], default=split,
+                   help=f"'{split}' or 'all'; evaluation uses the side held out by the model's seed=")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("diagnose", help="disease diagnosis per sample from the rule file")
-    _add_shared(p)
+    p = sub.add_parser("diagnose", allow_abbrev=False, help="disease diagnosis per sample from the rule file")
+    _add_shared(p, mode=True)
     p.add_argument("--rules", default=None, help="rules file (default: shipped ruleset)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_diagnose)

@@ -45,6 +45,8 @@ FEATURE_NAMES = [
 
 WINDOW_MONTHS = 4
 WINDOW_TOLERANCE = 1
+# the share of stations the station split holds out; train and evaluate both read it
+HELD_OUT_FRACTION = 0.2
 
 
 class ForecastError(AquagaugeError):
@@ -93,23 +95,25 @@ class EvalReport:
     mse: float
     r_squared: float
     mean_percentile_error: float
-    # (actual, predicted, pct err); pct err is None where the actual is 0
-    per_example: list[tuple[float, float, float | None]]
+    # one float64 entry per example, in task key order; the percentile error
+    # is NaN where the actual is 0
+    actual: np.ndarray
+    predicted: np.ndarray
+    percentile_error: np.ndarray
 
     @property
     def zero_actuals(self) -> int:
         """Examples without a percentile error because their actual is 0."""
-        return sum(1 for _, _, e in self.per_example if e is None)
+        return int(np.count_nonzero(np.isnan(self.percentile_error)))
 
 
 def _month_index(year: np.ndarray, month: np.ndarray) -> np.ndarray:
     return year * 12 + (month - 1)
 
 
-def build_feature_rows(
-    ds: Dataset, mode: str = NORMATIVE
-) -> tuple[FeatureMatrix, list[tuple[str, int, int]], np.ndarray]:
-    """Feature rows for every observation, in dataset order.
+def build_feature_rows(ds: Dataset) -> tuple[FeatureMatrix, list[tuple[str, int, int]], np.ndarray]:
+    """Feature rows for every observation, in dataset order, with the WQI
+    scored in the normative mode.
 
     Requires an imputed dataset (all six WQI inputs present) sorted by
     (station_code, year, month); raises UnsortedSamples otherwise. Missing
@@ -125,7 +129,7 @@ def build_feature_rows(
         key = [(stations[k], int(ds.year[k]), int(ds.month[k])) for k in (i, i - 1)]
         raise UnsortedSamples(i, *key)
     cols = ds.columns((*WQI_INPUTS, "temp"))
-    wqis = score_columns(cols[:, :6], mode).wqi
+    wqis = score_columns(cols[:, :6], NORMATIVE).wqi
     temp = cols[:, 6]
     observed_temps = temp[~np.isnan(temp)]
     temp_fill = column_median(observed_temps) if observed_temps.size else 0.0
@@ -148,14 +152,14 @@ def build_feature_rows(
     return FeatureMatrix(values, list(FEATURE_NAMES)), keys, wqis
 
 
-def build_supervised(ds: Dataset, mode: str = NORMATIVE) -> SupervisedTask:
+def build_supervised(ds: Dataset) -> SupervisedTask:
     """Pair every observation with its station's observation ~4 months later.
 
     Candidates 3-5 months ahead qualify; the one nearest to 4 wins and ties
     go to the earlier candidate. Stations with a single observation
     contribute nothing. An empty task is legal.
     """
-    fm, keys, wqis = build_feature_rows(ds, mode)
+    fm, keys, wqis = build_feature_rows(ds)
     n = len(keys)
     month_idx = _month_index(ds.year, ds.month)
     # One ascending key over the sorted dataset: each station gets its own
@@ -208,8 +212,10 @@ def r_squared(actual, predicted) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def percentile_error(actual: float, predicted: float) -> float:
-    if actual == 0:
+def percentile_error(actual, predicted):
+    """|predicted - actual| / |actual| * 100, of two floats or elementwise
+    of two float64 arrays; ZeroActual if any actual is 0."""
+    if np.any(np.asarray(actual) == 0):
         raise ZeroActual()
     return abs(predicted - actual) / abs(actual) * 100.0
 
@@ -225,19 +231,20 @@ def evaluate(model: GbmModel, task: SupervisedTask) -> EvalReport:
         raise FeatureMismatch(model.feature_names, task.features.feature_names)
     if len(task) == 0:
         raise Empty("task")
+    actual = task.targets
     predictions = predict_matrix(model, task.features.values)
-    per_example = [
-        (a, p, None if a == 0 else percentile_error(a, p))
-        for a, p in zip(task.targets.tolist(), predictions.tolist())
-    ]
-    errors = [e for _, _, e in per_example if e is not None]
-    if not errors:
+    scored = actual != 0
+    if not scored.any():
         raise ZeroActual()
+    errors = np.full(len(task), np.nan)
+    errors[scored] = percentile_error(actual[scored], predictions[scored])
     return EvalReport(
-        mse=mse(task.targets, predictions),
-        r_squared=r_squared(task.targets, predictions),
-        mean_percentile_error=float(np.mean(errors)),
-        per_example=per_example,
+        mse=mse(actual, predictions),
+        r_squared=r_squared(actual, predictions),
+        mean_percentile_error=float(np.mean(errors[scored])),
+        actual=actual,
+        predicted=predictions,
+        percentile_error=errors,
     )
 
 

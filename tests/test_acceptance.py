@@ -116,6 +116,7 @@ def test_criterion_04_training_curve_monotone():
         assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_05_boosting_power_and_reference_agreement():
     x, y = synthetic_regression()
     rng = np.random.default_rng(505)

@@ -296,10 +296,10 @@ class TestEvaluateCommand:
         assert "log: persistence_mse=0.0 persistence_r2=1.0 skill=undefined" in err.splitlines()
 
     def test_bad_split_spec_exits_2(self, capsys, synthetic_csv_path, trained_model_path):
-        code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path,
-                           "--model", trained_model_path, "--split", "bogus")
-        assert code == 2
-        assert "--split" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--input", synthetic_csv_path, "--model", trained_model_path, "--split", "bogus"])
+        assert exc.value.code == 2
+        assert "--split" in capsys.readouterr().err
 
 
 class TestDiagnoseCommand:
@@ -442,6 +442,27 @@ def test_evaluate_splits_with_the_models_seed(capsys, synthetic_csv_path, tmp_pa
     assert run(capsys, *evaluate, "--out", str(tmp_path / "all.csv"), "--split", "all")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--mode", "legacy-nco"],
+    ["predict", "--mode", "legacy-nco"],
+    ["predict", "--mode", "normative"],  # an abbreviation of --model, were abbreviations allowed
+    ["evaluate", "--mode", "legacy-nco"],
+    ["train", "--split", "station:0.5"],
+    ["evaluate", "--split", "station:0.5"],
+])
+def test_forecasting_takes_no_mode_or_split_fraction(request, capsys, synthetic_csv_path, tmp_path, argv):
+    """train, predict and evaluate share one scoring mode and one held-out
+    fraction, so none of them takes either from the command line."""
+    work = tmp_path / "work"
+    work.mkdir()
+    model = str(work / "model.txt") if argv[0] == "train" else request.getfixturevalue("trained_model_path")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", synthetic_csv_path, "--model", model, "--out", str(work / "out.csv")])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not any(work.iterdir())
+
+
 @pytest.mark.parametrize("command,seed", [("train", "-5"), ("evaluate", "-1")])
 def test_negative_seed_exits_2(request, capsys, synthetic_csv_path, tmp_path, command, seed):
     # train refuses the seed; evaluate has no --seed, so argparse refuses the flag
@@ -548,10 +569,11 @@ GOLDEN_SHA256 = {
 def test_golden_output_csv(capsys, fixture_csv_path, synthetic_csv_path, trained_model_path, tmp_path,
                            data, command, mode):
     out = tmp_path / "out.csv"
-    argv = [command, "--input", fixture_csv_path if data == "fixture" else synthetic_csv_path,
-            "--mode", mode, "--out", str(out)]
-    if command == "predict":
+    argv = [command, "--input", fixture_csv_path if data == "fixture" else synthetic_csv_path, "--out", str(out)]
+    if command == "predict":  # forecasting always scores normatively
         argv += ["--model", trained_model_path]
+    else:
+        argv += ["--mode", mode]
     assert run(capsys, *argv)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[data, command, mode]
 

@@ -45,7 +45,6 @@ from aquagauge.ingest import (
     parse_dataset,
     parse_month_year,
 )
-from aquagauge.wqi import LEGACY_NCO, NORMATIVE
 from conftest import STATION_HEADER
 from test_forecast import loop_feature_rows
 
@@ -156,9 +155,9 @@ def loop_impute_missing(samples, prov, policy):
     return filled, prov
 
 
-def loop_build_supervised(samples, mode):
+def loop_build_supervised(samples):
     """Per-station candidate scan: (features, targets, keys)."""
-    values, keys, wqis = loop_feature_rows(SimpleNamespace(samples=samples), mode)
+    values, keys, wqis = loop_feature_rows(SimpleNamespace(samples=samples))
     month_idx = [year * 12 + (month - 1) for _, month, year in keys]
     by_station = {}
     for i, (station, _, _) in enumerate(keys):
@@ -274,8 +273,8 @@ class TestAgainstRowLoop:
             _assert_parses_alike(text, "strict")
 
     @settings(max_examples=200)
-    @given(_csv_text, st.sampled_from([NORMATIVE, LEGACY_NCO]))
-    def test_lenient_parse_impute_and_pairing(self, text, mode):
+    @given(_csv_text)
+    def test_lenient_parse_impute_and_pairing(self, text):
         ds = parse_dataset(text, source="gen.csv")
         samples, prov = loop_parse_dataset(text, source="gen.csv")
         assert _with_rows(ds.samples) == _with_rows(samples)
@@ -291,8 +290,8 @@ class TestAgainstRowLoop:
             imputed = impute_missing(ds, policy)
             assert _with_rows(imputed.samples) == _with_rows(want_samples)
             assert imputed.provenance == want_prov
-            task = build_supervised(imputed, mode)
-            features, targets, keys = loop_build_supervised(want_samples, mode)
+            task = build_supervised(imputed)
+            features, targets, keys = loop_build_supervised(want_samples)
             assert task.features.values.tobytes() == features.tobytes()
             assert task.targets.tobytes() == targets.tobytes()
             assert task.keys == keys

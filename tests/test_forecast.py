@@ -25,7 +25,6 @@ from aquagauge.forecast import (
 )
 from aquagauge.gbm import FeatureMatrix, Hyperparams, gbm_fit, predict_matrix
 from aquagauge.ingest import Dataset, impute_missing, parse_dataset
-from aquagauge.wqi import LEGACY_NCO, NORMATIVE
 from conftest import mk_dataset, mk_sample, serialize_dataset
 from scoring_reference import loop_compute_wqi
 
@@ -125,16 +124,16 @@ class TestBuildSupervised:
         assert fm.values[keys.index(("B", 1, 2019)), FEATURE_NAMES.index("temp")] == 1e308 / 2 + 1.7e308 / 2
 
 
-def loop_feature_rows(ds, mode=NORMATIVE):
-    """One sample at a time, per-station history list: the reference for the
-    column build in build_feature_rows."""
+def loop_feature_rows(ds):
+    """One sample at a time, per-station history list, normative scoring: the
+    reference for the column build in build_feature_rows."""
     observed_temps = [s.temp for s in ds.samples if s.temp is not None]
     temp_fill = float(statistics.median(observed_temps)) if observed_temps else 0.0
     rows, keys, wqis = [], [], []
     for _, group in itertools.groupby(ds.samples, key=lambda s: s.station_code):
         history = []
         for s in group:
-            wqi = loop_compute_wqi(s, mode).wqi
+            wqi = loop_compute_wqi(s).wqi
             lag1 = history[-1] if len(history) >= 1 else None
             lag2 = history[-2] if len(history) >= 2 else None
             rows.append([s.ph, s.dissolved_oxygen, s.bod, s.conductivity, s.nitrate, s.total_coliform,
@@ -161,11 +160,11 @@ _series_sample = st.builds(
 
 
 class TestFeatureRowsAgainstLoop:
-    @given(st.lists(_series_sample, max_size=25), st.sampled_from([NORMATIVE, LEGACY_NCO]))
-    def test_bit_identical(self, samples, mode):
+    @given(st.lists(_series_sample, max_size=25))
+    def test_bit_identical(self, samples):
         ds = mk_dataset(samples)
-        fm, keys, wqis = build_feature_rows(ds, mode)
-        want_values, want_keys, want_wqis = loop_feature_rows(ds, mode)
+        fm, keys, wqis = build_feature_rows(ds)
+        want_values, want_keys, want_wqis = loop_feature_rows(ds)
         assert fm.values.tobytes() == want_values.tobytes()
         assert keys == want_keys
         assert wqis.tolist() == want_wqis
@@ -241,6 +240,13 @@ class TestMetrics:
     def test_percentile_error_exact_prediction(self):
         assert percentile_error(42.0, 42.0) == 0.0
 
+    def test_percentile_error_of_arrays_is_elementwise(self):
+        actual, predicted = np.array([63.253922, -2.5, 1e-300]), np.array([69.959334, 1.0, 0.0])
+        got = percentile_error(actual, predicted)
+        assert got.tolist() == [percentile_error(a, p) for a, p in zip(actual.tolist(), predicted.tolist())]
+        with pytest.raises(ZeroActual):
+            percentile_error(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
     @given(
         st.floats(-1e6, 1e6).filter(lambda v: abs(v) > 1e-6),
         st.floats(-1e6, 1e6),
@@ -296,10 +302,8 @@ class TestEvaluate:
                         Hyperparams(n_trees=10, max_depth=2, min_samples_split=4,
                                     min_samples_leaf=2))
         report = evaluate(model, task)
-        actual = [a for a, _, _ in report.per_example]
-        predicted = [p for _, p, _ in report.per_example]
-        assert report.mse == pytest.approx(mse(actual, predicted), rel=1e-12)
-        assert list(task.targets) == actual  # ordered by task key order
+        assert report.mse == pytest.approx(mse(report.actual, report.predicted), rel=1e-12)
+        assert task.targets.tolist() == report.actual.tolist()  # ordered by task key order
 
     def test_feature_mismatch(self):
         task = _toy_task()
@@ -313,8 +317,9 @@ class TestEvaluate:
         model = gbm_fit(task.features, task.targets, Hyperparams(n_trees=0))
         report = evaluate(model, task)
         assert report.zero_actuals == 2
-        assert report.per_example[3][2] is None and report.per_example[17][2] is None
-        kept = [percentile_error(a, p) for a, p, _ in report.per_example if a != 0.0]
+        assert np.flatnonzero(np.isnan(report.percentile_error)).tolist() == [3, 17]
+        kept = [percentile_error(a, p)
+                for a, p in zip(report.actual.tolist(), report.predicted.tolist()) if a != 0.0]
         assert len(kept) == len(task) - 2
         assert report.mean_percentile_error == float(np.mean(kept))
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: wqi, train, predict, evaluate and diagnose. Every run echoes
-its fully resolved configuration to stderr, writes output files atomically
-(temp file + rename), and is deterministic for a fixed seed.
+its fully resolved configuration to stderr, refuses an output that names an
+input or another output, writes output files atomically (temp file +
+rename), and is deterministic for a fixed seed.
 Exit codes: 0 success, 2 usage or data error, 3 internal error.
 """
 
@@ -26,20 +27,24 @@ _IMPUTE_FLAG = {"drop": "drop_row", "median": "median"}
 
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temporary file and a rename, in the mode open(path, "w")
-    gives: an existing file keeps its mode, a new one gets 0o666 less the umask."""
+    gives: an existing file keeps its mode, a new one gets 0o666 less the umask.
+    A failed write raises AquagaugeError naming path and leaves no temporary file."""
     target = Path(path)
     umask = os.umask(0)  # only setting the umask reads it
     os.umask(umask)
-    mode = os.stat(target).st_mode & 0o7777 if target.exists() else 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=f".{target.name}.")
+    tmp = None
     try:
-        os.fchmod(fd, mode)
+        mode = os.stat(target).st_mode & 0o7777 if target.exists() else 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=f".{target.name}.")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise AquagaugeError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -63,6 +68,24 @@ def _emit(out_path: str | None, header: list[str], columns: list[list[str]]) -> 
         _atomic_write(out_path, text)
 
 
+def _same_file(output: str, other: str) -> bool:
+    try:
+        return os.path.samefile(output, other)
+    except OSError:  # a path that does not exist yet is compared by where it would be
+        return os.path.realpath(output) == os.path.realpath(other)
+
+
+def _refuse_overwrites(args: argparse.Namespace) -> None:
+    """Raise when an output names the same file as an input or the other output."""
+    paths = {flag: getattr(args, flag, None) for flag in ("input", "model", "rules", "out")}
+    paths = {flag: path for flag, path in paths.items() if path is not None}
+    outputs = ("model", "out") if args.subcommand == "train" else ("out",)
+    for output in [flag for flag in outputs if flag in paths]:
+        for flag, path in paths.items():
+            if flag != output and _same_file(paths[output], path):
+                raise AquagaugeError(f"--{output} {paths[output]} is the same file as --{flag} {path}")
+
+
 def _echo_config(args: argparse.Namespace) -> None:
     for key in sorted(vars(args)):
         if key == "func":
@@ -70,11 +93,11 @@ def _echo_config(args: argparse.Namespace) -> None:
         print(f"log: {key}={getattr(args, key)}", file=sys.stderr)
 
 
-def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
+def _load_dataset(args: argparse.Namespace, policy: str) -> ingest.Dataset:
     text = _read_text(args.input)
     strictness = "strict" if args.strict else "lenient"
     parsed = ingest.parse_dataset(text, strictness=strictness, source=args.input)
-    ds = ingest.impute_missing(parsed, _IMPUTE_FLAG[args.impute])
+    ds = ingest.impute_missing(parsed, policy)
     rows_read = len(parsed) + len(parsed.provenance.dropped)
     print(f"log: rows_read={rows_read} rows_dropped={len(ds.provenance.dropped)} "
           f"cells_noted={len(parsed.provenance.notes)}", file=sys.stderr)
@@ -84,7 +107,7 @@ def _load_dataset(args: argparse.Namespace) -> ingest.Dataset:
 
 
 def cmd_wqi(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, _IMPUTE_FLAG[args.impute])
     if not len(ds):
         raise AquagaugeError("no samples")
     scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
@@ -100,12 +123,16 @@ def cmd_wqi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _task(args: argparse.Namespace, side: int, seed: int) -> forecast.SupervisedTask:
-    """The supervised task of --input, or its side (0 train, 1 test) of the station split by seed."""
-    task = forecast.build_supervised(_load_dataset(args))
-    if args.split != "all":
-        task = forecast.split_by_station(task, forecast.HELD_OUT_FRACTION, seed)[side]
-    return task
+def _sides(args: argparse.Namespace, seed: int) -> tuple[forecast.SupervisedTask, forecast.SupervisedTask]:
+    """The training and evaluation sides of --input's supervised task: the
+    station split by seed, or the whole task as both under --split all.
+
+    An example needs observed inputs and a WQI observed four months later,
+    so a row missing a WQI input is dropped, never filled."""
+    task = forecast.build_supervised(_load_dataset(args, "drop_row"))
+    if args.split == "all":
+        return task, task
+    return forecast.split_by_station(task, forecast.HELD_OUT_FRACTION, seed)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -113,7 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         hp = gbm.Hyperparams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(gbm.Hyperparams)})
     except ValueError as exc:
         raise AquagaugeError(str(exc)) from exc
-    task = _task(args, 0, hp.seed)
+    task, _ = _sides(args, hp.seed)
     if len(task) == 0:
         raise AquagaugeError("training task is empty: need >= 2 observations for some station")
     model = gbm.gbm_fit(task.features, task.targets, hp)
@@ -127,7 +154,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = gbm.deserialize_model(_read_text(args.model))
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, _IMPUTE_FLAG[args.impute])
     if not len(ds):
         raise AquagaugeError("no samples")
     fm, keys, wqis = forecast.build_feature_rows(ds)
@@ -143,7 +170,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = gbm.deserialize_model(_read_text(args.model))
     print(f"log: seed={model.hyperparams.seed} (from the model file)", file=sys.stderr)
-    task = _task(args, 1, model.hyperparams.seed)  # the seed train split with: its held-out side
+    fitted_on, task = _sides(args, model.hyperparams.seed)  # the split train drew with this seed
+    # train fits f0 = init_constant of its side's targets, so any other f0 was fitted on other data
+    if args.split != "all" and (len(fitted_on) == 0 or model.f0 != gbm.init_constant(fitted_on.targets)):
+        raise AquagaugeError(f"the model (f0={model.f0!r}) was not fitted on the training side of {args.input}; "
+                             "--split all scores a model on any input")
     if len(task) == 0:
         raise AquagaugeError("evaluation task is empty")
     report = forecast.evaluate(model, task)
@@ -165,7 +196,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, _IMPUTE_FLAG[args.impute])
     if not len(ds):
         raise AquagaugeError("no samples")
     scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
@@ -182,13 +213,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shared(p: argparse.ArgumentParser, *, mode: bool = False) -> None:
+def _add_shared(p: argparse.ArgumentParser, *, mode: bool = False, impute: bool = False) -> None:
     p.add_argument("--input", required=True, help="input CSV path")
     if mode:  # forecasting always scores in the normative mode
         p.add_argument("--mode", choices=sorted(_MODE_FLAG), default="normative",
                        help="coliform scoring mode (default: normative)")
-    p.add_argument("--impute", choices=sorted(_IMPUTE_FLAG), default="drop",
-                   help="missing-value policy for the six wqi inputs (default: drop)")
+    if impute:  # train and evaluate always drop a row missing a wqi input
+        p.add_argument("--impute", choices=sorted(_IMPUTE_FLAG), default="drop",
+                       help="missing-value policy for the six wqi inputs (default: drop)")
     p.add_argument("--strict", action="store_true", help="error on any malformed cell")
 
 
@@ -204,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     split = f"station:{forecast.HELD_OUT_FRACTION}"
 
     p = sub.add_parser("wqi", allow_abbrev=False, help="score every sample (sub-indices, weighted scores, wqi)")
-    _add_shared(p, mode=True)
+    _add_shared(p, mode=True, impute=True)
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_wqi)
 
@@ -221,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", allow_abbrev=False,
                        help="current wqi plus the 4-month-ahead prediction per sample")
-    _add_shared(p)
+    _add_shared(p, impute=True)
     p.add_argument("--model", default="model.txt", help="model file to load")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_predict)
@@ -235,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("diagnose", allow_abbrev=False, help="disease diagnosis per sample from the rule file")
-    _add_shared(p, mode=True)
+    _add_shared(p, mode=True, impute=True)
     p.add_argument("--rules", default=None, help="rules file (default: shipped ruleset)")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_diagnose)
@@ -254,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _echo_config(args)
         try:
+            _refuse_overwrites(args)
             return args.func(args)
         except (AquagaugeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -449,10 +450,15 @@ def test_evaluate_splits_with_the_models_seed(capsys, synthetic_csv_path, tmp_pa
     ["evaluate", "--mode", "legacy-nco"],
     ["train", "--split", "station:0.5"],
     ["evaluate", "--split", "station:0.5"],
+    ["train", "--impute", "median"],
+    ["train", "--impute", "drop"],
+    ["evaluate", "--impute", "median"],
+    ["evaluate", "--impute", "drop"],
 ])
 def test_forecasting_takes_no_mode_or_split_fraction(request, capsys, synthetic_csv_path, tmp_path, argv):
     """train, predict and evaluate share one scoring mode and one held-out
-    fraction, so none of them takes either from the command line."""
+    fraction, and train and evaluate always drop a row missing a WQI input,
+    so none of these comes from the command line."""
     work = tmp_path / "work"
     work.mkdir()
     model = str(work / "model.txt") if argv[0] == "train" else request.getfixturevalue("trained_model_path")
@@ -461,6 +467,99 @@ def test_forecasting_takes_no_mode_or_split_fraction(request, capsys, synthetic_
     assert exc.value.code == 2
     assert argv[1] in capsys.readouterr().err
     assert not any(work.iterdir())
+
+
+def test_evaluate_refuses_a_model_fitted_on_other_data(capsys, synthetic_csv_path, tmp_path):
+    """A default evaluate scores only a model whose f0 is the target mean of
+    the input's training side: a --split all model saw the held-out stations,
+    and a model trained on another CSV saw other data. --split all scores either."""
+    other = tmp_path / "other.csv"
+    other.write_text(rows_to_csv(STATION_HEADER, synthetic_station_rows(seed=12)), encoding="utf-8")
+    models = {"split-all": tmp_path / "all.txt", "other-csv": tmp_path / "other.txt"}
+    for argv in (["--input", synthetic_csv_path, "--model", str(models["split-all"]), "--split", "all"],
+                 ["--input", str(other), "--model", str(models["other-csv"])]):
+        assert run(capsys, "train", *argv, "--out", str(tmp_path / "c.csv"), *TRAIN_ARGS)[0] == 0
+    for model in models.values():
+        report = tmp_path / f"{model.stem}-report.csv"
+        evaluate = ["evaluate", "--input", synthetic_csv_path, "--model", str(model), "--out", str(report)]
+        code, out, err = run(capsys, *evaluate)
+        assert code == 2 and out == ""
+        f0 = deserialize_model(model.read_text(encoding="utf-8")).f0
+        assert f"error: the model (f0={f0!r}) was not fitted on the training side of {synthetic_csv_path}; " \
+               "--split all scores a model on any input" in err.splitlines()
+        assert not report.exists()
+        assert run(capsys, *evaluate, "--split", "all")[0] == 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(n_stations=st.integers(15, 22), n_periods=st.integers(3, 6), data_seed=st.integers(0, 199),
+       split_seed=st.integers(0, 3))
+def test_evaluate_scores_exactly_the_model_of_its_training_side(tmp_path_factory, n_stations, n_periods,
+                                                                 data_seed, split_seed):
+    """On any generated station CSV a default train then a default evaluate
+    exits 0, and a --split all model exits 2, so the f0 check never refuses a
+    matching pair. With 15 or more stations the held-out side holds three, so
+    its actuals are never all one value."""
+    work = tmp_path_factory.mktemp("pair")
+    data = work / "stations.csv"
+    data.write_text(rows_to_csv(STATION_HEADER, synthetic_station_rows(n_stations, n_periods, data_seed)),
+                    encoding="utf-8")
+    codes = []
+    for split in ("station:0.2", "all"):
+        model = str(work / f"{split}.txt")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["train", "--input", str(data), "--model", model, "--out", str(work / "c.csv"),
+                         "--split", split, "--seed", str(split_seed), *TRAIN_ARGS]) == 0
+            codes.append(main(["evaluate", "--input", str(data), "--model", model,
+                               "--out", str(work / "report.csv")]))
+    assert codes == [0, 2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--input", "{data}", "--model", "{model}", "--out", "{model}"],
+    ["evaluate", "--input", "{data}", "--model", "{model}", "--out", "{model}"],
+    ["predict", "--input", "{data}", "--model", "{model}", "--out", "{data}"],
+], ids=["train-model-is-out", "evaluate-model-is-out", "predict-out-is-input"])
+def test_no_output_overwrites_an_input_or_output(capsys, synthetic_csv_path, trained_model_path, argv):
+    files = {"data": synthetic_csv_path, "model": trained_model_path}
+    before = {path: Path(path).read_bytes() for path in files.values()}
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 2 and out == ""
+    assert re.search(r"^error: --\w+ .* is the same file as --\w+ ", err, re.M)
+    assert {path: Path(path).read_bytes() for path in files.values()} == before
+
+
+def test_output_path_spelt_differently_is_still_the_input(capsys, synthetic_csv_path, tmp_path):
+    """Two spellings of one file, and a hard link to it, name the same file."""
+    model = tmp_path / "m.txt"
+    link = tmp_path / "link.txt"
+    model.write_text("kept\n", encoding="utf-8")
+    os.link(model, link)
+    for out in (str(tmp_path / "." / "m.txt"), str(link)):
+        code, _, err = run(capsys, "evaluate", "--input", synthetic_csv_path, "--model", str(model), "--out", out)
+        assert code == 2 and "is the same file as --model" in err
+    assert model.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_failed_write_names_the_given_path(capsys, fixture_csv_path, synthetic_csv_path, tmp_path, target):
+    """The error names the path the user gave and the OS reason, not the
+    temporary file the write went through, and no temporary file is left."""
+    if target == "missing-directory":
+        path = str(tmp_path / "absent" / "m.txt")
+        argv = ["train", "--input", synthetic_csv_path, "--model", path, "--out", str(tmp_path / "c.csv"),
+                *TRAIN_ARGS]
+        reason = os.strerror(errno.ENOENT)
+    else:
+        (tmp_path / "taken").mkdir()
+        path = str(tmp_path / "taken")
+        argv = ["diagnose", "--input", fixture_csv_path, "--out", path]
+        reason = os.strerror(errno.EISDIR)
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: cannot write {path}: {reason}" in err.splitlines()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command,seed", [("train", "-5"), ("evaluate", "-1")])
@@ -775,6 +874,8 @@ def test_every_command_exits_0_or_2_on_hostile_input(clean_run, data):
         ["predict", *given_stations, "--model", model],
         ["predict", *given_stations, "--model", model, "--impute", "median"],
         ["evaluate", *given_stations, "--model", model],
+        # the line above refuses this --split all model before scoring; this one scores it
+        ["evaluate", *given_stations, "--model", model, "--split", "all"],
         ["train", *given_stations, "--model", str(work / "fitted.txt"), "--n-trees", "3",
          "--min-samples-split", "8", "--min-samples-leaf", "3"],
         ["diagnose", "--input", clean, "--out", out, "--rules", str(rules)],

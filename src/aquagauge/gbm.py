@@ -9,16 +9,15 @@ training curve records the training MSE after every iteration and is
 non-increasing by construction.
 
 A tree is a RegressionTree of parallel node arrays, as in scikit-learn's Tree
-(Pedregosa et al., 2011). The fit knows each training row's leaf as it grows
-the tree, and gbm_fit multiplies each fitted tree's values by the learning
-rate. predict_matrix scores every tree of 2 to 64 leaves by QuickScorer
-(Lucchese et al., 2015): the leaves reachable from a row are the AND of one
-uint64 leaf mask per feature the tree tests, looked up by the row's bin among
-that feature's thresholds, and the exit leaf is the lowest set bit. The
-tables are built per call from the node arrays. tree_apply walks the other
-trees over a column-major copy of x, made once per call, so every node
-gathers its rows from one contiguous feature column (the feature-major layout
-of Asadi et al., 2014).
+(Pedregosa et al., 2011), numbered in preorder, which the type checks. The fit
+knows each training row's leaf as it grows the tree, and gbm_fit multiplies
+each fitted tree's values by the learning rate. predict_matrix scores every
+tree by QuickScorer (Lucchese et al., 2015): a tree's leaves, numbered left to
+right, take one bit each in ceil(leaves / 64) uint64 mask words; the leaves
+reachable from a row are, word by word, the AND of one mask per feature the
+tree tests, looked up by the row's bin among that feature's thresholds, and
+the exit leaf is the lowest set bit of the first word that keeps one. The
+tables are built per call from the node arrays.
 
 Fitting is deterministic: the threshold between consecutive distinct sorted
 feature values a < b is 0.5 * (a + b), or a where that rounds up to b or
@@ -168,9 +167,13 @@ class RegressionTree:
     """Binary CART tree as parallel node arrays; node 0 is the root. Node i
     is a leaf when feature[i] < 0, with output value[i] and training row count
     count[i]; otherwise rows with x[feature[i]] <= threshold[i] go to left[i]
-    and the rest to right[i]. Unused fields hold -1 or 0. fit_tree numbers
-    the nodes in preorder, left subtree first (left[i] == i + 1), the model
-    loader accepts no other numbering, and predict_matrix needs it."""
+    and the rest to right[i]. Unused fields hold -1 or 0.
+
+    The nodes are numbered in preorder, left subtree first: an internal
+    node's left child is the next node, its right child is the node after its
+    left subtree, and every child id is a node of the tree. predict_matrix
+    numbers the leaves left to right by that order, so a tree numbered any
+    other way raises ValueError when it is made."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -178,6 +181,23 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
     count: np.ndarray
+
+    def __post_init__(self):
+        k = self.feature.size
+        if k == 0:
+            raise ValueError("a tree has at least one node")
+        pending = []  # right-child ids still to come, innermost last
+        for j, (f, left, right) in enumerate(zip(self.feature.tolist(), self.left.tolist(), self.right.tolist())):
+            if f >= 0:
+                if not (0 <= left < k and 0 <= right < k):
+                    raise ValueError(f"node {j}: a child id is outside 0..{k - 1}")
+                pending.append(right)
+                next_id = left
+            else:
+                next_id = pending.pop() if pending else k  # k: the tree ends here
+            # The child range above keeps a right id from reading as the end.
+            if next_id != j + 1:
+                raise ValueError(f"node {j}: preorder puts node {next_id} after it, not node {j + 1}")
 
     @classmethod
     def from_rows(cls, rows) -> RegressionTree:
@@ -455,32 +475,6 @@ def node_train_count(tree: RegressionTree, node_id: int = 0) -> int:
     return sum(int(tree.count[level].sum()) for level in _levels(tree, node_id))
 
 
-def tree_apply(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    """Vectorized leaf-value lookup for every row of x, for a tree in any
-    node numbering.
-
-    The walk reads x column-major: each internal node gathers its rows from
-    one contiguous feature column. predict_matrix walks the trees that its
-    bitmask scorer does not take (one leaf, or more than 64) over one
-    column-major copy made per call, so the asfortranarray here is free for it.
-    """
-    x = np.asfortranarray(x, dtype=np.float64)
-    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-    left, right, value = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
-    out = np.empty(x.shape[0], dtype=np.float64)
-    stack = [(0, np.arange(x.shape[0]))]
-    while stack:
-        node_id, idx = stack.pop()
-        f = feature[node_id]
-        if f < 0:
-            out[idx] = value[node_id]
-        else:
-            mask = x[:, f].take(idx) <= threshold[node_id]
-            stack.append((left[node_id], idx.compress(mask)))
-            stack.append((right[node_id], idx.compress(~mask)))
-    return out
-
-
 def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     """Run the boosting loop and return the fitted ensemble.
 
@@ -513,59 +507,70 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     )
 
 
-_MASK_LEAVES = 64  # the leaves one uint64 mask word numbers
 _EXPONENT_BIAS = 1023  # 2.0**k has the float64 exponent field k + 1023
 
 
-def _bitmask_tables(trees: list[RegressionTree], xf: np.ndarray) -> dict[int, tuple]:
-    """QuickScorer's tables (see predict_matrix) for each tree of 2 to 64
-    leaves: {tree index: (leaf values by exponent field, [(table, bins)])},
-    bins being one feature's threshold bins of the rows of the column-major xf."""
-    small = [t for t, tree in enumerate(trees) if 1 < np.count_nonzero(tree.feature < 0) <= _MASK_LEAVES]
-    if not small:
-        return {}
-    sizes = [trees[t].feature.size for t in small]
+def _bitmask_tables(trees: list[RegressionTree], xf: np.ndarray) -> list[tuple]:
+    """QuickScorer's tables (see predict_matrix), one (leaf values by exponent
+    field, [(table, bins)] per mask word) per tree, bins being one feature's
+    threshold bins of the rows of the column-major xf."""
+    if not trees:
+        return []
+    sizes = [tree.feature.size for tree in trees]
     starts = np.cumsum([0, *sizes[:-1]])
-    feature, threshold, right, value = (np.concatenate([getattr(trees[t], name) for t in small])
+    feature, threshold, right, value = (np.concatenate([getattr(tree, name) for tree in trees])
                                         for name in ("feature", "threshold", "right", "value"))
     leaf = feature < 0
-    before = np.cumsum(leaf) - leaf  # leaves before each node, in preorder over all small trees
+    before = np.cumsum(leaf) - leaf  # leaves before each node, in preorder over all trees
+    first_leaf = before[starts]
+    words = (np.diff(first_leaf, append=np.count_nonzero(leaf)) + 63) // 64  # 64 leaves to a word
+    first_word = np.cumsum(words) - words  # words numbered over all trees
     inner = np.flatnonzero(~leaf)
     inner = inner[np.lexsort((threshold[inner], feature[inner]))]  # by feature, then threshold
-    f, thr, tree_of = feature[inner], threshold[inner], np.repeat(np.arange(len(small)), sizes)[inner]
-    # A value above a node's threshold rules out its left subtree's leaves.
-    width = before[right[inner] + starts[tree_of]] - before[inner]
-    low = before[inner] - before[starts][tree_of]
-    keep = ~(((np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)) << low.astype(np.uint64))
+    tree_of = np.repeat(np.arange(len(trees)), sizes)[inner]
+    # A value above a node's threshold rules out its left subtree's leaves,
+    # [low, high) in its tree; the node masks every word that range meets.
+    low = before[inner] - first_leaf[tree_of]
+    high = before[right[inner] + starts[tree_of]] - first_leaf[tree_of]
+    spans = (high - 1) // 64 - low // 64 + 1
+    entry = np.repeat(np.arange(inner.size), spans)
+    word = low[entry] // 64 + np.arange(entry.size) - (np.cumsum(spans) - spans)[entry]
+    lo_bit = np.maximum(low[entry] - 64 * word, 0)
+    n_bits = np.minimum(high[entry] - 64 * word, 64) - lo_bit  # 1 to 64, so no shift is by 64
+    keep = ~((~np.uint64(0) >> (64 - n_bits).astype(np.uint64)) << lo_bit.astype(np.uint64))
+    inner, slot = inner[entry], first_word[tree_of[entry]] + word
+    f, thr = feature[inner], threshold[inner]
     new_cut = np.r_[True, (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])]  # -0.0 == 0.0: one cut
-    bounds = [*np.flatnonzero(np.r_[True, f[1:] != f[:-1]]).tolist(), f.size]
-    scorers: dict[int, list] = {t: [] for t in range(len(small))}
+    bounds = [*np.flatnonzero(np.diff(f, prepend=-1)).tolist(), f.size]
+    scorers: list[list] = [[] for _ in range(int(words.sum()))]
     for lo, hi in zip(bounds, bounds[1:]):
         cuts = thr[lo:hi][new_cut[lo:hi]]  # the feature's distinct thresholds, ascending
         # x <= cuts[b] exactly when the count of cuts below x is at most b
         bins = np.searchsorted(cuts, xf[:, f[lo]])
-        testing = np.zeros(len(small), dtype=bool)
-        testing[tree_of[lo:hi]] = True
+        testing = np.zeros(len(scorers), dtype=bool)
+        testing[slot[lo:hi]] = True
         table = np.full((np.count_nonzero(testing), cuts.size + 1), ~np.uint64(0))
         cut_of = np.cumsum(new_cut[lo:hi])  # each node's cut index, plus 1
-        np.bitwise_and.at(table, ((np.cumsum(testing) - 1)[tree_of[lo:hi]], cut_of), keep[lo:hi])
+        np.bitwise_and.at(table, ((np.cumsum(testing) - 1)[slot[lo:hi]], cut_of), keep[lo:hi])
         np.bitwise_and.accumulate(table, axis=1, out=table)
-        for row, t in zip(table, np.flatnonzero(testing).tolist()):
-            scorers[t].append((row, bins))
+        for row, s in zip(table, np.flatnonzero(testing).tolist()):
+            scorers[s].append((row, bins))
     leaf_values = np.concatenate((np.zeros(_EXPONENT_BIAS), value[leaf]))
-    return {small[t]: (leaf_values[before[start] :], scorers[t]) for t, start in enumerate(starts.tolist())}
+    return [(leaf_values[first:], scorers[w : w + n])
+            for first, w, n in zip(first_leaf.tolist(), first_word.tolist(), words.tolist())]
 
 
 def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
     """Ensemble predictions for every row of x: f0 plus every tree's output,
-    added in tree order, bit for bit f0 plus each tree_apply in turn.
+    added in tree order, bit for bit f0 plus the leaf that a walk from each
+    root reaches, tree by tree.
 
-    A tree of 2 to 64 leaves is scored by QuickScorer (Lucchese et al.,
-    2015). Its leaves are numbered left to right, and a row's reachable set
-    is the AND of one uint64 table entry per feature the tree tests, indexed
-    by the row's bin among that feature's distinct thresholds; the exit leaf
-    is the lowest set bit. tree_apply walks the other trees over one
-    column-major copy of x.
+    Every tree is scored by QuickScorer (Lucchese et al., 2015). Its leaves
+    are numbered left to right, 64 to a uint64 mask word. In each word, a
+    row's reachable set is the AND of one table entry per feature whose nodes
+    mask that word, indexed by the row's bin among that feature's distinct
+    thresholds, or all ones where no node does; the exit leaf is the lowest
+    set bit of the first word with a bit set.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(model.feature_names):
@@ -573,18 +578,17 @@ def predict_matrix(model: GbmModel, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFinite(None, context="feature matrix")
     x = np.asfortranarray(x)
-    scorers = _bitmask_tables(model.trees, x)
     out = np.full(x.shape[0], model.f0, dtype=np.float64)
-    for t, tree in enumerate(model.trees):
-        if t not in scorers:
-            out += tree_apply(tree, x)
-            continue
-        leaf_values, ((table, bins), *rest) = scorers[t]
-        reachable = table.take(bins)
-        for table, bins in rest:
-            reachable &= table.take(bins)
-        reachable &= -reachable  # the lowest set bit, 2.0**exit_leaf as a float
-        out += leaf_values.take(reachable.astype(np.float64).view(np.int64) >> 52)
+    for leaf_values, words in _bitmask_tables(model.trees, x):
+        exits = None
+        for w, tables in reversed(list(enumerate(words))):  # the first word is chosen last
+            reachable = tables[0][0].take(tables[0][1]) if tables else np.full(x.shape[0], ~np.uint64(0))
+            for table, bins in tables[1:]:
+                reachable &= table.take(bins)
+            reachable &= -reachable  # the lowest set bit, 2.0**bit as a float, or 0
+            values = leaf_values[64 * w :].take(reachable.astype(np.float64).view(np.int64) >> 52)
+            exits = values if exits is None else np.where(reachable != 0, values, exits)
+        out += exits
     return out
 
 
@@ -687,7 +691,6 @@ def deserialize_model(text: str) -> GbmModel:
             raise CorruptNode(0, f"bad tree block header: {line!r}")
         pos += 1
         nodes = []
-        pending = []  # right-child ids still to come, innermost last
         for j in range(k):
             if pos >= len(lines):
                 raise CorruptNode(j, "unexpected end of input inside tree block")
@@ -697,17 +700,12 @@ def deserialize_model(text: str) -> GbmModel:
             try:
                 if parts[0] == "I" and len(parts) == 5:
                     node = (int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4]), 0.0, 0)
-                    feature, threshold, left, right = node[:4]
-                    valid = (0 <= feature < len(feature_names) and 0 <= left < k and 0 <= right < k
-                             and math.isfinite(threshold))
-                    pending.append(right)
-                    next_id = left
+                    valid = 0 <= node[0] < len(feature_names) and math.isfinite(node[1])
                 elif parts[0] == "L" and len(parts) == 3:
                     value, count = float(parts[1]), int(parts[2])
                     node = (-1, 0.0, -1, -1, value, count)
                     # at least one row, and a count that fits the count array
                     valid = 1 <= count < 2**63 and math.isfinite(value)
-                    next_id = pending.pop() if pending else k  # k: the block ends here
                 else:
                     raise CorruptNode(j, f"unrecognized node line: {line!r}")
             except ValueError as exc:
@@ -716,12 +714,11 @@ def deserialize_model(text: str) -> GbmModel:
                 raise CorruptNode(j, f"field out of range or not finite: {line!r}")
             if line != _node_line(*node):
                 raise CorruptNode(j, f"{line!r} is not the writer's spelling {_node_line(*node)!r}")
-            # Trees are stored in preorder, left subtree first: the child
-            # range above keeps a right id from reading as the block's end.
-            if next_id != j + 1:
-                raise CorruptNode(j, f"preorder puts node {next_id} after it, not node {j + 1}")
             nodes.append(node)
-        model.trees.append(RegressionTree.from_rows(nodes))
+        try:  # RegressionTree checks the child ids and the preorder
+            model.trees.append(RegressionTree.from_rows(nodes))
+        except (ValueError, OverflowError) as exc:  # OverflowError: a child id beyond intp
+            raise CorruptNode(0, f"tree {len(model.trees)}: {exc}") from exc
     if rest:
         raise CorruptNode(0, f"last line has no line end: {rest!r}")
 

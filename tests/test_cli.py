@@ -130,9 +130,9 @@ class TestTrainCommand:
                            "--model", str(model_path), "--out", str(curve_path),
                            *TRAIN_ARGS)
         assert code == 0
-        assert "final_training_loss=" in out
         model = deserialize_model(model_path.read_text(encoding="utf-8"))
         assert len(model.trees) == 30
+        assert f"final_training_loss={model.training_curve[-1]!r}" in out.splitlines()
         curve = [float(r["loss"]) for r in csv.DictReader(curve_path.read_text().splitlines())]
         assert len(curve) == 31
         assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))

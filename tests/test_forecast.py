@@ -213,6 +213,10 @@ class TestMetrics:
         assert r_squared(a, np.full(3, a.mean())) == 0.0
         assert r_squared([1, 2, 3], [1, 2, 4]) == 0.5
 
+    def test_r_squared_on_two_points(self):
+        assert r_squared([1, 3], [1, 2]) == 0.5
+        assert r_squared([1, 3], [2, 2]) == 0.0
+
     def test_r_squared_degenerate(self):
         with pytest.raises(DegenerateActuals):
             r_squared([2, 2, 2], [1, 2, 3])

@@ -38,7 +38,6 @@ from aquagauge.gbm import (
     node_train_count,
     predict_matrix,
     serialize_model,
-    tree_apply,
     tree_depth,
 )
 
@@ -142,12 +141,31 @@ def node_view(tree: RegressionTree) -> list[tuple]:
     return [("I", f, t, left, right) if f >= 0 else ("L", v, c) for f, t, left, right, v, c in rows]
 
 
+def node_rows(nodes: list[tuple]) -> list[tuple]:
+    """A node_view as RegressionTree.from_rows rows."""
+    return [(n[1], n[2], n[3], n[4], 0.0, 0) if n[0] == "I" else (-1, 0.0, -1, -1, n[1], n[2]) for n in nodes]
+
+
 def tree_of(nodes: list[tuple]) -> RegressionTree:
     """The tree whose node_view is `nodes`."""
-    return RegressionTree.from_rows([
-        (n[1], n[2], n[3], n[4], 0.0, 0) if n[0] == "I" else (-1, 0.0, -1, -1, n[1], n[2])
-        for n in nodes
-    ])
+    return RegressionTree.from_rows(node_rows(nodes))
+
+
+def one_tree_text(nodes: list[tuple], feature_names: list[str]) -> str:
+    """A one-tree model file holding the node_view `nodes` line for line, in
+    the writer's spelling, whether or not RegressionTree takes them."""
+    header = GbmModel(f0=0.0, trees=[], hyperparams=Hyperparams(), training_curve=[0.0, 0.0],
+                      feature_names=feature_names)
+    lines = [f"tree 0 nodes {len(nodes)}", *(gbm._node_line(*row) for row in node_rows(nodes))]
+    return serialize_model(header) + "\n".join(lines) + "\n"
+
+
+def tree_predict(tree: RegressionTree, x) -> np.ndarray:
+    """One tree's leaf value for every row of x, through predict_matrix: an
+    f0 of -0.0 adds nothing to any value's bits, -0.0 included."""
+    model = GbmModel(f0=-0.0, trees=[tree], hyperparams=Hyperparams(),
+                     feature_names=[f"f{j}" for j in range(np.shape(x)[1])])
+    return predict_matrix(model, x)
 
 
 def view_predict(nodes: list[tuple], row) -> float:
@@ -156,6 +174,18 @@ def view_predict(nodes: list[tuple], row) -> float:
     while node[0] == "I":
         node = nodes[node[3] if row[node[1]] <= node[2] else node[4]]
     return node[1]
+
+
+def view_sums(f0: float, trees: list[RegressionTree], x) -> list[float]:
+    """f0 plus every tree's view_predict, added in tree order, for each row of x."""
+    views = [node_view(tree) for tree in trees]
+    sums = []
+    for row in np.asarray(x).tolist():
+        acc = f0
+        for nodes in views:
+            acc += view_predict(nodes, row)
+        sums.append(acc)
+    return sums
 
 
 def flatten_tree(tree: RegressionTree):
@@ -447,10 +477,11 @@ def random_preorder_tree(rnd: random.Random, n_leaves: int, thresholds: list) ->
 
 @st.composite
 def mixed_size_ensembles(draw):
-    """A matrix and f0 plus over 100 preorder trees of 1, 63, 64, 65 and
-    100+ leaves (either side of the 64-leaf mask word) and of 2 to 70,
-    sharing a few thresholds per feature. Cells are the edge cells above, the
-    thresholds themselves and uniform draws; some matrices have zero rows."""
+    """A matrix and f0 plus over 100 preorder trees of 1, 63, 64, 65, 100+,
+    128, 129, 192 and 256 leaves (one to four 64-leaf mask words, and either
+    side of each word boundary) and of 2 to 70, sharing a few thresholds per
+    feature. Cells are the edge cells above, the thresholds themselves and
+    uniform draws; some matrices have zero rows."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng, rnd = np.random.default_rng(seed), random.Random(seed)
     n, n_features = draw(st.sampled_from([0, 1, 40])), draw(st.integers(1, 5))
@@ -458,7 +489,8 @@ def mixed_size_ensembles(draw):
     pool = [*_EDGE_CELLS, *(t for column in thresholds for t in column)]
     x = np.where(rng.random((n, n_features)) < 0.7, rng.choice(pool, size=(n, n_features)),
                  rng.uniform(-3, 3, (n, n_features)))
-    sizes = [1, 63, 64, 65, int(rng.integers(100, 130)), *rng.integers(2, 71, size=100).tolist()]
+    sizes = [1, 63, 64, 65, int(rng.integers(100, 130)), 128, 129, 192, 256,
+             *rng.integers(2, 71, size=100).tolist()]
     trees = [random_preorder_tree(rnd, int(k), thresholds) for k in rng.permutation(sizes)]
     return x, float(rng.normal()), trees
 
@@ -627,7 +659,7 @@ class TestBestSplit:
         assert ref_best_split(x, y, 1)[:2] == (0, got.threshold)
         tree = fit_tree(x, y, Hyperparams(max_depth=1, min_samples_split=2, min_samples_leaf=1))
         assert tree.feature[0] == 0 and tree.threshold[0] == got.threshold
-        assert tree_apply(tree, x).tolist() == y.tolist()
+        assert tree_predict(tree, x).tolist() == y.tolist()
 
 
 class TestFitTree:
@@ -777,25 +809,28 @@ class TestPredict:
             rows = xl.tolist()
             for tree, nodes in zip(trees, views):
                 want = [view_predict(nodes, row) for row in rows]
-                assert np.array_equal(as_bits(tree_apply(tree, xl)), as_bits(want)), layout
-            want = []
-            for row in rows:
-                acc = f0
-                for nodes in views:
-                    acc += view_predict(nodes, row)
-                want.append(acc)
+                assert np.array_equal(as_bits(tree_predict(tree, xl)), as_bits(want)), layout
+            want = view_sums(f0, trees, xl)
             assert np.array_equal(as_bits(predict_matrix(model, xl)), as_bits(want)), layout
 
     @settings(max_examples=20, deadline=None)
     @given(mixed_size_ensembles())
-    def test_bitmask_and_walk_match_tree_apply_in_tree_order(self, case):
+    def test_bitmask_matches_view_predict_in_tree_order(self, case):
         x, f0, trees = case
         names = [f"f{j}" for j in range(x.shape[1])]
-        want = np.full(x.shape[0], f0)
-        for tree in trees:
-            want += tree_apply(tree, x)
         model = GbmModel(f0=f0, trees=trees, hyperparams=Hyperparams(), feature_names=names)
-        assert np.array_equal(as_bits(predict_matrix(model, x)), as_bits(want))
+        assert np.array_equal(as_bits(predict_matrix(model, x)), as_bits(view_sums(f0, trees, x)))
+
+    def test_fitted_trees_over_128_leaves_match_view_predict(self):
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-3, 3, size=(600, 3))
+        y = np.sin(3 * x[:, 0]) * x[:, 1] + rng.normal(0, 0.5, 600)
+        model = gbm_fit(x, y, Hyperparams(n_trees=3, learning_rate=0.5, max_depth=8,
+                                          min_samples_split=2, min_samples_leaf=1))
+        assert max(np.count_nonzero(tree.feature < 0) for tree in model.trees) > 128
+        rows = np.vstack([x, rng.uniform(-4, 4, size=(200, 3))])
+        want = view_sums(model.f0, model.trees, rows)
+        assert np.array_equal(as_bits(predict_matrix(model, rows)), as_bits(want))
 
     def test_predict_matrix_agrees_with_row_predict(self, synth_xy):
         x, y = synth_xy
@@ -804,6 +839,20 @@ class TestPredict:
         batch = predict_matrix(model, x[:10])
         rows = [predict_matrix(model, np.asarray(row, dtype=float)[None])[0] for row in x[:10]]
         assert np.array_equal(batch, np.array(rows))
+
+    def test_right_child_first_tree_is_refused(self):
+        """Numbered right child first, this tree would score x = 0 as node 1
+        (10.0) in QuickScorer, which numbers the leaves in node order, where
+        a walk from the root reaches node 2 (20.0)."""
+        rows = [(0, 0.5, 2, 1, 0.0, 0), (-1, 0.0, -1, -1, 10.0, 1), (-1, 0.0, -1, -1, 20.0, 1)]
+        with pytest.raises(ValueError, match="preorder"):
+            RegressionTree.from_rows(rows)
+        with pytest.raises(ValueError, match="preorder"):
+            RegressionTree(*(np.array(col) for col in zip(*rows)))
+
+    def test_empty_tree_is_refused(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            RegressionTree(*(np.empty(0, dtype=dt) for dt in gbm._NODE_DTYPES))
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
@@ -881,12 +930,11 @@ class TestSerialization:
             deserialize_model(text.replace("\nL ", "\nX ", 1))
 
     def test_out_of_range_child_rejected(self):
-        model = GbmModel(f0=0.0,
-                         trees=[tree_of([("I", 0, 0.5, 1, 7), ("L", 1.0, 1), ("L", 2.0, 1)])],
-                         hyperparams=Hyperparams(), training_curve=[0.0, 0.0],
-                         feature_names=["a"])
+        nodes = [("I", 0, 0.5, 1, 7), ("L", 1.0, 1), ("L", 2.0, 1)]
+        with pytest.raises(ValueError, match="outside 0..2"):
+            tree_of(nodes)
         with pytest.raises(CorruptNode):
-            deserialize_model(serialize_model(model))
+            deserialize_model(one_tree_text(nodes, ["a"]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(st.sampled_from("ab,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") | st.characters(),
@@ -946,7 +994,7 @@ class TestPresortedFitter:
             lr = GOLDEN_HP.learning_rate
             scaled = [("L", n[1] * lr, n[2]) if n[0] == "L" else n for n in ref]
             assert [node_bits(n) for n in node_view(tree)] == [node_bits(n) for n in scaled]
-            pred = pred + tree_apply(tree, x)
+            pred = pred + tree_predict(tree, x)
 
     @settings(max_examples=300, deadline=None)
     @given(offset_problems())
@@ -1268,14 +1316,21 @@ class TestLoaderRejects:
         pytest.param([("I", 0, 0.5, 1, 2), ("L", 1.0, 1), ("L", 2.0, 1), ("I", 0, 0.5, 4, 5),
                       ("I", 0, 0.5, 3, 6), ("L", 3.0, 1), ("L", 4.0, 1)], id="unreachable-cycle"),
         pytest.param([("I", 0, 0.5, 2, 1), ("L", 1.0, 1), ("L", 2.0, 1)], id="right-child-first"),
+        pytest.param([("I", 0, 0.5, 1, 2), ("L", 1.0, 1), ("I", 0, 0.7, 3, 0)], id="left-child-past-the-end"),
         pytest.param([("I", 0, 0.5, 1, 2), ("I", 0, 0.2, 3, 4), ("L", 1.0, 1), ("L", 2.0, 1),
                       ("L", 3.0, 1)], id="breadth-first"),
     ])
     def test_not_one_tree(self, nodes):
-        model = GbmModel(f0=0.0, trees=[tree_of(nodes)], hyperparams=Hyperparams(),
-                         training_curve=[0.0, 0.0], feature_names=["a"])
+        with pytest.raises(ValueError):
+            tree_of(nodes)
         with pytest.raises(CorruptNode):
-            deserialize_model(serialize_model(model))
+            deserialize_model(one_tree_text(nodes, ["a"]))
+
+    def test_right_id_equal_to_node_count_rejected(self):
+        # popped at the last leaf, a right id of 3 would read as the block's end
+        text = _TINY_MODEL_TEXT.replace("I 0 1.5 1 2\nL -0.5 2\n", "I 0 1.5 1 2\nI 0 0.5 2 3\n")
+        with pytest.raises(CorruptNode):
+            deserialize_model(text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1297,9 +1352,10 @@ class TestLoaderRejects:
         relabelled = [None] * len(nodes)
         for old, node in enumerate(nodes):
             relabelled[new_id[old]] = node if node[0] == "L" else (*node[:3], new_id[node[3]], new_id[node[4]])
-        model.trees = [tree_of(relabelled)]
+        with pytest.raises(ValueError):
+            tree_of(relabelled)
         with pytest.raises(CorruptNode):
-            deserialize_model(serialize_model(model))
+            deserialize_model(one_tree_text(relabelled, ["a", "b", "c"]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.permutations(range(len(gbm._HEADER_KEYS))))

@@ -209,6 +209,13 @@ class TestParseMonthYear:
     def test_two_digit_month(self):
         assert parse_month_year("12-2020") == (12, 2020)
 
+    def test_year_bounds_are_inclusive(self):
+        assert parse_month_year("1-1900") == (1, 1900)
+        assert parse_month_year("12-2100") == (12, 2100)
+        for token in ("12-1899", "1-2101"):
+            with pytest.raises(BadDateToken):
+                parse_month_year(token)
+
     @pytest.mark.parametrize("token", ["13-2019", "0-2019", "2019-08", "8/2019", "", "8-19", "8-2200"])
     def test_bad_tokens(self, token):
         with pytest.raises(BadDateToken):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import statistics
@@ -376,6 +377,7 @@ class TestSplitByStation:
 
 
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
+TRAIN_18K_SHA256 = "176032d253d312c2464c7add8c57124b5c5f02c2c2e142d1764686c657307c30"
 
 
 def test_forecast_beats_persistence(tmp_path, capsys):
@@ -392,6 +394,8 @@ def test_forecast_beats_persistence(tmp_path, capsys):
     assert generator.main(["--stations", "2000", "--periods", "9", "--missing-rate", "0.01",
                            "--seed", "1001", "--out", str(data)]) == 0
     capsys.readouterr()
+    # The file perfbench's train-18k workload generates at its seed 1.
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == TRAIN_18K_SHA256
     task = build_supervised(impute_missing(parse_dataset(data.read_text(encoding="utf-8"))))
     train, test = split_by_station(task, 0.2, seed=0)
     model = gbm_fit(train.features, train.targets, Hyperparams(n_trees=30))

@@ -1,10 +1,14 @@
 """scripts/generate_station_csv.py against its per-value reference.
 
-``loop_generate_rows`` is the generator as it was before it dropped numpy's
-per-value ``uniform``/``normal``/``clip`` calls. It is kept here as the
-oracle: every file the benchmark and the examples start from must stay byte
-for byte what a seed gave before, so the rewritten ``generate_rows`` must
-return exactly the same rows for any shape, missing rate and seed.
+``loop_generate_rows`` is the generator as it was when it drew every value
+with one numpy ``uniform``/``normal`` call and clipped it with ``np.clip``.
+It is kept here as the oracle: every file the benchmark and the examples
+start from must stay byte for byte what a seed gave before, so the rewritten
+``generate_rows`` must return exactly the same rows for any shape, missing
+rate and seed. What is fixed is the order of the draws in the stream, not
+one call per value: consecutive draws of one kind may come from one call,
+but uniforms and normals must alternate as they do here, because a normal
+takes a variable number of words from the stream.
 """
 
 import hashlib
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
 _spec = importlib.util.spec_from_file_location("generate_station_csv", SCRIPT)
@@ -24,6 +28,15 @@ _spec.loader.exec_module(generator)
 # pins the stream itself, so that the reference and the generator cannot
 # drift together (a numpy that draws differently fails here too).
 GOLDEN_60_STATIONS_SHA256 = "f55f584a5effd387df3f4530f85a8b3c280c2c516688df854f23ae14828b6d75"
+
+# sha256 of the two files perfbench's score-forecast-27k workload generates
+# at its seed 1 (9 periods): the CSV its commands read, and the smaller one
+# its set-up fits the model on. train-18k's file is pinned in
+# tests/test_forecast.py::test_forecast_beats_persistence, which reads it.
+SCORE_FORECAST_27K_SHA256 = {
+    ("3000", "0.05", "1001"): "85f0fedcc3adf846e53dde8f6b1772a7b44dd32e610aa1120ee90a67339ea04e",
+    ("100", "0.01", "1002"): "f88a02b7029bdb6919d2cb2b83b4cfe423c513e8389708f1fc56f3c520638625",
+}
 
 
 def loop_generate_rows(n_stations, n_periods, missing_rate, rng):
@@ -74,9 +87,12 @@ def loop_generate_rows(n_stations, n_periods, missing_rate, rng):
 @given(
     st.integers(0, 40),
     st.integers(1, 12),
-    st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    st.one_of(st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.floats(0, 1)),
     st.integers(0, 2**63 - 1),
 )
+# The 4th and 8th checks hit: the 8th check and its coin are the 10th and
+# 11th uniforms of the period, past the 9 drawn with the coliform value.
+@example(1, 1, 0.2, 13)
 def test_rows_match_per_value_reference(n_stations, n_periods, missing_rate, seed):
     got = generator.generate_rows(n_stations, n_periods, missing_rate, np.random.default_rng(seed))
     want = loop_generate_rows(n_stations, n_periods, missing_rate, np.random.default_rng(seed))
@@ -90,6 +106,16 @@ def test_golden_file_sha256(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_60_STATIONS_SHA256
 
 
+@pytest.mark.parametrize(("stations", "missing_rate", "seed"), sorted(SCORE_FORECAST_27K_SHA256))
+def test_score_forecast_27k_inputs_sha256(tmp_path, capsys, stations, missing_rate, seed):
+    out = tmp_path / "stations.csv"
+    assert generator.main(["--stations", stations, "--periods", "9", "--missing-rate", missing_rate,
+                           "--seed", seed, "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SCORE_FORECAST_27K_SHA256[stations, missing_rate, seed]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -99,6 +125,7 @@ def test_golden_file_sha256(tmp_path, capsys):
         ["--missing-rate", "2"],
         ["--missing-rate", "-0.1"],
         ["--missing-rate", "nan"],
+        ["--seed", "-1"],
     ],
 )
 def test_rejects_nonsense_arguments(tmp_path, capsys, args):

@@ -152,8 +152,12 @@ def main(argv=None) -> int:
         parser.error("--seed must be >= 0")
 
     rng = np.random.default_rng(args.seed)
-    rows = generate_rows(args.stations, args.periods, args.missing_rate, rng)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    try:  # before any drawing, so that an unwritable path fails at once
+        fh = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
+    with fh:
+        rows = generate_rows(args.stations, args.periods, args.missing_rate, rng)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
         writer.writerows(rows)

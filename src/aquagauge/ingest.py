@@ -68,10 +68,6 @@ _TEXT_COLUMNS = ("station_code", "location", "state")
 # whole CSV's.
 _CHUNK_RECORDS = 2048
 
-# Characters of CSV text that csv_records reads through one io.StringIO.
-_BLOCK_CHARS = 1 << 16
-_LINE_END_RE = re.compile(r"\r\n?|\n")
-
 # Columns of the six WQI inputs in ``Dataset.values``, in WQI_INPUTS order.
 _WQI_COLUMNS = [NUMERIC_FIELDS.index(name) for name in WQI_INPUTS]
 
@@ -345,10 +341,11 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
     lo, hi = np.array([_RANGES[name] for name in NUMERIC_FIELDS]).T
     # What the dataset keeps of each chunk: the kept rows' source rows, month
     # indexes and values, a block per chunk after an empty one (so that a CSV
-    # without data rows concatenates too), and their stripped text. Each text
-    # column makes its copies through one dict, so a dataset holds none of the
-    # parsed CSV's own cell strings, whose memory is then free for reuse, and
-    # it stores a code, location or state repeated over many rows once.
+    # without data rows concatenates too), and their stripped text. Two things
+    # keep the parse small, each for the megabytes it saves: the records come
+    # a chunk at a time, so only one chunk's cell lists is ever alive, and each
+    # text column keeps one string per distinct value through one dict, so a
+    # code, location or state repeated over many rows is stored once.
     kept_rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     kept_months: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     kept_values: list[np.ndarray] = [np.empty((0, len(NUMERIC_FIELDS)))]
@@ -415,11 +412,7 @@ def parse_dataset(csv_text: str, strictness: str = "lenient", source: str = "<me
             column, made = cells[name], copies[name]
             for k in kept.tolist():
                 cell = column[k].strip()
-                copy = made.get(cell)
-                if copy is None:
-                    copy = cell.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
-                    made[copy] = copy
-                text[name].append(copy)
+                text[name].append(made.setdefault(cell, cell))
 
     if strict and dropped:
         raise MalformedRow(*min(dropped.items()))  # the first defective row
@@ -482,19 +475,6 @@ def csv_text(header: list[str], columns: list[list[str]]) -> str:
     return "\n".join(map(",".join, zip(*table))) + "\n"
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of a text, line ends kept, as io.StringIO(text, newline="")
-    gives them: a line ends at LF, CRLF or CR. A StringIO holds four bytes a
-    character, so each block of about _BLOCK_CHARS characters, cut after a
-    line end, goes through a StringIO of its own."""
-    start = 0
-    while start < len(text):
-        end = _LINE_END_RE.search(text, start + _BLOCK_CHARS)
-        stop = end.end() if end else len(text)
-        yield from io.StringIO(text[start:stop], newline="")
-        start = stop
-
-
 def csv_records(text: str) -> Iterator[list[str] | csv.Error]:
     """The non-empty records of a CSV text, one at a time: the one reader of
     every CSV the package reads. A record ends at LF, CRLF or CR alike, and a
@@ -502,7 +482,7 @@ def csv_records(text: str) -> Iterator[list[str] | csv.Error]:
     module cannot read (a cell over csv.field_size_limit(), or a NUL before
     Python 3.11) stands as its csv.Error, and reading goes on with the next
     line."""
-    reader = csv.reader(_text_lines(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     while True:
         try:
             record = next(reader)

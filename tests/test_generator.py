@@ -14,6 +14,7 @@ takes a variable number of words from the stream.
 import hashlib
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ def test_rejects_nonsense_arguments(tmp_path, capsys, args):
     assert exc.value.code == 2
     assert args[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/stations.csv", "."])
+def test_rejects_unwritable_out_before_drawing(tmp_path, capsys, out):
+    """A path in a directory that does not exist, or a directory, exits 2
+    before any row is drawn."""
+    with mock.patch.object(generator, "generate_rows", side_effect=AssertionError("drew rows")):
+        with pytest.raises(SystemExit) as exc:
+            generator.main(["--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    assert f"--out {tmp_path / out}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [["--stations", "0"], ["--periods", "1"], ["--missing-rate", "0"],

@@ -28,20 +28,12 @@ from .gbm import (
 )
 from .ingest import (
     Dataset,
-    WaterSample,
     coerce_numeric,
     impute_missing,
     parse_dataset,
     parse_month_year,
 )
-from .rules import Diagnosis, Rule, RuleSet, default_ruleset, diagnose, load_rules
-from .wqi import (
-    LEGACY_NCO,
-    NORMATIVE,
-    SubIndices,
-    WeightedScores,
-    WqiRecord,
-    compute_wqi,
-)
+from .rules import Rule, RuleSet, default_ruleset, load_rules
+from .wqi import LEGACY_NCO, NORMATIVE
 
 __version__ = "0.1.0"

@@ -304,8 +304,6 @@ def _split_node(
     the order that sorting the node would give them.
     """
     n = rows.size
-    if n < 2 * msl:
-        return None
     # Candidates: sorted positions k - 1 that end a left side of k rows,
     # msl <= k <= n - msl, between two distinct values (ranks) of the feature.
     ranks = order >> 32
@@ -351,9 +349,6 @@ def _split_node(
     best = None
     for f, thr in sorted(shortlist):
         mask = xt[f].take(rows) <= thr
-        n_left = np.count_nonzero(mask)
-        if n_left < msl or n - n_left < msl:
-            continue
         left, right = _stats(y_node.compress(mask)), _stats(y_node.compress(~mask))
         exact = left[1] + right[1]
         if best is None or exact < best[0].sse:

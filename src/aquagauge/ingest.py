@@ -9,7 +9,9 @@ parenthesized units and punctuation stripped), so ``B.O.D.``, ``bod`` and
 numeric columns as free text ("n/a", "-", trailing-dot numerals), so the
 default mode is lenient: bad cells become missing values and only rows that
 are unusable outright are dropped, with every drop logged.
-:class:`WaterSample` is the one-sample view of the same data.
+:class:`WaterSample` and :attr:`Dataset.samples`, the one-row view of the
+same data, are kept only for perfbench's ``check_diagnose`` until ROADMAP
+item 1 retargets it; no command builds them.
 
 :func:`csv_records` streams the records of a CSV text, and
 :func:`parse_dataset` converts them a fixed-size chunk at a time, keeping only
@@ -27,7 +29,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter
 
 import numpy as np
 
@@ -146,7 +147,8 @@ class AllMissingColumn(IngestError):
 
 @dataclass
 class WaterSample:
-    """One station observation. Concentration fields are None when missing."""
+    """One station observation, None for a missing value. Kept only for
+    perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
 
     station_code: str
     location: str
@@ -200,21 +202,6 @@ class Dataset:
     values: np.ndarray
     provenance: Provenance = field(default_factory=Provenance)
 
-    @classmethod
-    def from_samples(cls, samples: list[WaterSample], provenance: Provenance | None = None) -> Dataset:
-        """The samples as a dataset, in the given order; a sample without a
-        source_row takes its 1-based position."""
-        def column(name: str, dtype) -> np.ndarray:
-            return np.array([getattr(s, name) for s in samples], dtype=dtype)
-
-        row = np.dtype((np.float64, (len(NUMERIC_FIELDS),)))  # None converts to NaN
-        return cls(column("station_code", object), column("location", object), column("state", object),
-                   column("month", np.int64), column("year", np.int64),
-                   np.array([pos if s.source_row is None else s.source_row
-                             for pos, s in enumerate(samples, start=1)], dtype=np.int64),
-                   np.fromiter(map(attrgetter(*NUMERIC_FIELDS), samples), dtype=row, count=len(samples)),
-                   Provenance() if provenance is None else provenance)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -225,7 +212,8 @@ class Dataset:
 
     @cached_property
     def samples(self) -> list[WaterSample]:
-        """The dataset as WaterSample records, None for a missing value."""
+        """The dataset as WaterSample records, None for a missing value. Kept
+        only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
         return [
             WaterSample(code, location, state,
                         **{name: None if math.isnan(v) else v for name, v in zip(NUMERIC_FIELDS, row)},

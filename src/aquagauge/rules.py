@@ -14,7 +14,9 @@ field the record does not carry evaluates false, so diagnosis is total.
 
 :func:`diagnose_columns` takes the :class:`~aquagauge.wqi.WqiColumns` of a
 whole dataset and evaluates each condition once over all rows. It is the only
-matcher: :func:`diagnose` takes one scored record as a one-row call of it.
+matcher: :func:`diagnose` takes one scored record as a one-row call of it,
+and it and :class:`Diagnosis` are kept only for perfbench's
+``check_diagnose`` until ROADMAP item 1 retargets it.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ class RuleSet:
 
 @dataclass
 class Diagnosis:
+    """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
+
     disease: str
     reason: str
     suggestion: str
@@ -223,7 +227,8 @@ def diagnose_columns(cols: WqiColumns, rs: RuleSet) -> np.ndarray:
 
 def diagnose(rec: WqiRecord, rs: RuleSet) -> Diagnosis:
     """First matching rule wins (descending priority); default otherwise.
-    The echo holds the fields the matched rule reads."""
+    The echo holds the fields the matched rule reads. Kept only for
+    perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
     raw = (None if rec.sample is None else getattr(rec.sample, name) for name in WQI_INPUTS)
     row = np.array([rec.wqi, *rec.sub.as_tuple(), *(math.nan if v is None else v for v in raw)],
                    dtype=np.float64)

@@ -18,7 +18,9 @@ representable).
 
 :func:`score_columns` scores a whole dataset from its float64 input columns
 with numpy masks over the band tables; it is the only scoring code.
-:func:`compute_wqi` scores one sample as a one-row call of it.
+:func:`compute_wqi` scores one sample as a one-row call of it; it and its
+record types are kept only for perfbench's ``check_diagnose`` until ROADMAP
+item 1 retargets it.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ class MissingInput(WqiError):
 
 @dataclass(frozen=True)
 class SubIndices:
+    """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
+
     nph: int
     ndo: int
     nbdo: int
@@ -124,6 +128,8 @@ class SubIndices:
 
 @dataclass(frozen=True)
 class WeightedScores:
+    """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
+
     wph: float
     wdo: float
     wbdo: float
@@ -137,6 +143,8 @@ class WeightedScores:
 
 @dataclass
 class WqiRecord:
+    """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
+
     sample: WaterSample | None
     sub: SubIndices
     weighted: WeightedScores
@@ -149,7 +157,8 @@ def compute_wqi(sample: WaterSample, mode: str = NORMATIVE) -> WqiRecord:
 
     Requires all six inputs present (pH, DO, BOD, conductivity, nitrate and
     total coliform; total, not fecal, feeds the coliform sub-index). A NaN or
-    infinite input raises NonFinite, and an unknown mode ValueError.
+    infinite input raises NonFinite, and an unknown mode ValueError. Kept
+    only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it.
     """
     missing = sample.missing_wqi_inputs()
     if missing:

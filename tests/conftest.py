@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aquagauge.ingest import Dataset, Provenance, WaterSample, csv_text
+from aquagauge.ingest import NUMERIC_FIELDS, Dataset, Provenance, WaterSample, csv_text
 
 # Header spelled the way real station exports print it, units and all.
 STATION_HEADER = [
@@ -96,9 +96,23 @@ def mk_sample(
     )
 
 
-def mk_dataset(samples) -> Dataset:
-    ordered = sorted(samples, key=lambda s: (s.station_code, s.year, s.month))
-    return Dataset.from_samples(ordered, Provenance(source="<fixture>"))
+def mk_dataset(samples, *, sort=True) -> Dataset:
+    """The samples' columns as a Dataset, sorted by (station, year, month) as
+    parse_dataset sorts, or in the given order with sort=False; a sample
+    without a source_row takes its 1-based position."""
+    if sort:
+        samples = sorted(samples, key=lambda s: (s.station_code, s.year, s.month))
+
+    def column(name, dtype) -> np.ndarray:
+        return np.array([getattr(s, name) for s in samples], dtype=dtype)
+
+    values = np.array([[getattr(s, name) for name in NUMERIC_FIELDS] for s in samples],  # None converts to NaN
+                      dtype=np.float64).reshape(len(samples), len(NUMERIC_FIELDS))
+    return Dataset(column("station_code", object), column("location", object), column("state", object),
+                   column("month", np.int64), column("year", np.int64),
+                   np.array([pos if s.source_row is None else s.source_row
+                             for pos, s in enumerate(samples, start=1)], dtype=np.int64),
+                   values, Provenance(source="<fixture>"))
 
 
 def synthetic_station_rows(n_stations=12, n_periods=6, seed=11):

@@ -25,7 +25,7 @@ from aquagauge.forecast import (
     split_by_station,
 )
 from aquagauge.gbm import FeatureMatrix, Hyperparams, gbm_fit, predict_matrix
-from aquagauge.ingest import Dataset, impute_missing, parse_dataset
+from aquagauge.ingest import impute_missing, parse_dataset
 from conftest import mk_dataset, mk_sample, serialize_dataset
 from scoring_reference import loop_compute_wqi
 
@@ -175,7 +175,7 @@ class TestUnsortedSamples:
     @given(st.lists(_series_sample, min_size=2, max_size=12), st.randoms(use_true_random=False))
     def test_shuffled_dataset_raises(self, samples, rnd):
         rnd.shuffle(samples)
-        ds = Dataset.from_samples(samples)
+        ds = mk_dataset(samples, sort=False)
         order = [(s.station_code, s.year, s.month) for s in samples]
         if order == sorted(order):
             build_supervised(ds)
@@ -188,11 +188,11 @@ class TestUnsortedSamples:
     @given(st.lists(_series_sample, max_size=12), st.randoms(use_true_random=False))
     def test_parsed_dataset_never_raises(self, samples, rnd):
         rnd.shuffle(samples)  # row order in the CSV is arbitrary
-        ds = parse_dataset(serialize_dataset(Dataset.from_samples(samples)))
+        ds = parse_dataset(serialize_dataset(mk_dataset(samples, sort=False)))
         build_supervised(ds)
 
     def test_equal_keys_allowed(self):
-        ds = Dataset.from_samples([obs("A", 8, 2019), obs("A", 8, 2019, ph=8.0), obs("A", 12, 2019)])
+        ds = mk_dataset([obs("A", 8, 2019), obs("A", 8, 2019, ph=8.0), obs("A", 12, 2019)], sort=False)
         assert len(build_feature_rows(ds)[1]) == 3
 
 
@@ -374,6 +374,19 @@ class TestSplitByStation:
         train, test = split_by_station(task, 0.0, seed=0)
         assert len(test) == 0
         assert len(train) == len(task)
+
+    @pytest.mark.parametrize("n_stations", [2, 3])
+    def test_few_stations_hold_out_exactly_one(self, n_stations):
+        """0.2 of two or three stations floors to none; a positive fraction
+        still holds one out."""
+        task = _toy_task(n_stations)  # one example per station
+        for seed in range(4):
+            train, test = split_by_station(task, 0.2, seed)
+            assert (len(test), len(train)) == (1, n_stations - 1)
+
+    def test_whole_fraction_rejected(self):
+        with pytest.raises(ValueError, match=r"test_fraction must be in \[0, 1\)"):
+            split_by_station(_toy_task(8), 1.0, seed=0)
 
 
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"

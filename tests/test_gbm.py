@@ -638,6 +638,27 @@ class TestBestSplit:
         assert got.feature == 0
         assert got.threshold == 1.5
 
+    def test_zero_gain_cut_refused(self):
+        """Cutting at 1.5 leaves each side's SSE at 0.5, the parent's 1.0 in
+        total: a split must strictly reduce the node SSE."""
+        x, y = [[1.0], [1.0], [2.0], [2.0]], [1.0, 2.0, 1.0, 2.0]
+        assert best_split(x, y, 1) is None
+        tree = fit_tree(x, y, Hyperparams(max_depth=3, min_samples_split=2, min_samples_leaf=1))
+        assert node_view(tree) == [("L", 1.5, 4)]
+
+    def test_near_tie_margin_grows_with_node_sse(self):
+        """Both features cut the same 20 rows from the other 20, so the exact
+        SSEs tie, and the tie goes to feature 0. Their scanned gains differ
+        only by rounding, which grows with the node SSE (about 4e13 here), so
+        the shortlist margin must scale with it to keep feature 0 in."""
+        rng = np.random.default_rng(1)
+        y = np.concatenate([rng.normal(-1e6, 1.0, 20), rng.normal(1e6, 1.0, 20)])
+        x1 = np.concatenate([rng.permutation(20), 20 + rng.permutation(20)]).astype(float)
+        x = np.column_stack([np.arange(40.0), x1])
+        got = best_split(x, y, 1)
+        assert (got.feature, got.threshold) == (0, 19.5)
+        assert ref_best_split(x, y, 1)[:2] == (0, 19.5)
+
     _finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
 
     @settings(max_examples=300, deadline=None)
@@ -699,6 +720,14 @@ class TestFitTree:
                     assert node[2] >= hp.min_samples_leaf
                 else:
                     assert node_train_count(tree, i) >= hp.min_samples_split
+
+    def test_tree_depth_counts_edges_on_the_longest_path(self):
+        assert tree_depth(tree_of([("L", 1.0, 3)])) == 0
+        stump = [("I", 0, 0.5, 1, 2), ("L", 1.0, 1), ("L", 2.0, 1)]
+        assert tree_depth(tree_of(stump)) == 1
+        right_deep = [("I", 0, 0.5, 1, 2), ("L", 1.0, 1), ("I", 1, 0.5, 3, 4),
+                      ("L", 2.0, 1), ("I", 0, 1.5, 5, 6), ("L", 3.0, 1), ("L", 4.0, 1)]
+        assert tree_depth(tree_of(right_deep)) == 3
 
 
 class TestGbmFit:
@@ -923,6 +952,15 @@ class TestSerialization:
         for cut in (len(lines) - 1, len(lines) - 5, 15):
             with pytest.raises(ModelFormatError):
                 deserialize_model("\n".join(lines[:cut]))
+
+    def test_header_cut_at_a_line_end(self):
+        """A file that ends, line end included, after its version line or
+        after any header line is a corrupt header, not a short version or an
+        IndexError."""
+        lines = _small_model_text().splitlines()
+        for cut in range(2, 3 + len(gbm._HEADER_KEYS)):
+            with pytest.raises(CorruptHeader):
+                deserialize_model("\n".join(lines[:cut]) + "\n")
 
     def test_corrupt_node_line(self, synth_xy):
         text = serialize_model(self._model(synth_xy, n_trees=1))

@@ -1,11 +1,40 @@
+import contextlib
 import csv
+import functools
+import importlib.util
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aquagauge.ingest import NUMERIC_FIELDS, Dataset, Provenance, WaterSample, csv_text
+
+GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
+_spec = importlib.util.spec_from_file_location("generate_station_csv", GENERATOR)
+generator = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generator)
+
+
+@pytest.fixture(scope="session")
+def benchmark_csv(tmp_path_factory):
+    """The path of the file generator.main writes for (stations, missing
+    rate, seed), given as the strings of its flags, with 9 periods: each file
+    is generated once per session, on first use. perfbench generates three at
+    its seed 1: ("2000", "0.01", "1001") for train-18k, and ("3000", "0.05",
+    "1001") and its set-up's ("100", "0.01", "1002") for score-forecast-27k."""
+
+    @functools.cache
+    def path(stations: str, missing_rate: str, seed: str) -> Path:
+        out = tmp_path_factory.mktemp("benchmark") / "stations.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = generator.main(["--stations", stations, "--periods", "9", "--missing-rate", missing_rate,
+                                   "--seed", seed, "--out", str(out)])
+        assert code == 0
+        return out
+
+    return path
 
 # Header spelled the way real station exports print it, units and all.
 STATION_HEADER = [

@@ -1,8 +1,6 @@
 import hashlib
-import importlib.util
 import itertools
 import statistics
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,24 +387,17 @@ class TestSplitByStation:
             split_by_station(_toy_task(8), 1.0, seed=0)
 
 
-GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
 TRAIN_18K_SHA256 = "176032d253d312c2464c7add8c57124b5c5f02c2c2e142d1764686c657307c30"
 
 
-def test_forecast_beats_persistence(tmp_path, capsys):
+def test_forecast_beats_persistence(benchmark_csv):
     """The booster must forecast better than persistence, the naive forecast
     "WQI in four months equals WQI now" (the feature row's wqi), on the
     benchmark's train-18k data: 2,000 generated stations x 9 periods, 1%
     missing, 30 default trees, station split 0.2 with seed 0. A model change
     that keeps every test but loses the forecast fails here. The MSE ratio
     was 0.815 at split seed 0 (0.811 and 0.844 at seeds 1 and 2)."""
-    spec = importlib.util.spec_from_file_location("generate_station_csv", GENERATOR)
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
-    data = tmp_path / "stations.csv"
-    assert generator.main(["--stations", "2000", "--periods", "9", "--missing-rate", "0.01",
-                           "--seed", "1001", "--out", str(data)]) == 0
-    capsys.readouterr()
+    data = benchmark_csv("2000", "0.01", "1001")
     # The file perfbench's train-18k workload generates at its seed 1.
     assert hashlib.sha256(data.read_bytes()).hexdigest() == TRAIN_18K_SHA256
     task = build_supervised(impute_missing(parse_dataset(data.read_text(encoding="utf-8"))))

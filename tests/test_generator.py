@@ -12,18 +12,13 @@ takes a variable number of words from the stream.
 """
 
 import hashlib
-import importlib.util
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
-_spec = importlib.util.spec_from_file_location("generate_station_csv", SCRIPT)
-generator = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(generator)
+from conftest import generator
 
 # sha256 of the file main(["--stations", "60", "--seed", "0", ...]) writes:
 # pins the stream itself, so that the reference and the generator cannot
@@ -108,12 +103,8 @@ def test_golden_file_sha256(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(("stations", "missing_rate", "seed"), sorted(SCORE_FORECAST_27K_SHA256))
-def test_score_forecast_27k_inputs_sha256(tmp_path, capsys, stations, missing_rate, seed):
-    out = tmp_path / "stations.csv"
-    assert generator.main(["--stations", stations, "--periods", "9", "--missing-rate", missing_rate,
-                           "--seed", seed, "--out", str(out)]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+def test_score_forecast_27k_inputs_sha256(benchmark_csv, stations, missing_rate, seed):
+    digest = hashlib.sha256(benchmark_csv(stations, missing_rate, seed).read_bytes()).hexdigest()
     assert digest == SCORE_FORECAST_27K_SHA256[stations, missing_rate, seed]
 
 

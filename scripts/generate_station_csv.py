@@ -11,14 +11,17 @@ takes the same values from the stream, but the order across kinds may not
 change: a ziggurat normal takes a variable number of words, so uniforms and
 normals must alternate as they always have.
 
+The values are drawn, drifted and formatted as columns, and the columns are
+written out line by line, quoted where a cell needs it as the csv module's
+minimal quoting would quote it.
+
 Usage:
     python scripts/generate_station_csv.py --stations 40 --periods 9 --out stations.csv
 """
 
 import argparse
-import csv
 import sys
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,32 +43,37 @@ HEADER = [
 
 REGIONS = ["Dhaka", "Khulna", "Satkhira", "Jessore", "Magura", "Foridpur"]
 
-# The 8 measurement cells, Temp to Total COLIFORM in HEADER order.
-CELL_FORMATS = ["{:.1f}", "{:.2f}", "{:.2f}", "{:.1f}", "{:.2f}", "{:.2f}", "{:.0f}", "{:.1f}"]
+# The format specs of the 8 measurement cells, Temp to Total COLIFORM in HEADER order.
+CELL_FORMATS = [".1f", ".2f", ".2f", ".1f", ".2f", ".2f", ".0f", ".1f"]
 
 # Stations drawn, drifted and formatted together: the working arrays and
 # columns of one block are small beside the rows they build.
 BLOCK_STATIONS = 256
 
 
-def generate_rows(n_stations: int, n_periods: int, missing_rate: float, rng) -> list[list[str]]:
-    rows = []
+def generate_columns(n_stations: int, n_periods: int, missing_rate: float, rng) -> list[list[str]]:
+    """The CSV body as its 13 columns in HEADER order, one cell per row."""
+    columns = [[] for _ in HEADER]
     for first in range(0, n_stations, BLOCK_STATIONS):
-        rows += _block_rows(first, min(first + BLOCK_STATIONS, n_stations), n_periods, missing_rate, rng)
-    return rows
+        block = _block_columns(first, min(first + BLOCK_STATIONS, n_stations), n_periods, missing_rate, rng)
+        for column, cells in zip(columns, block):
+            column += cells
+    return columns
 
 
-def _block_rows(first: int, stop: int, n_periods: int, missing_rate: float, rng) -> list[list[str]]:
+def _block_columns(first: int, stop: int, n_periods: int, missing_rate: float, rng) -> list[list[str]]:
     # Draw in the stream's order, one call per run of same-kind values:
     # per station 7 starting uniforms and the start month; per period the
     # coliform uniform and 8 missing-cell checks, then 5 drift normals, the
-    # tc factor uniform and the temp normal.
+    # tc factor uniform and the temp normal. z holds each period's 6 normals.
+    n = stop - first
     random, normal = rng.random, rng.standard_normal
-    starts, months, coliform, steps, tc_factor, temp_steps, blanks = [], [], [], [], [], [], []
+    starts, months, coliform, tc_factor, blanks = [], [], [], [], []
+    z = np.empty((n * n_periods, 6))
     for _ in range(first, stop):
         starts.append(random(7))
         months.append(int(rng.integers(1, 13)))
-        for _ in range(n_periods):
+        for row in range(len(coliform), len(coliform) + n_periods):
             u = random(9).tolist()
             coliform.append(u[0])
             # With no buffered value under the rate, the 8 checks are
@@ -77,10 +85,10 @@ def _block_rows(first: int, stop: int, n_periods: int, missing_rate: float, rng)
                 draws = chain(u[1:], iter(random, None))
                 for i in range(8):
                     if next(draws) < missing_rate:
-                        blanks.append((len(coliform) - 1, i, "n/a" if next(draws) < 0.5 else ""))
-            steps.append(normal(5))
+                        blanks.append((row, i, "n/a" if next(draws) < 0.5 else ""))
+            normal(out=z[row, :5])
             tc_factor.append(random())
-            temp_steps.append(normal())
+            normal(out=z[row, 5:])
 
     # The drift of every station at once, one period at a time: numpy's
     # elementwise ops are the same IEEE operations as Python's floats, and
@@ -88,7 +96,6 @@ def _block_rows(first: int, stop: int, n_periods: int, missing_rate: float, rng)
     # uniform(a, b) as a + (b - a) * random() and normal(0, s) as
     # s * standard_normal(), which these spell out. track holds each
     # station's values per period in CELL_FORMATS order, less the coliform.
-    n = stop - first
     u = np.array(starts)
     ph = 6.4 + (8.4 - 6.4) * u[:, 0]
     do = 3.5 + (10.0 - 3.5) * u[:, 1]
@@ -97,9 +104,8 @@ def _block_rows(first: int, stop: int, n_periods: int, missing_rate: float, rng)
     na = 0.1 + (40.0 - 0.1) * u[:, 4]
     tc = 5.0 + (4000.0 - 5.0) * u[:, 5]
     temp = 20.0 + (33.0 - 20.0) * u[:, 6]
-    z = np.array(steps).reshape(n, n_periods, 5)
+    z = z.reshape(n, n_periods, 6)
     tc_factor = 0.5 + (1.8 - 0.5) * np.array(tc_factor).reshape(n, n_periods)
-    temp_steps = np.array(temp_steps).reshape(n, n_periods)
     track = np.empty((7, n, n_periods))
     for p in range(n_periods):
         track[:, :, p] = temp, do, ph, ec, bod, na, tc
@@ -109,11 +115,11 @@ def _block_rows(first: int, stop: int, n_periods: int, missing_rate: float, rng)
         ec = np.clip(ec + 18.0 * z[:, p, 3], 10.0, 450.0)
         na = np.clip(na + 2.5 * z[:, p, 4], 0.05, 120.0)
         tc = np.clip(tc * tc_factor[:, p], 1.0, 50000.0)
-        temp = np.clip(temp + 1.2 * temp_steps[:, p], 12.0, 38.0)
+        temp = np.clip(temp + 1.2 * z[:, p, 5], 12.0, 38.0)
 
     # One map per cell column, in row order (station by station).
     values = [*track[:6], 1.0 + (9000.0 - 1.0) * np.array(coliform), track[6]]
-    cells = [list(map(fmt.format, v.ravel().tolist())) for fmt, v in zip(CELL_FORMATS, values)]
+    cells = [list(map(format, v.ravel().tolist(), repeat(spec))) for spec, v in zip(CELL_FORMATS, values)]
     for row, i, blank in blanks:
         cells[i][row] = blank
 
@@ -130,8 +136,16 @@ def _block_rows(first: int, stop: int, n_periods: int, missing_rate: float, rng)
         places += [f"Area {k}, {region}"] * n_periods
         regions += [region] * n_periods
         dates += calendar[month]
-    serials = map(str, range(first * n_periods, stop * n_periods))
-    return list(map(list, zip(serials, codes, places, regions, *cells, dates)))
+    serials = list(map(str, range(first * n_periods, stop * n_periods)))
+    return [serials, codes, places, regions, *cells, dates]
+
+
+def _csv_cell(cell: str) -> str:
+    """cell as the csv module's minimal quoting writes it: in double quotes,
+    its own doubled, when it holds a comma, a double quote, a CR or an LF."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def main(argv=None) -> int:
@@ -157,11 +171,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         parser.error(f"--out {args.out}: {exc.strerror}")
     with fh:
-        rows = generate_rows(args.stations, args.periods, args.missing_rate, rng)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADER)
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows for {args.stations} stations to {args.out}")
+        columns = generate_columns(args.stations, args.periods, args.missing_rate, rng)
+        # Of the cells, only a code, place or region can hold a character to quote.
+        for i in (1, 2, 3):
+            quoted = {cell: _csv_cell(cell) for cell in set(columns[i])}
+            columns[i] = list(map(quoted.__getitem__, columns[i]))
+        # Line by line: one string of the whole file would hold every line at once.
+        fh.writelines(map("{}\n".format, map(",".join, chain([HEADER], zip(*columns)))))
+    print(f"wrote {len(columns[0])} rows for {args.stations} stations to {args.out}")
     return 0
 
 

@@ -186,9 +186,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     skill = "undefined" if naive_mse == 0.0 else repr(1.0 - report.mse / naive_mse)
     print(f"log: persistence_mse={naive_mse!r} persistence_r2={forecast.r_squared(task.targets, naive)!r} "
           f"skill={skill}", file=sys.stderr)
-    stations, months, years = zip(*task.keys)
     _emit(args.out, ["station_code", "month", "year", "actual", "predicted", "percentile_error"],
-          [list(stations), list(map(str, months)), list(map(str, years)),
+          [task.keys["station"].tolist(), *(list(map(str, task.keys[f].tolist())) for f in ("month", "year")),
            *([f"{v:.6f}" for v in column.tolist()] for column in (report.actual, report.predicted)),
            ["" if math.isnan(e) else f"{e:.6f}" for e in report.percentile_error.tolist()]])
     print(f"mse={report.mse!r} r2={report.r_squared!r} mean_pct_err={report.mean_percentile_error!r}")

@@ -11,13 +11,15 @@ Feature rows are built from the dataset's columns: the WQI comes out of
 :func:`wqi.score_columns`, and the lags are the WQI column shifted by one and
 two rows, present where the row that many rows back is from the same
 station. Samples must be sorted by (station_code, year, month), as
-:func:`ingest.parse_dataset` returns them.
+:func:`ingest.parse_dataset` returns them. The keys are columns too: one
+structured array of :data:`KEY_DTYPE`, a (station, month, year) record per
+example, which the task and the station split index as they index the
+feature rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -47,6 +49,8 @@ WINDOW_MONTHS = 4
 WINDOW_TOLERANCE = 1
 # the share of stations the station split holds out; train and evaluate both read it
 HELD_OUT_FRACTION = 0.2
+# a task's (station, month, year) per example; a fixed-width str field would drop trailing NULs
+KEY_DTYPE = np.dtype([("station", object), ("month", np.int64), ("year", np.int64)])
 
 
 class ForecastError(AquagaugeError):
@@ -84,7 +88,7 @@ class UnsortedSamples(ForecastError):
 class SupervisedTask:
     features: FeatureMatrix
     targets: np.ndarray
-    keys: list[tuple[str, int, int]]  # (station_code, month, year)
+    keys: np.ndarray  # one KEY_DTYPE record per example
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -111,7 +115,7 @@ def _month_index(year: np.ndarray, month: np.ndarray) -> np.ndarray:
     return year * 12 + (month - 1)
 
 
-def build_feature_rows(ds: Dataset) -> tuple[FeatureMatrix, list[tuple[str, int, int]], np.ndarray]:
+def build_feature_rows(ds: Dataset) -> tuple[FeatureMatrix, np.ndarray, np.ndarray]:
     """Feature rows for every observation, in dataset order, with the WQI
     scored in the normative mode.
 
@@ -148,7 +152,8 @@ def build_feature_rows(ds: Dataset) -> tuple[FeatureMatrix, list[tuple[str, int,
         values[:, col + 1] = present
     values[:, 12] = ds.month
     values[:, 13] = ds.year
-    keys = list(zip(stations.tolist(), ds.month.tolist(), ds.year.tolist()))
+    keys = np.empty(n, dtype=KEY_DTYPE)
+    keys["station"], keys["month"], keys["year"] = stations, ds.month, ds.year
     return FeatureMatrix(values, list(FEATURE_NAMES)), keys, wqis
 
 
@@ -182,7 +187,7 @@ def build_supervised(ds: Dataset) -> SupervisedTask:
     return SupervisedTask(
         features=FeatureMatrix(fm.values[rows], list(FEATURE_NAMES)),
         targets=wqis[target[rows]],
-        keys=[keys[i] for i in rows.tolist()],
+        keys=keys[rows],
     )
 
 
@@ -205,6 +210,11 @@ def r_squared(actual, predicted) -> float:
         raise LengthMismatch(a.size, p.size)
     if a.size < 2:
         raise Empty("metric input (need >= 2 points)")
+    # Scaling both by 2**-k, k the binary exponent of the largest magnitude,
+    # is exact and leaves the ratio as it is, but keeps the squares from
+    # overflowing or underflowing.
+    k = int(np.frexp(max(np.abs(a).max(), np.abs(p).max()))[1])
+    a, p = np.ldexp(a, -k), np.ldexp(p, -k)
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:
         raise DegenerateActuals()
@@ -261,8 +271,7 @@ def split_by_station(
         raise ValueError("test_fraction must be in [0, 1)")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    codes = np.array([station for station, _, _ in task.keys], dtype=object)
-    stations, station_of = np.unique(codes, return_inverse=True)  # in Python's str order
+    stations, station_of = np.unique(task.keys["station"], return_inverse=True)  # in Python's str order
     n_test = int(len(stations) * test_fraction)
     if n_test == 0 and test_fraction > 0.0 and len(stations) >= 2:
         n_test = 1
@@ -273,7 +282,7 @@ def split_by_station(
         return SupervisedTask(
             features=FeatureMatrix(task.features.values[side], list(task.features.feature_names)),
             targets=task.targets[side],
-            keys=list(compress(task.keys, side.tolist())),
+            keys=task.keys[side],
         )
 
     return take(~test), take(test)

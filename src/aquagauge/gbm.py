@@ -470,21 +470,31 @@ def node_train_count(tree: RegressionTree, node_id: int = 0) -> int:
     return sum(int(tree.count[level].sum()) for level in _levels(tree, node_id))
 
 
+def _training_loss(targets: np.ndarray, pred: np.ndarray) -> float:
+    """The training MSE; NonFinite where it is infinite or NaN, which a model
+    file cannot hold. A non-finite f0 makes the first loss non-finite."""
+    loss = float(np.mean((targets - pred) ** 2))
+    if not math.isfinite(loss):
+        raise NonFinite(loss, context="training loss")
+    return loss
+
+
 def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
     """Run the boosting loop and return the fitted ensemble.
 
     x is a FeatureMatrix, or a 2-D array (else ValueError) whose columns are
     named f0, f1, ...; y is 1-D (else ValueError) with one target per row of
-    x (else LengthMismatch). NaN or infinity in x or y raises NonFinite, and
-    zero rows raise EmptyTargets. Leaf values are stored with the learning
-    rate already applied, so prediction is plainly f0 plus the sum of tree
-    outputs. training_curve[0] is the loss of the constant model; entry t is
-    the training MSE after adding tree t.
+    x (else LengthMismatch). NaN or infinity in x or y raises NonFinite, as
+    does a training loss that is not finite, and zero rows raise
+    EmptyTargets. Leaf values are stored with the learning rate already
+    applied, so prediction is plainly f0 plus the sum of tree outputs.
+    training_curve[0] is the loss of the constant model; entry t is the
+    training MSE after adding tree t.
     """
     feature_names, targets, xt, presorted = _fit_inputs(x, y)
     f0 = init_constant(targets)
     pred = np.full(targets.size, f0, dtype=np.float64)
-    curve = [float(np.mean((targets - pred) ** 2))]
+    curve = [_training_loss(targets, pred)]
     trees: list[RegressionTree] = []
     for _ in range(hp.n_trees):
         resid = negative_gradient(targets, pred)
@@ -492,7 +502,7 @@ def gbm_fit(x, y, hp: Hyperparams = Hyperparams()) -> GbmModel:
         tree.value *= hp.learning_rate
         pred = pred + tree.value[leaf_of]
         trees.append(tree)
-        curve.append(float(np.mean((targets - pred) ** 2)))
+        curve.append(_training_loss(targets, pred))
     return GbmModel(
         f0=f0,
         trees=trees,
@@ -621,9 +631,12 @@ def _node_line(feature: int, threshold: float, left: int, right: int, value: flo
 
 
 def serialize_model(model: GbmModel) -> str:
-    """Write a model to the text format (exact round trip); ValueError for names the loader rejects."""
+    """Write a model to the text format (exact round trip); ValueError for
+    names or a non-finite f0 or training_curve entry, which the loader rejects."""
     if not _valid_feature_names(model.feature_names):
         raise ValueError(f"feature names not serializable: {model.feature_names!r}")
+    if not all(map(math.isfinite, (model.f0, *model.training_curve))):
+        raise ValueError("f0 and training_curve must be finite")
     lines = _header_lines(model)
     for t, tree in enumerate(model.trees):
         lines.append(f"tree {t} nodes {tree.feature.size}")

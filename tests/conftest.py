@@ -21,7 +21,7 @@ _spec.loader.exec_module(generator)
 def benchmark_csv(tmp_path_factory):
     """The path of the file generator.main writes for (stations, missing
     rate, seed), given as the strings of its flags, with 9 periods: each file
-    is generated once per session, on first use. perfbench generates three at
+    is generated once per test run, on first use. perfbench generates three at
     its seed 1: ("2000", "0.01", "1001") for train-18k, and ("3000", "0.05",
     "1001") and its set-up's ("100", "0.01", "1002") for score-forecast-27k."""
 
@@ -35,6 +35,7 @@ def benchmark_csv(tmp_path_factory):
         return out
 
     return path
+
 
 # Header spelled the way real station exports print it, units and all.
 STATION_HEADER = [

@@ -433,7 +433,7 @@ def test_evaluate_splits_with_the_models_seed(capsys, synthetic_csv_path, tmp_pa
     held_out = split_by_station(build_supervised(impute_missing(parse_dataset(text), "drop_row")), 0.2, 5)[1]
     with open(tmp_path / "default.csv", encoding="utf-8", newline="") as fh:
         report = [(r["station_code"], int(r["month"]), int(r["year"])) for r in csv.DictReader(fh)]
-    assert report == held_out.keys
+    assert report == held_out.keys.tolist()
 
     with pytest.raises(SystemExit) as exc:
         main([*evaluate, "--out", str(tmp_path / "seed-0.csv"), "--seed", "0"])

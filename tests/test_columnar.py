@@ -294,4 +294,4 @@ class TestAgainstRowLoop:
             features, targets, keys = loop_build_supervised(want_samples)
             assert task.features.values.tobytes() == features.tobytes()
             assert task.targets.tobytes() == targets.tobytes()
-            assert task.keys == keys
+            assert task.keys.tolist() == keys

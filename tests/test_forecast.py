@@ -4,11 +4,12 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aquagauge.errors import LengthMismatch
 from aquagauge.forecast import (
     FEATURE_NAMES,
+    KEY_DTYPE,
     DegenerateActuals,
     Empty,
     FeatureMismatch,
@@ -37,7 +38,7 @@ class TestBuildSupervised:
         ds = mk_dataset([obs("A", 8, 2019), obs("A", 12, 2019, ph=8.0)])
         task = build_supervised(ds)
         assert len(task) == 1
-        assert task.keys == [("A", 8, 2019)]
+        assert task.keys.tolist() == [("A", 8, 2019)]
         assert task.targets[0] == loop_compute_wqi(ds.samples[1]).wqi
 
     def test_single_observation_contributes_nothing(self):
@@ -49,7 +50,7 @@ class TestBuildSupervised:
         )
         task = build_supervised(ds)
         wqi_by_month = {s.month: loop_compute_wqi(s).wqi for s in ds.samples}
-        assert task.keys == [("A", 8, 2019), ("A", 12, 2019)]
+        assert task.keys.tolist() == [("A", 8, 2019), ("A", 12, 2019)]
         assert list(task.targets) == [wqi_by_month[12], wqi_by_month[4]]
         # second example carries exactly one prior-wqi lag
         names = task.features.feature_names
@@ -112,7 +113,7 @@ class TestBuildSupervised:
         )
         fm, keys, _ = build_feature_rows(ds)
         idx = fm.feature_names.index("temp")
-        by_key = dict(zip([k[0:2] for k in keys], fm.values[:, idx]))
+        by_key = dict(zip([k[0:2] for k in keys.tolist()], fm.values[:, idx]))
         assert by_key[("A", 8)] == 25.0
 
     def test_temp_fill_of_huge_temperatures_stays_finite(self):
@@ -120,7 +121,7 @@ class TestBuildSupervised:
             [obs("A", 8, 2019, temp=1e308), obs("A", 12, 2019, temp=1.7e308), obs("B", 1, 2019, temp=None)]
         )
         fm, keys, _ = build_feature_rows(ds)
-        assert fm.values[keys.index(("B", 1, 2019)), FEATURE_NAMES.index("temp")] == 1e308 / 2 + 1.7e308 / 2
+        assert fm.values[keys.tolist().index(("B", 1, 2019)), FEATURE_NAMES.index("temp")] == 1e308 / 2 + 1.7e308 / 2
 
 
 def loop_feature_rows(ds):
@@ -165,7 +166,7 @@ class TestFeatureRowsAgainstLoop:
         fm, keys, wqis = build_feature_rows(ds)
         want_values, want_keys, want_wqis = loop_feature_rows(ds)
         assert fm.values.tobytes() == want_values.tobytes()
-        assert keys == want_keys
+        assert keys.dtype == KEY_DTYPE and keys.tolist() == want_keys
         assert wqis.tolist() == want_wqis
 
 
@@ -223,6 +224,34 @@ class TestMetrics:
     def test_r_squared_negative_for_bad_model(self):
         assert r_squared([1, 2, 3], [30, 30, 30]) < 0.0
 
+    def test_r_squared_at_extreme_magnitudes(self):
+        """Squares that would underflow to 0 or overflow to inf."""
+        assert r_squared([1e-170, -1e-170], [0, 0]) == 0.0
+        assert r_squared([1e160, -1e160], [0, 0]) == 0.0
+
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)] * 2),
+                    min_size=2, max_size=20),
+           st.floats(0.0, 1.0))
+    @example([(1e-170, 0.0), (-1e-170, 0.0)], 1.0)
+    @example([(1e160, 0.0), (-1e160, 0.0)], 0.0)
+    def test_r_squared_is_scale_free(self, pairs, position):
+        """r_squared(s*a, s*p) == r_squared(a, p) for every power of two s
+        that keeps s*a and s*p finite and normal; `position` picks s = 2**e
+        in that range of e."""
+        a, p = (np.array(column) for column in zip(*pairs))
+        values = np.concatenate((a, p))
+        exponents = np.frexp(values[values != 0])[1]  # normal |x| lies in [2**(E-1), 2**E), -1021 <= E <= 1024
+        lo, hi = -1021 - int(exponents.min(initial=1024)), 1024 - int(exponents.max(initial=-1021))
+        e = lo + round(position * (hi - lo))
+
+        def outcome(actual, predicted):
+            try:
+                return r_squared(actual, predicted)
+            except DegenerateActuals:
+                return DegenerateActuals
+
+        assert outcome(np.ldexp(a, e), np.ldexp(p, e)) == outcome(a, p)
+
     @pytest.mark.parametrize(
         "actual,predicted,printed,tol",
         [
@@ -272,7 +301,7 @@ def _toy_task(n=40, seed=0, leak=False):
     return SupervisedTask(
         features=FeatureMatrix(values, list(FEATURE_NAMES)),
         targets=targets,
-        keys=[(f"S{i % 8}", 1 + i % 12, 2018 + i % 3) for i in range(n)],
+        keys=np.array([(f"S{i % 8}", 1 + i % 12, 2018 + i % 3) for i in range(n)], dtype=KEY_DTYPE),
     )
 
 
@@ -339,7 +368,7 @@ class TestSplitByStation:
         task = _toy_task(64)
         train1, test1 = split_by_station(task, 0.25, seed=42)
         train2, test2 = split_by_station(task, 0.25, seed=42)
-        assert train1.keys == train2.keys and test1.keys == test2.keys
+        assert train1.keys.tolist() == train2.keys.tolist() and test1.keys.tolist() == test2.keys.tolist()
         train_stations = {s for s, _, _ in train1.keys}
         test_stations = {s for s, _, _ in test1.keys}
         assert not train_stations & test_stations
@@ -355,15 +384,17 @@ class TestSplitByStation:
     def test_each_side_is_its_stations_rows_in_task_order(self, fraction, seed):
         task = _toy_task(64)
         # codes that differ only in a trailing NUL are distinct stations
-        task.keys = [(s + "\x00" * (i // 8 % 2), m, y) for i, (s, m, y) in enumerate(task.keys)]
+        task.keys = np.array([(s + "\x00" * (i // 8 % 2), m, y) for i, (s, m, y) in enumerate(task.keys.tolist())],
+                             dtype=KEY_DTYPE)
         stations = sorted({s for s, _, _ in task.keys})
         n_test = int(len(stations) * fraction)
         drawn = {stations[i] for i in np.random.default_rng(seed).permutation(len(stations))[:n_test]}
         train, test = split_by_station(task, fraction, seed)
         assert {s for s, _, _ in test.keys} == drawn
         for side, on_side in ((train, lambda s: s not in drawn), (test, lambda s: s in drawn)):
-            rows = [i for i, (s, _, _) in enumerate(task.keys) if on_side(s)]
-            assert side.keys == [task.keys[i] for i in rows]
+            keys = task.keys.tolist()
+            rows = [i for i, (s, _, _) in enumerate(keys) if on_side(s)]
+            assert side.keys.tolist() == [keys[i] for i in rows]
             assert np.array_equal(side.features.values, task.features.values[rows])
             assert np.array_equal(side.targets, task.targets[rows])
 

@@ -800,6 +800,16 @@ class TestGbmFit:
         with pytest.raises(LengthMismatch):
             gbm_fit(np.zeros((3, 2)), [1.0, 2.0])
 
+    @pytest.mark.parametrize("y", [[1.7e308, 1.7e308, -1.7e308, 1.7e308], [1e200, 1e200, -1e200, -1e200]],
+                             ids=["f0-overflows", "loss-overflows"])
+    def test_non_finite_training_loss_refused(self, y):
+        """Finite targets whose mean overflows (f0 = inf, curve [inf, nan]),
+        or whose squared error does (curve [inf, inf]), give no model: its
+        file could not be loaded."""
+        hp = Hyperparams(n_trees=1, min_samples_split=2, min_samples_leaf=1)
+        with np.errstate(all="ignore"), pytest.raises(NonFinite, match="training loss"):
+            gbm_fit(np.arange(4.0)[:, None], y, hp)
+
 
 class TestPredict:
     def _toy_model(self, trees=None):
@@ -992,6 +1002,13 @@ class TestSerialization:
         except ValueError:
             return
         assert deserialize_model(text).feature_names == names
+
+    @pytest.mark.parametrize(("f0", "curve"), [(math.inf, [1.0]), (0.0, [1.0, math.nan]), (0.0, [-math.inf])])
+    def test_non_finite_f0_or_curve_refused(self, f0, curve):
+        """The writer refuses what the loader would refuse."""
+        model = GbmModel(f0=f0, trees=[], hyperparams=Hyperparams(n_trees=0), training_curve=curve)
+        with pytest.raises(ValueError, match="f0 and training_curve must be finite"):
+            serialize_model(model)
 
     def test_committed_v1_file_loads_and_writes_back(self):
         """A model file written before the loader read the header in the

@@ -4,13 +4,14 @@
 with one numpy ``uniform``/``normal`` call and clipped it with ``np.clip``.
 It is kept here as the oracle: every file the benchmark and the examples
 start from must stay byte for byte what a seed gave before, so the rewritten
-``generate_rows`` must return exactly the same rows for any shape, missing
-rate and seed. What is fixed is the order of the draws in the stream, not
-one call per value: consecutive draws of one kind may come from one call,
-but uniforms and normals must alternate as they do here, because a normal
-takes a variable number of words from the stream.
+``generate_columns`` must return exactly the same rows, as columns, for any
+shape, missing rate and seed. What is fixed is the order of the draws in the
+stream, not one call per value: consecutive draws of one kind may come from
+one call, but uniforms and normals must alternate as they do here, because a
+normal takes a variable number of words from the stream.
 """
 
+import csv
 import hashlib
 from unittest import mock
 
@@ -90,9 +91,9 @@ def loop_generate_rows(n_stations, n_periods, missing_rate, rng):
 # 11th uniforms of the period, past the 9 drawn with the coliform value.
 @example(1, 1, 0.2, 13)
 def test_rows_match_per_value_reference(n_stations, n_periods, missing_rate, seed):
-    got = generator.generate_rows(n_stations, n_periods, missing_rate, np.random.default_rng(seed))
+    columns = generator.generate_columns(n_stations, n_periods, missing_rate, np.random.default_rng(seed))
     want = loop_generate_rows(n_stations, n_periods, missing_rate, np.random.default_rng(seed))
-    assert got == want
+    assert list(map(list, zip(*columns))) == want
 
 
 def test_golden_file_sha256(tmp_path, capsys):
@@ -100,6 +101,22 @@ def test_golden_file_sha256(tmp_path, capsys):
     assert generator.main(["--stations", "60", "--seed", "0", "--out", str(out)]) == 0
     assert "wrote 540 rows for 60 stations" in capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_60_STATIONS_SHA256
+
+
+def test_file_reads_back_as_generated(tmp_path, capsys):
+    """csv.reader reads the file back to the header and the generated rows,
+    with regions whose names, and so places, hold a comma, a double quote, a
+    CR or an LF."""
+    regions = ["Dhaka, North", 'Khulna "East"', "Sat\rkhira", "Jes\nsore", "Magura"]
+    out = tmp_path / "stations.csv"
+    with mock.patch.object(generator, "REGIONS", regions):
+        assert generator.main(["--stations", "12", "--periods", "3", "--missing-rate", "0.2", "--seed", "4",
+                               "--out", str(out)]) == 0
+        want = loop_generate_rows(12, 3, 0.2, np.random.default_rng(4))
+    capsys.readouterr()
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [generator.HEADER, *want]
+    assert {row[3] for row in want} == set(regions)
 
 
 @pytest.mark.parametrize(("stations", "missing_rate", "seed"), sorted(SCORE_FORECAST_27K_SHA256))
@@ -133,7 +150,7 @@ def test_rejects_nonsense_arguments(tmp_path, capsys, args):
 def test_rejects_unwritable_out_before_drawing(tmp_path, capsys, out):
     """A path in a directory that does not exist, or a directory, exits 2
     before any row is drawn."""
-    with mock.patch.object(generator, "generate_rows", side_effect=AssertionError("drew rows")):
+    with mock.patch.object(generator, "generate_columns", side_effect=AssertionError("drew rows")):
         with pytest.raises(SystemExit) as exc:
             generator.main(["--out", str(tmp_path / out)])
     assert exc.value.code == 2

@@ -103,13 +103,13 @@ def _load_dataset(args: argparse.Namespace, policy: str) -> ingest.Dataset:
           f"cells_noted={len(parsed.provenance.notes)}", file=sys.stderr)
     # imputation adds one note per filled cell and no other notes
     print(f"log: cells_imputed={len(ds.provenance.notes) - len(parsed.provenance.notes)}", file=sys.stderr)
+    if not len(ds):
+        raise AquagaugeError("no samples")
     return ds
 
 
 def cmd_wqi(args: argparse.Namespace) -> int:
     ds = _load_dataset(args, _IMPUTE_FLAG[args.impute])
-    if not len(ds):
-        raise AquagaugeError("no samples")
     scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
     _emit(
         args.out,
@@ -155,8 +155,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = gbm.deserialize_model(_read_text(args.model))
     ds = _load_dataset(args, _IMPUTE_FLAG[args.impute])
-    if not len(ds):
-        raise AquagaugeError("no samples")
     fm, keys, wqis = forecast.build_feature_rows(ds)
     if model.feature_names != fm.feature_names:
         raise forecast.FeatureMismatch(model.feature_names, fm.feature_names)
@@ -175,8 +173,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.split != "all" and (len(fitted_on) == 0 or model.f0 != gbm.init_constant(fitted_on.targets)):
         raise AquagaugeError(f"the model (f0={model.f0!r}) was not fitted on the training side of {args.input}; "
                              "--split all scores a model on any input")
-    if len(task) == 0:
-        raise AquagaugeError("evaluation task is empty")
     report = forecast.evaluate(model, task)
     print(f"log: zero_actual_rows={report.zero_actuals}", file=sys.stderr)
     # persistence, "WQI in four months equals WQI now", is the feature row's wqi;
@@ -196,8 +192,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     ds = _load_dataset(args, _IMPUTE_FLAG[args.impute])
-    if not len(ds):
-        raise AquagaugeError("no samples")
     scored = wqi.score_columns(ds.columns(ingest.WQI_INPUTS), _MODE_FLAG[args.mode])
     if args.rules:
         ruleset = rules.load_rules(_read_text(args.rules))

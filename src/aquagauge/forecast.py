@@ -237,10 +237,10 @@ def evaluate(model: GbmModel, task: SupervisedTask) -> EvalReport:
     An example whose actual is 0 has no percentile error and is left out of
     the mean; ZeroActual is raised only when every actual is 0.
     """
+    if len(task) == 0:
+        raise Empty("evaluation task")
     if model.feature_names != task.features.feature_names:
         raise FeatureMismatch(model.feature_names, task.features.feature_names)
-    if len(task) == 0:
-        raise Empty("task")
     actual = task.targets
     predictions = predict_matrix(model, task.features.values)
     scored = actual != 0
@@ -269,8 +269,6 @@ def split_by_station(
     """
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     stations, station_of = np.unique(task.keys["station"], return_inverse=True)  # in Python's str order
     n_test = int(len(stations) * test_fraction)
     if n_test == 0 and test_fraction > 0.0 and len(stations) >= 2:

@@ -56,7 +56,7 @@ min_samples_split rows) gets no packed lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -221,12 +221,22 @@ class GbmModel:
     feature_names: list[str] = field(default_factory=list)
 
 
+def _scale_exponent(values: np.ndarray) -> int:
+    """The binary exponent k of the largest magnitude in values (0 when all
+    are 0). Scaled by 2**-k, which is exact, every value lies in (-1, 1), so
+    no sum or square of them overflows, and only a value more than 2**1022
+    times smaller than the largest turns subnormal."""
+    return int(np.frexp(np.abs(values).max(initial=0.0))[1])
+
+
 def init_constant(targets) -> float:
-    """The squared-error-optimal constant model: the target mean."""
+    """The squared-error-optimal constant model: the target mean, taken in
+    scaled units (see _scale_exponent) so that it holds at any magnitude."""
     y = np.asarray(targets, dtype=np.float64)
     if y.size == 0:
         raise EmptyTargets()
-    return float(np.mean(y))
+    k = _scale_exponent(y)
+    return float(np.ldexp(np.mean(np.ldexp(y, -k)), k))
 
 
 def negative_gradient(targets, predictions) -> np.ndarray:
@@ -377,8 +387,13 @@ def best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | Non
     _, y, xt, order = _fit_inputs(rows, targets)
     if y.size < 2:  # no split, and an empty node has no mean for _stats
         return None
+    k = _scale_exponent(y)
+    y = np.ldexp(y, -k)
     split = _split_node(xt, y, np.arange(y.size, dtype=np.int32), order, min_samples_leaf, _stats(y))
-    return None if split is None else split[0]
+    if split is None:
+        return None
+    with np.errstate(over="ignore"):  # an sse beyond float64's range is inf
+        return replace(split[0], sse=float(np.ldexp(split[0].sse, 2 * k)))
 
 
 def _child_lists(order: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -409,11 +424,14 @@ def _grow(
 
     Only the root computes its targets' _stats; every child inherits those of
     its side from its parent's exact re-score. A node that cannot split gets
-    no packed lists.
+    no packed lists. The tree grows on the residuals scaled by 2**-k (see
+    _scale_exponent), and its leaf values are scaled back by 2**k.
     """
     def splittable(size: int, depth: int) -> bool:
         return depth < hp.max_depth and size >= hp.min_samples_split
 
+    k = _scale_exponent(r)
+    r = np.ldexp(r, -k)
     goes_left = np.zeros(r.size, dtype=bool)
     leaf_of = np.empty(r.size, dtype=np.intp)
     # one [feature, threshold, left, right, value, count] per node; an internal
@@ -429,7 +447,7 @@ def _grow(
             nodes[parent][3] = node_id
         split = None if order is None else _split_node(xt, r, idx, order, hp.min_samples_leaf, stats)
         if split is None:
-            nodes.append([-1, 0.0, -1, -1, stats[0], idx.size])
+            nodes.append([-1, 0.0, -1, -1, math.ldexp(stats[0], k), idx.size])
             leaf_of[idx] = node_id
             continue
         cand, mask, sorted_rows, left, right = split
@@ -667,8 +685,6 @@ def deserialize_model(text: str) -> GbmModel:
         header[key] = line[len(key) + 1 :]
     pos = 2 + len(header)
 
-    if header["loss"] != SQUARED_ERROR:
-        raise CorruptHeader(f"unknown loss {header['loss']!r}")
     try:
         hp_values = {name: kind(header[name]) for name, kind in _HP_FIELDS}
         f0 = float(header["f0"])

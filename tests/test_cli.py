@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aquagauge
-from aquagauge import wqi
+from aquagauge import cli, wqi
 from aquagauge.cli import main
 from aquagauge.forecast import FEATURE_NAMES, build_supervised, mse, r_squared, split_by_station
 from aquagauge.gbm import deserialize_model
@@ -164,6 +164,7 @@ class TestTrainCommand:
         ("--learning-rate", "0", "learning_rate must be in (0, 1]"),
         ("--min-samples-leaf", "0", "min_samples_leaf must be >= 1"),
         ("--max-depth", "-2", "max_depth must be >= 0"),
+        ("--min-samples-split", "1", "min_samples_split must be >= 2"),
     ])
     def test_out_of_range_hyperparameter_exits_2(self, capsys, synthetic_csv_path, tmp_path, flag, value, message):
         model_path = tmp_path / "model.txt"
@@ -491,6 +492,28 @@ def test_evaluate_refuses_a_model_fitted_on_other_data(capsys, synthetic_csv_pat
         assert run(capsys, *evaluate, "--split", "all")[0] == 0
 
 
+def test_evaluate_refuses_an_input_with_no_example(capsys, fixture_csv_path, trained_model_path, tmp_path):
+    """No fixture station has a second observation 3-5 months on, so the task
+    is empty: its training side cannot have fitted the model, and --split all
+    has nothing to score."""
+    evaluate = ["evaluate", "--input", fixture_csv_path, "--model", trained_model_path,
+                "--out", str(tmp_path / "report.csv")]
+    f0 = deserialize_model(Path(trained_model_path).read_text(encoding="utf-8")).f0
+    code, _, err = run(capsys, *evaluate)
+    assert (code, err.splitlines()[-1]) == (2, f"error: the model (f0={f0!r}) was not fitted on the training "
+                                               f"side of {fixture_csv_path}; --split all scores a model on any input")
+    code, _, err = run(capsys, *evaluate, "--split", "all")
+    assert (code, err.splitlines()[-1]) == (2, "error: evaluation task is empty")
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_train_help_names_the_split_seed(capsys):
+    """--seed is the one hyperparameter flag with a help line: it seeds the station split."""
+    with pytest.raises(SystemExit, match="^0$"):
+        main(["train", "--help"])
+    assert re.search(r"--seed SEED +seed of the station split\n", capsys.readouterr().out)
+
+
 @settings(max_examples=8, deadline=None)
 @given(n_stations=st.integers(15, 22), n_periods=st.integers(3, 6), data_seed=st.integers(0, 199),
        split_seed=st.integers(0, 3))
@@ -560,6 +583,36 @@ def test_failed_write_names_the_given_path(capsys, fixture_csv_path, synthetic_c
     assert code == 2
     assert f"error: cannot write {path}: {reason}" in err.splitlines()
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_write_of_another_kind_leaves_no_temporary_file(monkeypatch, tmp_path):
+    """An exception that is not an OSError passes through unchanged, and the
+    temporary file is still removed."""
+    def replace(src, dst):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli.os, "replace", replace)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        cli._atomic_write(str(tmp_path / "out.csv"), "text\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rows", [[], [[*FIXTURE_ROWS[0][:12], "13-2019"]]], ids=["header-only", "row-dropped"])
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate", "diagnose"])
+def test_no_usable_row_exits_2(request, capsys, tmp_path, command, rows):
+    """Every command that reads a station CSV refuses one that leaves no
+    sample after the parse and the missing-value policy, as wqi does
+    (TestWqiCommand.test_empty_csv_exits_2)."""
+    path = tmp_path / "empty.csv"
+    path.write_text(rows_to_csv(STATION_HEADER, rows), encoding="utf-8")
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "out.csv")]
+    if command in ("train", "predict", "evaluate"):
+        model = str(tmp_path / "m.txt") if command == "train" else request.getfixturevalue("trained_model_path")
+        argv += ["--model", model]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[-1] == "error: no samples"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command,seed", [("train", "-5"), ("evaluate", "-1")])

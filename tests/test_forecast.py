@@ -1,5 +1,5 @@
-import hashlib
 import itertools
+import re
 import statistics
 
 import numpy as np
@@ -23,8 +23,8 @@ from aquagauge.forecast import (
     r_squared,
     split_by_station,
 )
-from aquagauge.gbm import FeatureMatrix, Hyperparams, gbm_fit, predict_matrix
-from aquagauge.ingest import impute_missing, parse_dataset
+from aquagauge.gbm import FeatureMatrix, Hyperparams, gbm_fit
+from aquagauge.ingest import parse_dataset
 from conftest import mk_dataset, mk_sample, serialize_dataset
 from scoring_reference import loop_compute_wqi
 
@@ -190,6 +190,12 @@ class TestUnsortedSamples:
         ds = parse_dataset(serialize_dataset(mk_dataset(samples, sort=False)))
         build_supervised(ds)
 
+    def test_error_names_the_first_row_out_of_order(self):
+        ds = mk_dataset([obs("A", 8, 2019), obs("A", 12, 2019), obs("A", 9, 2019), obs("A", 1, 2019)],
+                        sort=False)
+        with pytest.raises(UnsortedSamples, match=re.escape("('A', 2019, 9) at 2 follows ('A', 2019, 12)")):
+            build_feature_rows(ds)
+
     def test_equal_keys_allowed(self):
         ds = mk_dataset([obs("A", 8, 2019), obs("A", 8, 2019, ph=8.0), obs("A", 12, 2019)], sort=False)
         assert len(build_feature_rows(ds)[1]) == 3
@@ -220,6 +226,12 @@ class TestMetrics:
     def test_r_squared_degenerate(self):
         with pytest.raises(DegenerateActuals):
             r_squared([2, 2, 2], [1, 2, 3])
+
+    def test_r_squared_errors(self):
+        with pytest.raises(LengthMismatch):
+            r_squared([1.0, 2.0], [1.0])
+        with pytest.raises(Empty, match="need >= 2 points"):
+            r_squared([1.0], [1.0])
 
     def test_r_squared_negative_for_bad_model(self):
         assert r_squared([1, 2, 3], [30, 30, 30]) < 0.0
@@ -311,7 +323,10 @@ class TestEvaluate:
         model = gbm_fit(np.zeros((2, len(FEATURE_NAMES))), [1.0, 2.0],
                         Hyperparams(n_trees=0))
         model.feature_names = list(FEATURE_NAMES)
-        with pytest.raises(Empty):
+        with pytest.raises(Empty, match="^evaluation task is empty$"):
+            evaluate(model, task)
+        model.feature_names = ["other"]  # emptiness is named before the features
+        with pytest.raises(Empty, match="^evaluation task is empty$"):
             evaluate(model, task)
 
     def test_leaked_feature_gives_near_perfect_r2(self):
@@ -417,23 +432,8 @@ class TestSplitByStation:
         with pytest.raises(ValueError, match=r"test_fraction must be in \[0, 1\)"):
             split_by_station(_toy_task(8), 1.0, seed=0)
 
-
-TRAIN_18K_SHA256 = "176032d253d312c2464c7add8c57124b5c5f02c2c2e142d1764686c657307c30"
-
-
-def test_forecast_beats_persistence(benchmark_csv):
-    """The booster must forecast better than persistence, the naive forecast
-    "WQI in four months equals WQI now" (the feature row's wqi), on the
-    benchmark's train-18k data: 2,000 generated stations x 9 periods, 1%
-    missing, 30 default trees, station split 0.2 with seed 0. A model change
-    that keeps every test but loses the forecast fails here. The MSE ratio
-    was 0.815 at split seed 0 (0.811 and 0.844 at seeds 1 and 2)."""
-    data = benchmark_csv("2000", "0.01", "1001")
-    # The file perfbench's train-18k workload generates at its seed 1.
-    assert hashlib.sha256(data.read_bytes()).hexdigest() == TRAIN_18K_SHA256
-    task = build_supervised(impute_missing(parse_dataset(data.read_text(encoding="utf-8"))))
-    train, test = split_by_station(task, 0.2, seed=0)
-    model = gbm_fit(train.features, train.targets, Hyperparams(n_trees=30))
-    booster = mse(test.targets, predict_matrix(model, test.features.values))
-    persistence = mse(test.targets, test.features.values[:, FEATURE_NAMES.index("wqi")])
-    assert booster <= 0.9 * persistence, booster / persistence
+    @pytest.mark.parametrize("n", [0, 8])
+    def test_negative_seed_rejected(self, n):
+        """The seed goes to np.random.default_rng, which refuses a negative one."""
+        with pytest.raises(ValueError):
+            split_by_station(_toy_task(n), 0.2, seed=-1)

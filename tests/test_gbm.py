@@ -63,7 +63,19 @@ def ref_threshold(a: float, b: float) -> float:
     return thr if a <= thr < b else a
 
 
+def scale_exponent(y) -> int:
+    """k, the binary exponent of the largest magnitude in y: the fitter
+    searches and grows each tree on y * 2**-k, and so does every reference."""
+    return math.frexp(float(np.abs(y).max(initial=0.0)))[1]
+
+
 def ref_best_split(x: np.ndarray, y: np.ndarray, msl: int):
+    k = scale_exponent(y)
+    found = _ref_split(x, np.ldexp(y, -k), msl)
+    return None if found is None else (*found[:2], float(np.ldexp(found[2], 2 * k)))
+
+
+def _ref_split(x: np.ndarray, y: np.ndarray, msl: int):
     n, d = x.shape
     parent = ref_sse(y)
     best = None
@@ -97,18 +109,23 @@ class RefNode:
         return child.predict(row)
 
 
-def ref_fit_tree(x, y, hp: Hyperparams, depth=0) -> RefNode:
+def ref_fit_tree(x, y, hp: Hyperparams) -> RefNode:
+    k = scale_exponent(y)
+    return _ref_grow(x, np.ldexp(y, -k), hp, k)
+
+
+def _ref_grow(x, y, hp: Hyperparams, k: int, depth=0) -> RefNode:
     node = RefNode()
     if depth < hp.max_depth and len(y) >= hp.min_samples_split:
-        found = ref_best_split(x, y, hp.min_samples_leaf)
+        found = _ref_split(x, y, hp.min_samples_leaf)
         if found is not None:
             f, thr, _ = found
             mask = x[:, f] <= thr
             node.feature, node.threshold = f, thr
-            node.left = ref_fit_tree(x[mask], y[mask], hp, depth + 1)
-            node.right = ref_fit_tree(x[~mask], y[~mask], hp, depth + 1)
+            node.left = _ref_grow(x[mask], y[mask], hp, k, depth + 1)
+            node.right = _ref_grow(x[~mask], y[~mask], hp, k, depth + 1)
             return node
-    node.value = float(np.mean(y))
+    node.value = math.ldexp(float(np.mean(y)), k)
     return node
 
 
@@ -207,10 +224,18 @@ def flatten_tree(tree: RegressionTree):
 # ---------------------------------------------------------------------------
 # The split search as it was before presorting: every node stably argsorts
 # every feature column of its own sub-matrix. Kept verbatim (renamed) as the
-# reference that the presorted fitter must reproduce bit for bit.
+# reference that the presorted fitter must reproduce bit for bit; like the
+# fitter, the entry points search on targets scaled by 2**-k (scale_exponent).
 # ---------------------------------------------------------------------------
 
 def argsort_best_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | None:
+    y = np.asarray(targets, dtype=np.float64)
+    k = scale_exponent(y)
+    best = _argsort_split(rows, np.ldexp(y, -k), min_samples_leaf)
+    return None if best is None else SplitCandidate(best.feature, best.threshold, float(np.ldexp(best.sse, 2 * k)))
+
+
+def _argsort_split(rows, targets, min_samples_leaf: int = 1) -> SplitCandidate | None:
     """Exhaustive best two-leaf split by total SSE, or None when infeasible.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
@@ -290,13 +315,15 @@ def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> list[tuple]:
         raise EmptyTargets()
     if x.shape[0] != r.size:
         raise LengthMismatch(x.shape[0], r.size)
+    k = scale_exponent(r)
+    r = np.ldexp(r, -k)
 
     nodes: list[tuple] = []
 
     def build(idx: np.ndarray, depth: int) -> int:
         sub = r[idx]
         if depth < hp.max_depth and idx.size >= hp.min_samples_split:
-            cand = argsort_best_split(x[idx], sub, hp.min_samples_leaf)
+            cand = _argsort_split(x[idx], sub, hp.min_samples_leaf)
             if cand is not None:
                 node_id = len(nodes)
                 nodes.append(None)  # type: ignore[arg-type]  # patched below
@@ -306,7 +333,7 @@ def argsort_fit_tree(rows, residuals, hp: Hyperparams) -> list[tuple]:
                 nodes[node_id] = ("I", cand.feature, cand.threshold, left, right)
                 return node_id
         node_id = len(nodes)
-        nodes.append(("L", float(np.mean(sub)), int(idx.size)))
+        nodes.append(("L", math.ldexp(float(np.mean(sub)), k), int(idx.size)))
         return node_id
 
     build(np.arange(r.size), 0)
@@ -548,6 +575,19 @@ class TestPrimitives:
         with pytest.raises(EmptyTargets):
             init_constant([])
 
+    def test_init_constant_at_any_magnitude(self):
+        """The sum of these targets overflows, but their mean does not."""
+        assert init_constant([1.7e308, 1.7e308, -1.7e308, 1.7e308]) == 8.5e307
+        assert init_constant([5e-324, 5e-324]) == 5e-324
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50))
+    def test_init_constant_is_np_mean_where_that_holds(self, y):
+        """Scaling by a power of two changes no bit of a mean that does not
+        overflow or underflow."""
+        want = float(np.mean(y))
+        assume(want == 0.0 or abs(want) >= 2.0**-1000)
+        assert float_bits(init_constant(y)) == float_bits(want)
+
     def test_negative_gradient_residuals(self):
         assert list(negative_gradient([3, 3], [1, 5])) == [2, -2]
         assert list(negative_gradient([10], [7.5])) == [2.5]
@@ -683,6 +723,89 @@ class TestBestSplit:
         assert tree_predict(tree, x).tolist() == y.tolist()
 
 
+@st.composite
+def scalable_problems(draw):
+    """offset_problems' features and hyperparameters with targets that are
+    multiples of 2**-20 in [-1, 1], scaled by 2**e0 for |e0| <= 480, so that
+    every node SSE is zero or normal."""
+    x, _, hp = draw(offset_problems())
+    units = draw(st.lists(st.integers(-2**20, 2**20), min_size=len(x), max_size=len(x)))
+    return x, np.ldexp(np.array(units, dtype=np.float64), draw(st.integers(-480, 480)) - 20), hp
+
+
+def scale_range(*values) -> tuple[int, int]:
+    """The exponents e for which 2**e times every nonzero value is finite and normal."""
+    exponents = np.frexp(np.array([v for v in values if v != 0.0]))[1]  # |v| in [2**(E-1), 2**E)
+    return -1021 - int(exponents.min(initial=1024)), 1024 - int(exponents.max(initial=-1021))
+
+
+_FOUR_ROWS = np.arange(4.0)[:, None]
+_FOUR_ROWS_HP = Hyperparams(max_depth=2, min_samples_split=2, min_samples_leaf=1)
+
+
+class TestScaleFree:
+    """Metamorphic relations of the fitter: it searches and grows in targets
+    scaled by a power of two, so scaling the targets by s = 2**e scales only
+    what holds targets, bit for bit, and a strictly increasing map of a
+    feature column changes only thresholds."""
+
+    @pytest.mark.parametrize("m", [1.0, 1e154, 1e300, 1e-170, 1e-300])
+    def test_four_rows_split_at_any_magnitude(self, m):
+        got = best_split(_FOUR_ROWS, [m, m, -m, -m])
+        assert (got.feature, got.threshold, got.sse) == (0, 1.5, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scalable_problems(), st.floats(0.0, 1.0))
+    @example((_FOUR_ROWS, np.array([1e154, 1e154, -1e154, -1e154]), _FOUR_ROWS_HP), 0.5)
+    @example((_FOUR_ROWS, np.array([1e300, 1e300, -1e300, -1e300]), _FOUR_ROWS_HP), 0.5)
+    @example((_FOUR_ROWS, np.array([1e-170, 1e-170, -1e-170, -1e-170]), _FOUR_ROWS_HP), 0.5)
+    @example((_FOUR_ROWS, np.array([1e-300, 1e-300, -1e-300, -1e-300]), _FOUR_ROWS_HP), 0.5)
+    def test_targets_scaled_by_a_power_of_two(self, problem, position):
+        """best_split(x, s*y) keeps the feature and threshold and has s**2
+        times the sse; fit_tree's leaf values are s times as large. position
+        picks e among those that keep s*y and the scaled sse normal."""
+        x, y, hp = problem
+        base = best_split(x, y, hp.min_samples_leaf)
+        lo, hi = scale_range(*y)
+        if base is not None and base.sse != 0.0:
+            e_sse = math.frexp(base.sse)[1]
+            lo, hi = max(lo, -((1021 + e_sse) // 2)), min(hi, (1024 - e_sse) // 2)
+        e = lo + round(position * (hi - lo))
+        sy = np.ldexp(y, e)
+        got = best_split(x, sy, hp.min_samples_leaf)
+        if base is None:
+            assert got is None
+        else:
+            assert (got.feature, got.threshold, float_bits(got.sse)) == (
+                base.feature, base.threshold, float_bits(math.ldexp(base.sse, 2 * e)))
+        tree, scaled = fit_tree(x, y, hp), fit_tree(x, sy, hp)
+        assert [node_bits(n) for n in node_view(scaled)] == [
+            node_bits(("L", math.ldexp(n[1], e), n[2]) if n[0] == "L" else n) for n in node_view(tree)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_increasing_map_of_a_feature_keeps_the_fit(self, data):
+        """x -> 7*atan(x) + x**3 keeps distinct values distinct on these
+        columns, so no partition changes: gbm_fit's training predictions and
+        curve are bitwise equal."""
+        n, d = data.draw(st.integers(2, 200)), data.draw(st.integers(1, 4))
+        x = np.array(data.draw(st.lists(st.integers(-400, 400), min_size=n * d, max_size=n * d)),
+                     dtype=np.float64).reshape(n, d) / 8
+        y = np.array(data.draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n)))
+        hp = Hyperparams(n_trees=data.draw(st.integers(1, 6)), max_depth=data.draw(st.integers(1, 4)),
+                         min_samples_split=data.draw(st.integers(2, 20)),
+                         min_samples_leaf=data.draw(st.integers(1, 6)))
+        mapped = x.copy()
+        f = data.draw(st.integers(0, d - 1))
+        mapped[:, f] = 7 * np.arctan(x[:, f]) + x[:, f] ** 3
+        order = np.argsort(x[:, f], kind="stable")
+        assert np.array_equal(np.diff(mapped[order, f]) > 0, np.diff(x[order, f]) > 0)
+        model, model_mapped = gbm_fit(x, y, hp), gbm_fit(mapped, y, hp)
+        assert as_bits(model_mapped.training_curve).tolist() == as_bits(model.training_curve).tolist()
+        assert (as_bits(predict_matrix(model_mapped, mapped)).tolist()
+                == as_bits(predict_matrix(model, x)).tolist())
+
+
 class TestFitTree:
     def test_depth_zero_single_leaf(self):
         tree = fit_tree(np.random.default_rng(0).normal(size=(30, 2)),
@@ -801,11 +924,11 @@ class TestGbmFit:
             gbm_fit(np.zeros((3, 2)), [1.0, 2.0])
 
     @pytest.mark.parametrize("y", [[1.7e308, 1.7e308, -1.7e308, 1.7e308], [1e200, 1e200, -1e200, -1e200]],
-                             ids=["f0-overflows", "loss-overflows"])
+                             ids=["sum-overflows", "loss-overflows"])
     def test_non_finite_training_loss_refused(self, y):
-        """Finite targets whose mean overflows (f0 = inf, curve [inf, nan]),
-        or whose squared error does (curve [inf, inf]), give no model: its
-        file could not be loaded."""
+        """Finite targets whose residual about f0 overflows (f0 = 8.5e307,
+        and -1.7e308 - f0 is beyond float64), or whose squared error does
+        (curve [inf, inf]), give no model: its file could not be loaded."""
         hp = Hyperparams(n_trees=1, min_samples_split=2, min_samples_leaf=1)
         with np.errstate(all="ignore"), pytest.raises(NonFinite, match="training loss"):
             gbm_fit(np.arange(4.0)[:, None], y, hp)
@@ -1200,6 +1323,10 @@ class TestFitterContract:
         with pytest.raises(error, match=re.escape(message)):
             FITTERS[fitter](named(x) if wrap else x, y)
 
+    def test_feature_names_must_name_every_column(self):
+        with pytest.raises(LengthMismatch, match="expected 3, got 2"):
+            FeatureMatrix(np.zeros((2, 3)), ["a", "b"])
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_non_finite_values_rejected(self, data):
@@ -1322,6 +1449,19 @@ class TestLoaderRejects:
         with pytest.raises(CorruptHeader, match="seed must be >= 0"):
             deserialize_model(self._mutate("seed=", lambda _: "seed=-5"))
 
+    def test_unknown_loss(self):
+        """Squared error is the only loss, so the spelling check refuses any other."""
+        with pytest.raises(CorruptHeader, match="not the writer's spelling 'loss=squared_error'"):
+            deserialize_model(self._mutate("loss=", lambda _: "loss=absolute_error"))
+
+    def test_more_trees_than_n_trees(self):
+        """With no curve to count the trees, n_trees still bounds them."""
+        text = self._mutate("n_trees=", lambda _: "n_trees=1")
+        text = text.replace(next(line for line in text.splitlines() if line.startswith("training_curve=")),
+                            "training_curve=")
+        with pytest.raises(CorruptHeader, match="file holds 2 trees but n_trees=1"):
+            deserialize_model(text)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_training_curve(self, value):
         text = self._mutate("training_curve=", lambda line: re.sub(r",[^,]+", f",{value}", line, 1))
@@ -1343,6 +1483,22 @@ class TestLoaderRejects:
     def test_train_count_below_one(self, count):
         with pytest.raises(CorruptNode):
             deserialize_model(self._mutate("L ", lambda line: f"L {line.split()[1]} {count}"))
+
+    def test_count_beyond_the_count_array(self):
+        """2**63 - 1 is the largest count the int64 count array holds."""
+        with pytest.raises(CorruptNode, match="field out of range"):
+            deserialize_model(self._mutate("L ", lambda line: f"L {line.split()[1]} {2**63}"))
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("AQUAGAUGE-GBM\n", UnsupportedVersion, "unsupported model format version: '<missing>'"),
+        ("AQUAGAUGE-GBM\nversion 9\n", UnsupportedVersion, "unsupported model format version: '9'"),
+        ("AQUAGAUGE-GBM\nversion 1\nloss=squared_error\n", CorruptHeader,
+         "corrupt model header: expected n_trees= on line 4, got None"),
+        (_TINY_MODEL_TEXT + "L", CorruptNode, "corrupt node 0: last line has no line end: 'L'"),
+    ], ids=["no-version", "version-9", "cut-after-loss", "no-line-end"])
+    def test_error_message(self, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            deserialize_model(text)
 
     @pytest.mark.parametrize("sign", ["", "-"])
     @pytest.mark.parametrize("prefix, field", [("I ", 1), ("I ", 3), ("I ", 4), ("L ", 2)])
@@ -1378,7 +1534,7 @@ class TestLoaderRejects:
     def test_not_one_tree(self, nodes):
         with pytest.raises(ValueError):
             tree_of(nodes)
-        with pytest.raises(CorruptNode):
+        with pytest.raises(CorruptNode, match="^corrupt node 0: tree 0: "):
             deserialize_model(one_tree_text(nodes, ["a"]))
 
     def test_right_id_equal_to_node_count_rejected(self):
@@ -1483,7 +1639,7 @@ class TestLoaderRejects:
             deserialize_model(self._mutate("tree 0 ", lambda line: line.replace(old, new)))
 
     def test_key_after_training_curve_is_a_bad_tree_header(self):
-        with pytest.raises(CorruptNode, match="bad tree block header"):
+        with pytest.raises(CorruptNode, match="^corrupt node 0: bad tree block header"):
             deserialize_model(self._mutate("training_curve=", lambda line: line + "\nseed=0"))
 
     def test_duplicate_feature_names(self):

@@ -29,7 +29,7 @@ GOLDEN_60_STATIONS_SHA256 = "f55f584a5effd387df3f4530f85a8b3c280c2c516688df854f2
 # sha256 of the two files perfbench's score-forecast-27k workload generates
 # at its seed 1 (9 periods): the CSV its commands read, and the smaller one
 # its set-up fits the model on. train-18k's file is pinned in
-# tests/test_forecast.py::test_forecast_beats_persistence, which reads it.
+# tests/test_benchmark_goldens.py::test_train_18k_outputs, which reads it.
 SCORE_FORECAST_27K_SHA256 = {
     ("3000", "0.05", "1001"): "85f0fedcc3adf846e53dde8f6b1772a7b44dd32e610aa1120ee90a67339ea04e",
     ("100", "0.01", "1002"): "f88a02b7029bdb6919d2cb2b83b4cfe423c513e8389708f1fc56f3c520638625",

@@ -76,6 +76,10 @@ class TestParseDataset:
         with pytest.raises(MalformedRow):
             parse_dataset(rows_to_csv(STATION_HEADER, [row]), strictness="strict")
 
+    def test_unknown_strictness_rejected(self, station_fixture_csv):
+        with pytest.raises(ValueError, match="strictness must be 'strict' or 'lenient', got 'loose'"):
+            parse_dataset(station_fixture_csv, strictness="loose")
+
     def test_unreadable_record_dropped(self):
         rows = [list(r) for r in FIXTURE_ROWS[:3]]
         rows[1][6] = "7" * (csv.field_size_limit() + 1)  # a cell over the csv module's limit
@@ -418,6 +422,11 @@ class TestImpute:
         out = impute_missing(ds, "median")
         assert out.samples[2].conductivity == 1e308 / 2 + 1.7e308 / 2
         assert out.provenance.notes == [(3, f"conductivity imputed with median {1e308 / 2 + 1.7e308 / 2!r}")]
+
+    def test_unknown_policy_rejected(self):
+        ds = mk_dataset([mk_sample(station="A", ph=None), mk_sample(station="B", ph=7.0)])
+        with pytest.raises(ValueError, match="policy must be 'drop_row' or 'median', got 'mean'"):
+            impute_missing(ds, "mean")
 
     def test_original_untouched(self):
         ds = mk_dataset([mk_sample(station="A", ph=None), mk_sample(station="B", ph=7.0)])

@@ -110,6 +110,16 @@ class TestLoadRules:
         assert cond.holds(10.0) and cond.holds(20.0) and cond.holds(15.0)
         assert not cond.holds(9.999) and not cond.holds(20.001)
 
+    def test_negative_priority_rejected(self):
+        """Negative priorities are the default rule's; a file cannot take one."""
+        with pytest.raises(RuleSyntaxError, match="priority must be >= 0"):
+            load_rules('rule -1 "X" reason "r" suggest "s" when wqi < 1')
+
+    def test_empty_range_rejected(self):
+        """between with its bounds reversed could never hold."""
+        with pytest.raises(RuleSyntaxError, match=r"empty range: between 5\.0 3\.0"):
+            load_rules('rule 1 "X" reason "r" suggest "s" when wqi between 5 3')
+
     def test_bad_operator(self):
         with pytest.raises(RuleSyntaxError):
             load_rules('rule 1 "X" reason "r" suggest "s" when wqi == 4')

@@ -230,11 +230,18 @@ def _scale_exponent(values: np.ndarray) -> int:
 
 
 def init_constant(targets) -> float:
-    """The squared-error-optimal constant model: the target mean, taken in
-    scaled units (see _scale_exponent) so that it holds at any magnitude."""
+    """The squared-error-optimal constant model: the target mean, np.mean's
+    own wherever its sum stays finite, else taken in scaled units (see
+    _scale_exponent), so that it holds at any magnitude. Scaled units would
+    flush a target more than 2**1022 times smaller than the largest, which
+    np.mean keeps."""
     y = np.asarray(targets, dtype=np.float64)
     if y.size == 0:
         raise EmptyTargets()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(y)
+    if np.isfinite(mean):
+        return float(mean)
     k = _scale_exponent(y)
     return float(np.ldexp(np.mean(np.ldexp(y, -k)), k))
 

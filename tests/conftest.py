@@ -4,11 +4,13 @@ import functools
 import importlib.util
 import io
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aquagauge.cli import main
 from aquagauge.ingest import NUMERIC_FIELDS, Dataset, Provenance, WaterSample, csv_text
 
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
@@ -35,6 +37,41 @@ def benchmark_csv(tmp_path_factory):
         return out
 
     return path
+
+
+@dataclass(frozen=True)
+class Train18kRun:
+    """What perfbench's train-18k commands leave: the input, the files they
+    write, and evaluate's stdout and stderr."""
+
+    data: Path
+    model: Path
+    curve: Path
+    report: Path
+    evaluate_out: str
+    evaluate_err: str
+
+
+def _cli(*argv) -> tuple[str, str]:
+    """stdout and stderr of ``cli.main`` on argv, after it exits 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 0, err.getvalue()
+    return out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="session")
+def train_18k_run(benchmark_csv, tmp_path_factory) -> Train18kRun:
+    """train (30 trees, station split at seed 0) and evaluate on the
+    2,000-station file, run once per test run, so that the tests reading the
+    model share one fit."""
+    data = benchmark_csv("2000", "0.01", "1001")
+    out = tmp_path_factory.mktemp("train-18k")
+    model, curve, report = (out / name for name in ("model.txt", "curve.csv", "report.csv"))
+    _cli("train", "--input", str(data), "--model", str(model), "--out", str(curve), "--n-trees", "30")
+    evaluate_out, evaluate_err = _cli("evaluate", "--input", str(data), "--model", str(model), "--out", str(report))
+    return Train18kRun(data, model, curve, report, evaluate_out, evaluate_err)
 
 
 # Header spelled the way real station exports print it, units and all.

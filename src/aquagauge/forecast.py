@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AquagaugeError, LengthMismatch
-from .gbm import FeatureMatrix, GbmModel, predict_matrix
+from .gbm import FeatureMatrix, GbmModel, _scale_exponent, predict_matrix
 from .ingest import WQI_INPUTS, Dataset, column_median
 from .wqi import NORMATIVE, score_columns
 
@@ -210,10 +210,9 @@ def r_squared(actual, predicted) -> float:
         raise LengthMismatch(a.size, p.size)
     if a.size < 2:
         raise Empty("metric input (need >= 2 points)")
-    # Scaling both by 2**-k, k the binary exponent of the largest magnitude,
-    # is exact and leaves the ratio as it is, but keeps the squares from
-    # overflowing or underflowing.
-    k = int(np.frexp(max(np.abs(a).max(), np.abs(p).max()))[1])
+    # Scaling both by 2**-k (see gbm._scale_exponent) is exact and leaves the
+    # ratio as it is, but keeps the squares from overflowing or underflowing.
+    k = _scale_exponent(np.concatenate((a, p)))
     a, p = np.ldexp(a, -k), np.ldexp(p, -k)
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:

@@ -10,8 +10,10 @@ numeric columns as free text ("n/a", "-", trailing-dot numerals), so the
 default mode is lenient: bad cells become missing values and only rows that
 are unusable outright are dropped, with every drop logged.
 :class:`WaterSample` and :attr:`Dataset.samples`, the one-row view of the
-same data, are kept only for perfbench's ``check_diagnose`` until ROADMAP
-item 1 retargets it; no command builds them.
+same data, remain only because perfbench's ``check_diagnose`` reads a
+sample's station code, month and year and scores it with
+``wqi.compute_wqi``; they stay until ROADMAP item 1 retargets that check,
+and no command builds them.
 
 :func:`csv_records` streams the records of a CSV text, and
 :func:`parse_dataset` converts them a fixed-size chunk at a time, keeping only
@@ -164,9 +166,6 @@ class WaterSample:
     month: int
     year: int
     source_row: int | None = field(default=None, compare=False)
-
-    def missing_wqi_inputs(self) -> list[str]:
-        return [name for name in WQI_INPUTS if getattr(self, name) is None]
 
 
 @dataclass

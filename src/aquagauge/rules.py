@@ -14,9 +14,10 @@ field the record does not carry evaluates false, so diagnosis is total.
 
 :func:`diagnose_columns` takes the :class:`~aquagauge.wqi.WqiColumns` of a
 whole dataset and evaluates each condition once over all rows. It is the only
-matcher: :func:`diagnose` takes one scored record as a one-row call of it,
-and it and :class:`Diagnosis` are kept only for perfbench's
-``check_diagnose`` until ROADMAP item 1 retargets it.
+matcher. :func:`diagnose` and :class:`Diagnosis` remain only because
+perfbench's ``check_diagnose`` reads ``diagnose(compute_wqi(sample),
+rs).disease`` and ``.suggestion``: a one-row call of ``diagnose_columns``,
+kept until ROADMAP item 1 retargets that check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from importlib import resources
 import numpy as np
 
 from .errors import AquagaugeError
-from .ingest import WQI_INPUTS
 from .wqi import WqiColumns, WqiRecord
 
 FIELDS = ("wqi", "nph", "ndo", "nbdo", "nec", "nna", "nco", "ph", "do", "bod", "ec", "na", "tc")
@@ -111,10 +111,7 @@ class Diagnosis:
     """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
 
     disease: str
-    reason: str
     suggestion: str
-    matched_rule_priority: int
-    inputs_echo: dict[str, float | None]
 
 
 def _parse_rule(tokens: list[str], line_no: int) -> Rule:
@@ -226,25 +223,8 @@ def diagnose_columns(cols: WqiColumns, rs: RuleSet) -> np.ndarray:
 
 
 def diagnose(rec: WqiRecord, rs: RuleSet) -> Diagnosis:
-    """First matching rule wins (descending priority); default otherwise.
-    The echo holds the fields the matched rule reads. Kept only for
-    perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
-    raw = (None if rec.sample is None else getattr(rec.sample, name) for name in WQI_INPUTS)
-    row = np.array([rec.wqi, *rec.sub.as_tuple(), *(math.nan if v is None else v for v in raw)],
-                   dtype=np.float64)
-    # diagnose_columns reads no weighted scores; the sub-index view stands in.
-    cols = WqiColumns(inputs=row[None, 7:], sub=row[None, 1:7], weighted=row[None, 1:7], wqi=row[:1])
-    pos = int(diagnose_columns(cols, rs)[0])
-    if pos == len(rs.rules):
-        rule, echo = rs.default_rule, {}
-    else:
-        rule = rs.rules[pos]
-        values = dict(zip(FIELDS, row.tolist()))
-        echo = {c.field: values[c.field] for c in rule.conditions}
-    return Diagnosis(
-        disease=rule.name,
-        reason=rule.reason,
-        suggestion=rule.suggestion,
-        matched_rule_priority=rule.priority,
-        inputs_echo=echo,
-    )
+    """The diagnosis of one scored sample: a one-row :func:`diagnose_columns`
+    call. Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1
+    retargets it."""
+    rule = (*rs.rules, rs.default_rule)[int(diagnose_columns(rec.columns, rs)[0])]
+    return Diagnosis(disease=rule.name, suggestion=rule.suggestion)

@@ -18,9 +18,9 @@ representable).
 
 :func:`score_columns` scores a whole dataset from its float64 input columns
 with numpy masks over the band tables; it is the only scoring code.
-:func:`compute_wqi` scores one sample as a one-row call of it; it and its
-record types are kept only for perfbench's ``check_diagnose`` until ROADMAP
-item 1 retargets it.
+:func:`compute_wqi` and :class:`WqiRecord` remain only because perfbench's
+``check_diagnose`` reads ``compute_wqi(sample).wqi``: a one-row call of
+``score_columns``, kept until ROADMAP item 1 retargets that check.
 """
 
 from __future__ import annotations
@@ -111,68 +111,6 @@ class MissingInput(WqiError):
         self.fields = fields
 
 
-@dataclass(frozen=True)
-class SubIndices:
-    """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
-
-    nph: int
-    ndo: int
-    nbdo: int
-    nec: int
-    nna: int
-    nco: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.nph, self.ndo, self.nbdo, self.nec, self.nna, self.nco)
-
-
-@dataclass(frozen=True)
-class WeightedScores:
-    """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
-
-    wph: float
-    wdo: float
-    wbdo: float
-    wec: float
-    wna: float
-    wco: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.wph, self.wdo, self.wbdo, self.wec, self.wna, self.wco)
-
-
-@dataclass
-class WqiRecord:
-    """Kept only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it."""
-
-    sample: WaterSample | None
-    sub: SubIndices
-    weighted: WeightedScores
-    wqi: float
-    mode: str
-
-
-def compute_wqi(sample: WaterSample, mode: str = NORMATIVE) -> WqiRecord:
-    """Score a sample end to end: sub-indices, weighted scores, aggregate WQI.
-
-    Requires all six inputs present (pH, DO, BOD, conductivity, nitrate and
-    total coliform; total, not fecal, feeds the coliform sub-index). A NaN or
-    infinite input raises NonFinite, and an unknown mode ValueError. Kept
-    only for perfbench's ``check_diagnose`` until ROADMAP item 1 retargets it.
-    """
-    missing = sample.missing_wqi_inputs()
-    if missing:
-        raise MissingInput(missing)
-    values = [getattr(sample, name) for name in WQI_INPUTS]
-    if mode in MODES:  # score_columns names a bad mode before any value
-        for kind, value in zip(SUB_INDEX_KINDS, values):
-            if not math.isfinite(value):  # NaN too: score_columns would call it missing
-                raise NonFinite(value, context=f"{kind} value")
-    cols = score_columns(np.array([values], dtype=np.float64), mode)
-    return WqiRecord(sample=sample, sub=SubIndices(*cols.sub[0].tolist()),
-                     weighted=WeightedScores(*cols.weighted[0].tolist()), wqi=float(cols.wqi[0]), mode=mode)
-
-
 @dataclass
 class WqiColumns:
     """Scores of many samples, one row per sample; columns in SUB_INDEX_KINDS order."""
@@ -229,3 +167,20 @@ def _weigh(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, len(SUB_INDEX_KINDS)):
         wqi += weighted[:, j]
     return weighted, wqi
+
+
+@dataclass
+class WqiRecord:
+    """One sample's WQI and its one-row columns. Kept only for perfbench's
+    ``check_diagnose`` until ROADMAP item 1 retargets it."""
+
+    wqi: float
+    columns: WqiColumns
+
+
+def compute_wqi(sample: WaterSample) -> WqiRecord:
+    """Score one sample in the normative mode: a one-row :func:`score_columns`
+    call, which reads a None input as missing. Kept only for perfbench's
+    ``check_diagnose`` until ROADMAP item 1 retargets it."""
+    cols = score_columns(np.array([[getattr(sample, name) for name in WQI_INPUTS]], dtype=np.float64))
+    return WqiRecord(wqi=float(cols.wqi[0]), columns=cols)

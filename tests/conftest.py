@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from aquagauge.cli import main
-from aquagauge.ingest import NUMERIC_FIELDS, Dataset, Provenance, WaterSample, csv_text
+from aquagauge.ingest import NUMERIC_FIELDS, WQI_INPUTS, Dataset, Provenance, WaterSample, csv_text
 
 GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_station_csv.py"
 _spec = importlib.util.spec_from_file_location("generate_station_csv", GENERATOR)
@@ -180,6 +180,12 @@ def mk_dataset(samples, *, sort=True) -> Dataset:
                    np.array([pos if s.source_row is None else s.source_row
                              for pos, s in enumerate(samples, start=1)], dtype=np.int64),
                    values, Provenance(source="<fixture>"))
+
+
+def wqi_inputs(*samples) -> np.ndarray:
+    """The samples' six WQI inputs as ``score_columns`` reads them: one row
+    each, in the given order, NaN where missing."""
+    return mk_dataset(samples, sort=False).columns(WQI_INPUTS)
 
 
 def synthetic_station_rows(n_stations=12, n_periods=6, seed=11):

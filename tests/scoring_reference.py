@@ -1,20 +1,21 @@
 """Frozen one-sample scoring and rule matching: the oracle for the column path.
 
-``compute_wqi`` and ``diagnose`` in the package are one-row calls of
-``score_columns`` and ``diagnose_columns``. The functions here are the scalar
-implementations the column code replaced: a band loop per parameter
-(``loop_sub_index``), a weighted sum written out term by term
-(``loop_weighted_scores``, and ``loop_reachable_wqi_values`` over every
-combination of sub-index scores), and a rule matcher that reads one field at
-a time. Tests compare the column code with them, never with itself. Only the
-band tables, the weights and the record types are shared with the package.
+The functions here are the scalar implementations that ``score_columns`` and
+``diagnose_columns`` replaced: a band loop per parameter (``loop_sub_index``),
+a weighted sum written out term by term (``loop_weighted_scores``, and
+``loop_reachable_wqi_values`` over every combination of sub-index scores),
+and a rule matcher that reads one field at a time. Tests compare the column
+code with them, never with itself. The oracle owns its records, ``Scored``
+and ``Matched``; it shares with the package only constants (band tables,
+weights, modes, input names) and the two exceptions it raises.
 """
 
 import itertools
 import math
+from typing import NamedTuple
 
 from aquagauge.errors import NonFinite
-from aquagauge.rules import Diagnosis
+from aquagauge.ingest import WQI_INPUTS
 from aquagauge.wqi import (
     _BANDS,
     _GAP_BANDS,
@@ -24,10 +25,35 @@ from aquagauge.wqi import (
     SUB_INDEX_SCORES,
     WEIGHTS,
     MissingInput,
-    SubIndices,
-    WeightedScores,
-    WqiRecord,
 )
+
+
+class Scored(NamedTuple):
+    """One sample as the scalar code scored it: sub-indices and weighted
+    scores in ``SUB_INDEX_KINDS`` order, and their sum. ``sample`` holds the
+    raw inputs the rules read, or is None for a record with none."""
+
+    sample: object
+    sub: tuple[int, ...]
+    weighted: tuple[float, ...]
+    wqi: float
+
+
+class Matched(NamedTuple):
+    """What the scalar matcher gives: the first matching rule, or the default,
+    and the values of the fields that rule reads."""
+
+    disease: str
+    reason: str
+    suggestion: str
+    priority: int
+    echo: dict
+
+
+def missing_wqi_inputs(sample):
+    """The WQI inputs a sample lacks (None), in ``WQI_INPUTS`` order."""
+    return [name for name in WQI_INPUTS if getattr(sample, name) is None]
+
 
 _SAMPLE_ATTR = {
     "ph": "ph",
@@ -69,38 +95,38 @@ def loop_sub_index(kind, value, mode=NORMATIVE):
 
 
 def loop_weighted_scores(sub):
-    return WeightedScores(
-        wph=sub.nph * WEIGHTS["ph"],
-        wdo=sub.ndo * WEIGHTS["do"],
-        wbdo=sub.nbdo * WEIGHTS["bod"],
-        wec=sub.nec * WEIGHTS["ec"],
-        wna=sub.nna * WEIGHTS["na"],
-        wco=sub.nco * WEIGHTS["co"],
+    nph, ndo, nbdo, nec, nna, nco = sub
+    return (
+        nph * WEIGHTS["ph"],
+        ndo * WEIGHTS["do"],
+        nbdo * WEIGHTS["bod"],
+        nec * WEIGHTS["ec"],
+        nna * WEIGHTS["na"],
+        nco * WEIGHTS["co"],
     )
 
 
-def loop_compute_wqi(sample, mode=NORMATIVE):
-    missing = sample.missing_wqi_inputs()
+def loop_score_sample(sample, mode=NORMATIVE):
+    missing = missing_wqi_inputs(sample)
     if missing:
         raise MissingInput(missing)
-    sub = SubIndices(
-        nph=loop_sub_index("ph", sample.ph, mode),
-        ndo=loop_sub_index("do", sample.dissolved_oxygen, mode),
-        nbdo=loop_sub_index("bod", sample.bod, mode),
-        nec=loop_sub_index("ec", sample.conductivity, mode),
-        nna=loop_sub_index("na", sample.nitrate, mode),
-        nco=loop_sub_index("co", sample.total_coliform, mode),
+    sub = (
+        loop_sub_index("ph", sample.ph, mode),
+        loop_sub_index("do", sample.dissolved_oxygen, mode),
+        loop_sub_index("bod", sample.bod, mode),
+        loop_sub_index("ec", sample.conductivity, mode),
+        loop_sub_index("na", sample.nitrate, mode),
+        loop_sub_index("co", sample.total_coliform, mode),
     )
-    w = loop_weighted_scores(sub)
-    wqi = w.wph + w.wdo + w.wbdo + w.wec + w.wna + w.wco
-    return WqiRecord(sample=sample, sub=sub, weighted=w, wqi=wqi, mode=mode)
+    wph, wdo, wbdo, wec, wna, wco = w = loop_weighted_scores(sub)
+    return Scored(sample=sample, sub=sub, weighted=w, wqi=wph + wdo + wbdo + wec + wna + wco)
 
 
 def loop_reachable_wqi_values():
     values = set()
     for combo in itertools.product(SUB_INDEX_SCORES, repeat=6):
-        w = loop_weighted_scores(SubIndices(*combo))
-        values.add(w.wph + w.wdo + w.wbdo + w.wec + w.wna + w.wco)
+        wph, wdo, wbdo, wec, wna, wco = loop_weighted_scores(combo)
+        values.add(wph + wdo + wbdo + wec + wna + wco)
     return frozenset(values)
 
 
@@ -108,7 +134,7 @@ def _field_value(rec, name):
     if name == "wqi":
         return rec.wqi
     if name in _SUB_ATTR:
-        return float(getattr(rec.sub, name))
+        return float(rec.sub[_SUB_ATTR.index(name)])
     if rec.sample is None:
         return None
     return getattr(rec.sample, _SAMPLE_ATTR[name])
@@ -135,10 +161,10 @@ def loop_diagnose(rec, rs):
             break
     else:
         rule, echo = rs.default_rule, {}
-    return Diagnosis(
+    return Matched(
         disease=rule.name,
         reason=rule.reason,
         suggestion=rule.suggestion,
-        matched_rule_priority=rule.priority,
-        inputs_echo=echo,
+        priority=rule.priority,
+        echo=echo,
     )

@@ -21,9 +21,9 @@ from aquagauge.gbm import (
     predict_matrix,
     serialize_model,
 )
-from aquagauge.rules import default_ruleset, diagnose
-from aquagauge.wqi import LEGACY_NCO, NORMATIVE, SubIndices, WeightedScores, WqiRecord, compute_wqi
-from conftest import mk_sample, synthetic_regression
+from aquagauge.rules import default_ruleset, diagnose_columns
+from aquagauge.wqi import LEGACY_NCO, NORMATIVE, WqiColumns, score_columns
+from conftest import mk_sample, synthetic_regression, wqi_inputs
 from test_gbm import ref_best_split, ref_gbm_train_predictions
 
 SCALED_HP = Hyperparams(
@@ -67,9 +67,9 @@ def test_criterion_01_golden_wqi_rows():
     ]
     with criterion(1, "golden wqi rows"):
         for mode, do, ph, ec, bod, na, tc, weights, expected in rows:
-            rec = compute_wqi(mk_sample(do=do, ph=ph, ec=ec, bod=bod, na=na, tc=tc), mode)
-            assert rec.weighted.as_tuple() == pytest.approx(weights, abs=0.005)
-            assert rec.wqi == pytest.approx(expected, abs=0.005)
+            cols = score_columns(wqi_inputs(mk_sample(do=do, ph=ph, ec=ec, bod=bod, na=na, tc=tc)), mode)
+            assert cols.weighted[0].tolist() == pytest.approx(weights, abs=0.005)
+            assert cols.wqi[0] == pytest.approx(expected, abs=0.005)
 
 
 def test_criterion_02_percentile_error_rows():
@@ -84,24 +84,32 @@ def test_criterion_02_percentile_error_rows():
             assert percentile_error(actual, predicted) == pytest.approx(printed, abs=tol)
 
 
+def random_wqi_inputs(rng):
+    """One row of the six WQI inputs, in WQI_INPUTS order (ph, DO, BOD,
+    conductivity, nitrate, total coliform), drawn in that order."""
+    return [
+        float(rng.uniform(0, 14)),
+        float(rng.uniform(0, 20)),
+        float(rng.uniform(0, 200)),
+        float(rng.uniform(0, 1000)),
+        float(rng.uniform(0, 500)),
+        float(rng.uniform(0, 20000)),
+    ]
+
+
 def test_criterion_03_wqi_range_property():
     rng = np.random.default_rng(303)
     scores = {0, 40, 60, 80, 100}
     with criterion(3, "wqi range over 10k random samples"):
+        rows = {NORMATIVE: [], LEGACY_NCO: []}
         for _ in range(10_000):
-            sample = mk_sample(
-                ph=float(rng.uniform(0, 14)),
-                do=float(rng.uniform(0, 20)),
-                bod=float(rng.uniform(0, 200)),
-                ec=float(rng.uniform(0, 1000)),
-                na=float(rng.uniform(0, 500)),
-                tc=float(rng.uniform(0, 20000)),
-            )
-            mode = NORMATIVE if rng.random() < 0.5 else LEGACY_NCO
-            rec = compute_wqi(sample, mode)
+            row = random_wqi_inputs(rng)
+            rows[NORMATIVE if rng.random() < 0.5 else LEGACY_NCO].append(row)
+        for mode, inputs in rows.items():
+            cols = score_columns(np.array(inputs), mode)
             # 99.8 is not exactly representable; allow the half-ulp overshoot
-            assert 0.0 <= rec.wqi <= 99.8 + 1e-12
-            assert set(rec.sub.as_tuple()) <= scores
+            assert np.all((0.0 <= cols.wqi) & (cols.wqi <= 99.8 + 1e-12))
+            assert set(cols.sub.ravel().tolist()) <= scores
 
 
 def test_criterion_04_training_curve_monotone():
@@ -178,41 +186,32 @@ def test_criterion_09_diagnosis_rows_total_and_deterministic():
         (50.570943, "white sturgeon", "Use Potassium"),
     ]
     ruleset = default_ruleset()
-
-    def reconstructed(wqi_value):
-        return WqiRecord(
-            sample=mk_sample(tc=30.0),
-            sub=SubIndices(100, 100, 100, 100, 100, 80),
-            weighted=WeightedScores(16.5, 28.1, 23.4, 0.9, 2.8, 22.48),
-            wqi=wqi_value,
-            mode=NORMATIVE,
-        )
+    outcomes = (*ruleset.rules, ruleset.default_rule)
 
     with criterion(9, "diagnosis report rows + totality"):
-        for wqi_value, disease, decision in report_rows:
-            d = diagnose(reconstructed(wqi_value), ruleset)
-            assert d.disease.lower() == disease
-            assert d.suggestion == decision
+        n = len(report_rows)
+        reconstructed = WqiColumns(
+            inputs=np.repeat(wqi_inputs(mk_sample(tc=30.0)), n, axis=0),
+            sub=np.tile([100, 100, 100, 100, 100, 80], (n, 1)),
+            weighted=np.tile([16.5, 28.1, 23.4, 0.9, 2.8, 22.48], (n, 1)),
+            wqi=np.array([wqi_value for wqi_value, _, _ in report_rows]),
+        )
+        for pos, (_, disease, decision) in zip(diagnose_columns(reconstructed, ruleset).tolist(), report_rows):
+            assert outcomes[pos].name.lower() == disease
+            assert outcomes[pos].suggestion == decision
         rng = np.random.default_rng(909)
         scores = (0, 40, 60, 80, 100)
+        inputs, sub, weighted, wqi = [], [], [], []
         for _ in range(10_000):
-            rec = WqiRecord(
-                sample=mk_sample(
-                    ph=float(rng.uniform(0, 14)),
-                    do=float(rng.uniform(0, 20)),
-                    bod=float(rng.uniform(0, 200)),
-                    ec=float(rng.uniform(0, 1000)),
-                    na=float(rng.uniform(0, 500)),
-                    tc=float(rng.uniform(0, 20000)),
-                ),
-                sub=SubIndices(*(scores[rng.integers(0, 5)] for _ in range(6))),
-                weighted=WeightedScores(*(float(rng.uniform(0, 30)) for _ in range(6))),
-                wqi=float(rng.uniform(0, 99.8)),
-                mode=NORMATIVE,
-            )
-            first = diagnose(rec, ruleset)
-            assert first.disease and first.suggestion
-            assert diagnose(rec, ruleset) == first
+            inputs.append(random_wqi_inputs(rng))
+            sub.append([scores[rng.integers(0, 5)] for _ in range(6)])
+            weighted.append([float(rng.uniform(0, 30)) for _ in range(6)])
+            wqi.append(float(rng.uniform(0, 99.8)))
+        records = WqiColumns(np.array(inputs), np.array(sub), np.array(weighted), np.array(wqi))
+        first = diagnose_columns(records, ruleset)
+        assert first.shape == (10_000,)
+        assert all(outcomes[pos].name and outcomes[pos].suggestion for pos in first.tolist())
+        assert np.array_equal(diagnose_columns(records, ruleset), first)
 
 
 def test_criterion_10_unreproducible_reference_metrics_statement():

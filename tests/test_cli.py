@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aquagauge
-from aquagauge import cli, wqi
+from aquagauge import cli, rules, wqi
 from aquagauge.cli import main
 from aquagauge.forecast import FEATURE_NAMES, build_supervised, mse, r_squared, split_by_station
 from aquagauge.gbm import deserialize_model
@@ -312,6 +312,28 @@ class TestDiagnoseCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert set(rows[0]) == {"station_code", "month", "year", "wqi", "disease", "suggestion"}
         assert len(rows) == 5
+
+    def test_perfbench_read_surface(self, capsys, tmp_path):
+        """perfbench's check_diagnose rebuilds diagnose rows from
+        Dataset.samples, wqi.compute_wqi and rules.diagnose: on every row of
+        the 72-row fixture, with two cells left for the median to fill, they
+        give what diagnose --impute median writes."""
+        rows = synthetic_station_rows()
+        rows[3][8], rows[40][11] = "", "n/a"  # bod, total coliform
+        text = rows_to_csv(STATION_HEADER, rows)
+        path = tmp_path / "stations.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "diagnose", "--input", str(path), "--impute", "median")
+        assert code == 0
+        assert "cells_imputed=2" in err
+        ruleset = rules.default_ruleset()
+        want = []
+        for s in impute_missing(parse_dataset(text), "median").samples:
+            rec = wqi.compute_wqi(s)
+            d = rules.diagnose(rec, ruleset)
+            want.append([s.station_code, str(s.month), str(s.year), f"{rec.wqi:.6f}", d.disease, d.suggestion])
+        assert len(want) == 72
+        assert list(csv.reader(out.splitlines()))[1:] == want
 
     def test_custom_rules_file(self, capsys, fixture_csv_path, tmp_path):
         rules_path = tmp_path / "custom.rules"

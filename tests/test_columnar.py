@@ -46,6 +46,7 @@ from aquagauge.ingest import (
     parse_month_year,
 )
 from conftest import STATION_HEADER
+from scoring_reference import missing_wqi_inputs
 from test_forecast import loop_feature_rows
 
 
@@ -133,7 +134,7 @@ def loop_impute_missing(samples, prov, policy):
     if policy == "drop_row":
         kept = []
         for s in samples:
-            missing = s.missing_wqi_inputs()
+            missing = missing_wqi_inputs(s)
             if missing:
                 prov.dropped.append((s.source_row, f"missing {', '.join(missing)} (drop_row policy)"))
             else:
@@ -148,7 +149,7 @@ def loop_impute_missing(samples, prov, policy):
             medians[name] = float(statistics.median(observed))
     filled = []
     for s in samples:
-        missing = s.missing_wqi_inputs()
+        missing = missing_wqi_inputs(s)
         for name in missing:
             prov.notes.append((s.source_row, f"{name} imputed with median {medians[name]!r}"))
         filled.append(replace(s, **{name: medians[name] for name in missing}))

@@ -105,11 +105,12 @@ class TestParseDataset:
 
     def test_separator_padded_cell_keeps_its_value(self):
         """float() refuses the separators U+001C..U+001F that str.strip()
-        removes, so such a cell takes the slow path and keeps its value."""
-        row = list(FIXTURE_ROWS[0])
-        row[6] = "\x1f7.5\x1c"
-        ds = parse_dataset(rows_to_csv(STATION_HEADER, [row]))
-        assert ds.samples[0].ph == 7.5
+        removes, so such a cell takes the slow path and keeps its value, at
+        the closed end of its field's range too."""
+        rows = [list(FIXTURE_ROWS[0]), list(FIXTURE_ROWS[1])]
+        rows[0][6], rows[1][6] = "\x1f7.5\x1c", "\x1c14"
+        ds = parse_dataset(rows_to_csv(STATION_HEADER, rows))
+        assert [s.ph for s in ds.samples] == [7.5, 14.0]
         assert ds.provenance.notes == []
 
     def test_unreadable_header_is_row_0(self):
@@ -166,6 +167,21 @@ class TestParseDataset:
         ds = parse_dataset(rows_to_csv(STATION_HEADER, [row]))
         assert ds.samples[0].ph is None
         assert any("ph" in note for _, note in ds.provenance.notes)
+
+    @pytest.mark.parametrize("col,cell,reason", [
+        (8, "-3", "bod -3.0 is negative"),
+        (6, "15", "ph 15.0 outside [0, 14]"),
+    ], ids=["bod", "ph"])
+    def test_out_of_range_note_and_strict_reason(self, col, cell, reason):
+        """An out-of-range cell is logged with its field's bound, and strict
+        mode rejects its row for the same reason."""
+        row = list(FIXTURE_ROWS[0])
+        row[col] = cell
+        text = rows_to_csv(STATION_HEADER, [row])
+        assert parse_dataset(text).provenance.notes == [(1, f"{reason}; coerced to missing")]
+        with pytest.raises(MalformedRow) as err:
+            parse_dataset(text, strictness="strict")
+        assert (err.value.index, err.value.reason) == (1, reason)
 
     def test_samples_sorted(self, station_fixture_csv):
         ds = parse_dataset(station_fixture_csv)

@@ -19,21 +19,26 @@ from aquagauge.rules import (
     RuleSyntaxError,
     UnknownField,
     default_ruleset,
-    diagnose,
     diagnose_columns,
     load_rules,
 )
-from aquagauge.wqi import SubIndices, WeightedScores, WqiColumns, WqiRecord, compute_wqi, score_columns
-from conftest import mk_sample
-from scoring_reference import loop_compute_wqi, loop_diagnose, outcome
+from aquagauge.wqi import WqiColumns, score_columns
+from conftest import mk_sample, wqi_inputs
+from scoring_reference import Scored, loop_diagnose, loop_score_sample
 
 
-def record(wqi_value, sample=None, sub=None):
-    """A record built directly, the way archived report rows are replayed."""
-    sub = sub or SubIndices(100, 100, 100, 100, 100, 80)
-    w = WeightedScores(16.5, 28.1, 23.4, 0.9, 2.8, 22.48)
-    return WqiRecord(sample=sample or mk_sample(tc=30.0), sub=sub, weighted=w,
-                     wqi=wqi_value, mode="normative")
+def record(wqi_value, sample=None, sub=(100, 100, 100, 100, 100, 80)):
+    """One row of columns built directly, the way archived report rows are
+    replayed: the sample's raw inputs (mk_sample(tc=30.0) by default), the
+    sub-indices and the WQI as given. diagnose_columns reads no weighted
+    scores."""
+    return WqiColumns(inputs=wqi_inputs(sample or mk_sample(tc=30.0)), sub=np.array([sub], dtype=np.int64),
+                      weighted=np.zeros((1, 6)), wqi=np.array([wqi_value], dtype=np.float64))
+
+
+def matched_rule(cols, rs):
+    """The rule diagnose_columns matches on a one-row WqiColumns."""
+    return (*rs.rules, rs.default_rule)[int(diagnose_columns(cols, rs)[0])]
 
 
 # (wqi, expected disease, expected decision) from the archived report rows
@@ -193,31 +198,24 @@ def test_one_line_mutation_loads_valid_or_raises(text):
 class TestDiagnose:
     @pytest.mark.parametrize("wqi_value,disease,decision", REPORT_ROWS)
     def test_report_rows_reproduced(self, wqi_value, disease, decision):
-        d = diagnose(record(wqi_value), default_ruleset())
-        assert d.disease.lower() == disease.lower()
-        assert d.suggestion == decision
+        rule = matched_rule(record(wqi_value), default_ruleset())
+        assert rule.name.lower() == disease.lower()
+        assert rule.suggestion == decision
 
     def test_comfortable_record(self):
-        rec = record(78.97)
-        d = diagnose(rec, default_ruleset())
-        assert (d.disease, d.suggestion) == ("No Disease", "Comfortable")
+        rule = matched_rule(record(78.97), default_ruleset())
+        assert (rule.name, rule.suggestion) == ("No Disease", "Comfortable")
 
     def test_acid_death_from_low_ph(self):
-        rec = compute_wqi(mk_sample(ph=5.0))
-        assert rec.sub.nph == 0
-        d = diagnose(rec, default_ruleset())
-        assert d.disease == "Acid Death"
-        assert d.suggestion == "Use chemical to increase Basic Compound"
+        cols = score_columns(wqi_inputs(mk_sample(ph=5.0)))
+        assert cols.sub[0, 0] == 0
+        rule = matched_rule(cols, default_ruleset())
+        assert rule.name == "Acid Death"
+        assert rule.suggestion == "Use chemical to increase Basic Compound"
 
     def test_alkaline_death_from_high_ph(self):
-        rec = compute_wqi(mk_sample(ph=9.8))
-        d = diagnose(rec, default_ruleset())
-        assert d.disease == "Alkaline Death"
-
-    def test_echo_carries_fields_read(self):
-        rec = compute_wqi(mk_sample(ph=5.0))
-        d = diagnose(rec, default_ruleset())
-        assert d.inputs_echo == {"nph": 0.0, "ph": 5.0}
+        cols = score_columns(wqi_inputs(mk_sample(ph=9.8)))
+        assert matched_rule(cols, default_ruleset()).name == "Alkaline Death"
 
     def test_priority_dominance(self):
         rs = RuleSet(
@@ -229,25 +227,25 @@ class TestDiagnose:
                 key=lambda r: -r.priority,
             )
         )
-        d = diagnose(record(40.0), rs)
-        assert d.disease == "high"
-        assert d.matched_rule_priority == 9
+        rule = matched_rule(record(40.0), rs)
+        assert rule.name == "high"
+        assert rule.priority == 9
 
     def test_condition_on_missing_raw_field_never_matches(self):
         rec = record(10.0, sample=mk_sample(tc=None))
         rs = load_rules('rule 1 "X" reason "r" suggest "s" when tc > 0')
-        assert diagnose(rec, rs).disease == "No Disease"
+        assert matched_rule(rec, rs).name == "No Disease"
 
     @given(
         st.floats(0.0, 99.8),
         st.tuples(*[st.sampled_from([0, 40, 60, 80, 100]) for _ in range(6)]),
     )
     def test_total_and_deterministic(self, wqi_value, sub_scores):
-        rec = record(wqi_value, sub=SubIndices(*sub_scores))
-        first = diagnose(rec, default_ruleset())
-        second = diagnose(rec, default_ruleset())
+        rec = record(wqi_value, sub=sub_scores)
+        first = matched_rule(rec, default_ruleset())
+        second = matched_rule(rec, default_ruleset())
         assert first == second
-        assert first.disease
+        assert first.name
         assert first.suggestion
 
 
@@ -275,11 +273,11 @@ def _rules_text(draw):
 
 
 def _record_row(sub, raw, wqi_value):
-    """The same row as a one-sample record; a NaN raw input is a missing one."""
+    """The same row as the oracle's one-sample record; a NaN raw input is a
+    missing one."""
     ph, do, bod, ec, na, tc = (None if math.isnan(v) else v for v in raw)
     sample = mk_sample(ph=ph, do=do, bod=bod, ec=ec, na=na, tc=tc)
-    return WqiRecord(sample=sample, sub=SubIndices(*sub), weighted=WeightedScores(*[0.0] * 6),
-                     wqi=wqi_value, mode="normative")
+    return Scored(sample=sample, sub=sub, weighted=(0.0,) * 6, wqi=wqi_value)
 
 
 def _matched_priorities(rs, matched):
@@ -288,7 +286,7 @@ def _matched_priorities(rs, matched):
 
 
 class TestDiagnoseColumns:
-    """Against the frozen scalar diagnose, ``loop_diagnose``."""
+    """Against the frozen scalar matcher, ``loop_diagnose``."""
 
     @given(st.lists(st.tuples(*[st.floats(0.0, 5000.0)] * 6), max_size=40),
            st.sampled_from(["normative", "legacy_nco"]))
@@ -296,8 +294,8 @@ class TestDiagnoseColumns:
         cols = score_columns(np.array(rows, dtype=np.float64).reshape(len(rows), 6), mode)
         rs = default_ruleset()
         want = [
-            loop_diagnose(loop_compute_wqi(mk_sample(ph=r[0], do=r[1], bod=r[2], ec=r[3], na=r[4], tc=r[5]),
-                                           mode), rs).matched_rule_priority
+            loop_diagnose(loop_score_sample(mk_sample(ph=r[0], do=r[1], bod=r[2], ec=r[3], na=r[4], tc=r[5]),
+                                            mode), rs).priority
             for r in rows
         ]
         assert _matched_priorities(rs, diagnose_columns(cols, rs)) == want
@@ -322,7 +320,7 @@ class TestDiagnoseColumns:
             weighted=np.zeros((n, 6)),
             wqi=np.array([w for _, _, w in rows], dtype=np.float64),
         )
-        want = [loop_diagnose(_record_row(*row), rs).matched_rule_priority for row in rows]
+        want = [loop_diagnose(_record_row(*row), rs).priority for row in rows]
         assert _matched_priorities(rs, diagnose_columns(cols, rs)) == want
 
     def test_condition_holds_on_arrays(self):
@@ -337,8 +335,9 @@ _RAW = st.one_of(st.none(), st.just(math.nan), _VALUE)
 
 
 class TestDiagnoseMatchesReference:
-    """diagnose, now a one-row call of diagnose_columns, against the frozen
-    scalar matcher: the same Diagnosis, inputs_echo included."""
+    """A one-row call of diagnose_columns against the frozen scalar matcher:
+    the same rule, on the shipped ruleset too, for a record with no sample
+    and for a NaN WQI."""
 
     @given(
         st.one_of(_rules_text(), st.just(None)),  # None: the shipped ruleset
@@ -354,6 +353,10 @@ class TestDiagnoseMatchesReference:
         rs = default_ruleset() if text is None else load_rules(text)
         sample = None if raw is None else mk_sample(ph=raw[0], do=raw[1], bod=raw[2], ec=raw[3], na=raw[4],
                                                      tc=raw[5])
-        rec = WqiRecord(sample=sample, sub=SubIndices(*sub), weighted=WeightedScores(*[0.0] * 6),
-                        wqi=wqi_value, mode="normative")
-        assert outcome(diagnose, rec, rs) == outcome(loop_diagnose, rec, rs)
+        cols = WqiColumns(inputs=np.full((1, 6), np.nan) if sample is None else wqi_inputs(sample),
+                          sub=np.array([sub], dtype=np.int64), weighted=np.zeros((1, 6)),
+                          wqi=np.array([wqi_value], dtype=np.float64))
+        rule = matched_rule(cols, rs)
+        want = loop_diagnose(Scored(sample=sample, sub=sub, weighted=(0.0,) * 6, wqi=wqi_value), rs)
+        assert (rule.name, rule.reason, rule.suggestion, rule.priority) == (
+            want.disease, want.reason, want.suggestion, want.priority)

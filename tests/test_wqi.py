@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from aquagauge.errors import NonFinite
 from aquagauge.wqi import (
@@ -14,16 +14,13 @@ from aquagauge.wqi import (
     SUB_INDEX_KINDS,
     SUB_INDEX_SCORES,
     MissingInput,
-    SubIndices,
-    WeightedScores,
     _weigh,
-    compute_wqi,
     score_columns,
 )
-from conftest import mk_sample
+from conftest import mk_sample, wqi_inputs
 from scoring_reference import (
-    loop_compute_wqi,
     loop_reachable_wqi_values,
+    loop_score_sample,
     loop_sub_index,
     loop_weighted_scores,
     outcome,
@@ -44,8 +41,13 @@ def sub_index(kind, value, mode=NORMATIVE):
 
 
 def weighted_scores(sub):
-    """One SubIndices weighted as score_columns weighs its rows."""
-    return WeightedScores(*_weigh(np.array([sub.as_tuple()]))[0][0].tolist())
+    """Six sub-index scores weighted as score_columns weighs its rows."""
+    return tuple(_weigh(np.array([sub]))[0][0].tolist())
+
+
+def score(sample, mode=NORMATIVE):
+    """score_columns of one sample's row."""
+    return score_columns(wqi_inputs(sample), mode)
 
 
 # (label, mode, do, ph, ec, bod, na, tc, expected wph..wco + wqi)
@@ -113,13 +115,6 @@ class TestSubIndex:
         assert sub_index("do", 5.05) == 80
         assert sub_index("ph", 6.95) == 100
 
-    def test_non_finite(self):
-        # a NaN field of a sample is non-finite, not missing
-        with pytest.raises(NonFinite):
-            compute_wqi(mk_sample(ph=math.nan))
-        with pytest.raises(NonFinite):
-            compute_wqi(mk_sample(do=math.inf))
-
     @given(st.floats(0.0, 500.0), st.floats(0.0, 500.0))
     def test_bod_non_increasing(self, a, b):
         lo, hi = min(a, b), max(a, b)
@@ -148,44 +143,46 @@ class TestSubIndex:
 
 class TestWeightedScores:
     def test_foridpur_combination(self):
-        w = weighted_scores(SubIndices(100, 100, 100, 60, 100, 60))
-        assert w.as_tuple() == pytest.approx((16.5, 28.10, 23.40, 0.54, 2.8, 16.86), abs=APPROX)
+        w = weighted_scores((100, 100, 100, 60, 100, 60))
+        assert w == pytest.approx((16.5, 28.10, 23.40, 0.54, 2.8, 16.86), abs=APPROX)
 
     def test_all_zero(self):
-        w = weighted_scores(SubIndices(0, 0, 0, 0, 0, 0))
-        assert w.as_tuple() == (0.0,) * 6
+        w = weighted_scores((0, 0, 0, 0, 0, 0))
+        assert w == (0.0,) * 6
 
     def test_all_hundred_sums_to_top(self):
-        w = weighted_scores(SubIndices(100, 100, 100, 100, 100, 100))
-        assert w.as_tuple() == pytest.approx((16.5, 28.1, 23.4, 0.9, 2.8, 28.1), abs=APPROX)
-        assert sum(w.as_tuple()) == pytest.approx(99.8, abs=APPROX)
+        w = weighted_scores((100, 100, 100, 100, 100, 100))
+        assert w == pytest.approx((16.5, 28.1, 23.4, 0.9, 2.8, 28.1), abs=APPROX)
+        assert sum(w) == pytest.approx(99.8, abs=APPROX)
 
 
 class TestComputeWqi:
+    """Whole samples scored as one-row score_columns calls. The class keeps
+    the name of the one-sample scorer these tests were written against."""
+
     @pytest.mark.parametrize("label,mode,do,ph,ec,bod,na,tc,weights,expected_wqi", GOLDEN_ROWS)
     def test_golden_rows(self, label, mode, do, ph, ec, bod, na, tc, weights, expected_wqi):
-        rec = compute_wqi(mk_sample(do=do, ph=ph, ec=ec, bod=bod, na=na, tc=tc), mode)
-        assert rec.weighted.as_tuple() == pytest.approx(weights, abs=APPROX)
-        assert rec.wqi == pytest.approx(expected_wqi, abs=APPROX)
+        cols = score(mk_sample(do=do, ph=ph, ec=ec, bod=bod, na=na, tc=tc), mode)
+        assert cols.weighted[0].tolist() == pytest.approx(weights, abs=APPROX)
+        assert cols.wqi[0] == pytest.approx(expected_wqi, abs=APPROX)
 
     def test_everything_outside_bands(self):
-        rec = compute_wqi(mk_sample(ph=2.0, do=1.0, bod=500.0, ec=400.0, na=900.0, tc=2000.0))
-        assert rec.wqi == 0.0
-        assert rec.sub.as_tuple() == (0,) * 6
+        cols = score(mk_sample(ph=2.0, do=1.0, bod=500.0, ec=400.0, na=900.0, tc=2000.0))
+        assert cols.wqi[0] == 0.0
+        assert cols.sub[0].tolist() == [0] * 6
 
     def test_missing_input(self):
         with pytest.raises(MissingInput) as err:
-            compute_wqi(mk_sample(bod=None))
+            score(mk_sample(bod=None))
         assert err.value.fields == ["bod"]
 
     def test_total_coliform_feeds_nco_not_fecal(self):
-        rec = compute_wqi(mk_sample(tc=30.0, fc=900000.0))
-        assert rec.sub.nco == 80
+        cols = score(mk_sample(tc=30.0, fc=900000.0))
+        assert cols.sub[0, SUB_INDEX_KINDS.index("co")] == 80
 
     def test_temp_never_used(self):
-        a = compute_wqi(mk_sample(temp=5.0))
-        b = compute_wqi(mk_sample(temp=35.0))
-        assert a.wqi == b.wqi
+        cols = score_columns(wqi_inputs(mk_sample(temp=5.0), mk_sample(temp=35.0)))
+        assert cols.wqi[0] == cols.wqi[1]
 
 
 def _valid_sample_strategy():
@@ -203,23 +200,23 @@ def _valid_sample_strategy():
 class TestProperties:
     @given(_valid_sample_strategy(), st.sampled_from([NORMATIVE, LEGACY_NCO]))
     def test_range(self, sample, mode):
-        rec = compute_wqi(sample, mode)
-        assert 0.0 <= rec.wqi <= 99.8 + 1e-12
+        wqi = score(sample, mode).wqi[0]
+        assert 0.0 <= wqi <= 99.8 + 1e-12
 
     @given(_valid_sample_strategy(), st.sampled_from([NORMATIVE, LEGACY_NCO]))
     def test_quantized_to_reachable_set(self, sample, mode):
-        rec = compute_wqi(sample, mode)
-        assert rec.wqi in _REACHABLE
-        assert all(v in (0, 40, 60, 80, 100) for v in rec.sub.as_tuple())
+        cols = score(sample, mode)
+        assert cols.wqi[0] in _REACHABLE
+        assert all(v in (0, 40, 60, 80, 100) for v in cols.sub[0].tolist())
 
     @given(_valid_sample_strategy())
     def test_mode_only_touches_coliform_fields(self, sample):
-        normative = compute_wqi(sample, NORMATIVE)
-        legacy = compute_wqi(sample, LEGACY_NCO)
-        assert normative.sub.as_tuple()[:5] == legacy.sub.as_tuple()[:5]
-        assert normative.weighted.as_tuple()[:5] == legacy.weighted.as_tuple()[:5]
-        if normative.sub.nco == legacy.sub.nco:
-            assert normative.wqi == legacy.wqi
+        normative = score(sample, NORMATIVE)
+        legacy = score(sample, LEGACY_NCO)
+        assert normative.sub[0, :5].tolist() == legacy.sub[0, :5].tolist()
+        assert normative.weighted[0, :5].tolist() == legacy.weighted[0, :5].tolist()
+        if normative.sub[0, 5] == legacy.sub[0, 5]:
+            assert normative.wqi[0] == legacy.wqi[0]
         else:
             assert sample.total_coliform > 1000.0
 
@@ -246,16 +243,17 @@ def _as_sample(row):
 
 
 class TestScoreColumns:
-    """Against the frozen scalar compute_wqi, ``loop_compute_wqi``."""
+    """Against the frozen scalar scorer, ``loop_score_sample``, which test
+    names call compute_wqi after the package function it was frozen from."""
 
     @given(st.lists(st.tuples(*[_INPUT_VALUE] * 6), max_size=30), st.sampled_from([NORMATIVE, LEGACY_NCO]))
     def test_equals_compute_wqi_bit_for_bit(self, rows, mode):
         cols = score_columns(np.array(rows, dtype=np.float64).reshape(len(rows), 6), mode)
         assert cols.sub.dtype == np.int64
         for i, row in enumerate(rows):
-            rec = loop_compute_wqi(_as_sample(row), mode)
-            assert tuple(cols.sub[i].tolist()) == rec.sub.as_tuple()
-            assert tuple(cols.weighted[i].tolist()) == rec.weighted.as_tuple()
+            rec = loop_score_sample(_as_sample(row), mode)
+            assert tuple(cols.sub[i].tolist()) == rec.sub
+            assert tuple(cols.weighted[i].tolist()) == rec.weighted
             assert cols.wqi[i].tobytes() == np.float64(rec.wqi).tobytes()
 
     @given(
@@ -270,7 +268,7 @@ class TestScoreColumns:
         inputs[i, j] = bad
         with pytest.raises((MissingInput, NonFinite)) as want:
             for row in inputs:
-                loop_compute_wqi(_as_sample(row))
+                loop_score_sample(_as_sample(row))
         with pytest.raises(type(want.value)) as got:
             score_columns(inputs)
         assert str(got.value) == str(want.value)
@@ -293,7 +291,6 @@ class TestScoreColumns:
 
 
 _MODE = st.sampled_from([NORMATIVE, LEGACY_NCO, "bogus"])
-_ANY_VALUE = st.one_of(_INPUT_VALUE, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 class TestOneRowCallsMatchReference:
@@ -307,20 +304,7 @@ class TestOneRowCallsMatchReference:
 
     @given(st.tuples(*[st.sampled_from(SUB_INDEX_SCORES)] * 6))
     def test_weighted_scores(self, scores):
-        sub = SubIndices(*scores)
-        assert outcome(weighted_scores, sub) == outcome(loop_weighted_scores, sub)
-
-    # NaN and the infinities go into the sample as they are, not through
-    # _as_sample: a float NaN is a non-finite value, not a missing one.
-    @given(st.tuples(*[st.one_of(st.none(), _ANY_VALUE)] * 6), _MODE)
-    @example((7.0, math.nan, 1.0, 50.0, 1.0, 3.0), NORMATIVE)
-    @example((7.0, math.nan, 1.0, 50.0, 1.0, 3.0), "bogus")
-    @example((7.0, 6.0, 1.0, 50.0, 1.0, -math.inf), LEGACY_NCO)
-    @example((math.inf, 6.0, None, 50.0, 1.0, 3.0), NORMATIVE)
-    def test_compute_wqi(self, row, mode):
-        ph, do, bod, ec, na, tc = row
-        sample = mk_sample(ph=ph, do=do, bod=bod, ec=ec, na=na, tc=tc)
-        assert outcome(compute_wqi, sample, mode) == outcome(loop_compute_wqi, sample, mode)
+        assert outcome(weighted_scores, scores) == outcome(loop_weighted_scores, scores)
 
     def test_reachable_wqi_values(self):
         combos = np.array(list(itertools.product(SUB_INDEX_SCORES, repeat=len(SUB_INDEX_KINDS))))
